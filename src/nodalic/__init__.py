@@ -4,8 +4,8 @@ Four engines and a command line, all over arbitrary-precision rationals
 with no floating point anywhere:
 
 - :mod:`nodalic.linalg`: dense exact matrices; rref, rank, kernel and
-  column-space bases on top of one fraction-free elimination kernel
-  (compiled when available, pure Python otherwise).
+  column-space bases on top of one fraction-free integer elimination
+  kernel that keeps its rows primitive.
 - :mod:`nodalic.monodromy`: rank-one monodromy logarithms from
   vanishing cycles, the complex of their products, and the stalk
   dimensions of the middle extension with defect and filtration

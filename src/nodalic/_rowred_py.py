@@ -1,20 +1,42 @@
 """Fraction-free row reduction over arbitrary-precision integers.
 
-Pure-Python fallback for the compiled kernel in ``_rowred_cy``; the two
-implement the identical algorithm and must produce identical output
-(``nodalic.linalg`` selects whichever imports, tests compare both).
+This is the one elimination kernel of the package; every rank, echelon
+form and kernel basis in :mod:`nodalic.linalg` goes through it.
 
-The forward pass is Bareiss elimination: every update
-``row[j] = (piv * row[j] - f * piv_row[j]) // prev`` divides exactly, and
-intermediate entries stay bounded by minors of the input.  The optional
-backward pass clears entries above the pivots in integer arithmetic with
-a per-row gcd reduction, leaving each row an integer multiple of the
-corresponding row of the canonical reduced echelon form.
+Rows are kept primitive (content 1) throughout.  The forward pass
+clears column ``c`` below the pivot ``piv`` by
+``row = (piv/g) * row - (f/g) * piv_row`` with ``g = gcd(piv, f)`` and
+then divides the row by the gcd of its entries.  Each row is therefore
+the primitive integer multiple of the row that plain Gaussian
+elimination would hold, so its entries are never larger than those of
+the Bareiss row (a minor of the input); on matrices whose rows share
+content, such as monomial evaluations at rational points, they stay
+close to the input size instead of growing with the elimination depth.
+The optional backward pass clears entries above the pivots the same
+way, leaving each row an integer multiple of the corresponding row of
+the canonical reduced echelon form.
+
+The pivot is the first nonzero entry of the column among the rows not
+yet used, so pivot columns and the reduced form are deterministic
+functions of the input.
 """
 
 from math import gcd
 
-BACKEND = "python"
+
+def _eliminate(row, piv_row, c, piv, f):
+    """Primitive form of ``(piv/g) * row - (f/g) * piv_row`` from column c on.
+
+    Entries before ``c`` are zero in both rows and are left alone.
+    """
+    g = gcd(piv, f)
+    a = piv // g
+    b = f // g
+    tail = [a * x - b * y for x, y in zip(row[c:], piv_row[c:])]
+    content = gcd(*tail)
+    if content > 1:
+        tail = [x // content for x in tail]
+    row[c:] = tail
 
 
 def reduce_int_rows(rows, ncols, reduced=True):
@@ -24,11 +46,10 @@ def reduce_int_rows(rows, ncols, reduced=True):
     ``i < len(pivots)`` equals ``rows[i][pivots[i]]`` times the canonical
     reduced-echelon row when ``reduced`` is true; remaining rows are zero.
     With ``reduced=False`` only the forward pass runs (enough for rank
-    and pivot columns).
+    and pivot columns).  Every nonzero row leaves with content 1.
     """
     nrows = len(rows)
     pivots = []
-    prev = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -43,13 +64,16 @@ def reduce_int_rows(rows, ncols, reduced=True):
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
         piv_row = rows[r]
+        # only input rows can have content; every updated row is primitive
+        content = gcd(*piv_row[c:])
+        if content > 1:
+            piv_row[c:] = [x // content for x in piv_row[c:]]
         piv = piv_row[c]
         for i in range(r + 1, nrows):
             row = rows[i]
             f = row[c]
-            for j in range(c, ncols):
-                row[j] = (piv * row[j] - f * piv_row[j]) // prev
-        prev = piv
+            if f:
+                _eliminate(row, piv_row, c, piv, f)
         pivots.append(c)
         r += 1
 
@@ -61,16 +85,6 @@ def reduce_int_rows(rows, ncols, reduced=True):
             for i in range(k):
                 row = rows[i]
                 f = row[c]
-                if f == 0:
-                    continue
-                start = pivots[i]
-                for j in range(start, ncols):
-                    row[j] = piv * row[j] - f * piv_row[j]
-                g = 0
-                for j in range(start, ncols):
-                    if row[j]:
-                        g = gcd(g, row[j])
-                if g > 1:
-                    for j in range(start, ncols):
-                        row[j] //= g
+                if f:
+                    _eliminate(row, piv_row, pivots[i], piv, f)
     return pivots

@@ -61,6 +61,7 @@ class LineBundleSum:
         return sum(mult for _, mult in self.summands)
 
     def twisted(self, t):
+        """Shift every twist in the sum by ``t``; multiplicities unchanged."""
         check_int(t, "t")
         return LineBundleSum(tuple((a + t, r) for a, r in self.summands))
 
@@ -83,13 +84,6 @@ class LineBundleSum:
                 )
             pairs.append((term["twist"], term["mult"]))
         return cls.of(pairs)
-
-
-def twist_term(s, t):
-    """Shift every twist in the sum by ``t``; multiplicities unchanged."""
-    if not isinstance(s, LineBundleSum):
-        raise InputError("twist_term expects a LineBundleSum")
-    return s.twisted(t)
 
 
 @dataclass(frozen=True)

@@ -47,14 +47,6 @@ class PaperExamplesReport:
             "all_match": self.all_match,
         }
 
-    @property
-    def ci_cells(self):
-        return [dict(cell) for cell in self.ci_table]
-
-    @property
-    def en_cells(self):
-        return [dict(cell) for cell in self.en_table]
-
 
 def paper_examples(max_n=6, max_k=8, max_h=6, grid_cap=1000):
     """Sweep both tables and self-check them against asserted verdicts.
@@ -241,7 +233,12 @@ def _load_json(path):
             return json.load(handle)
     except OSError as err:
         raise InputError(f"cannot read {path}: {err}") from err
-    except json.JSONDecodeError as err:
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path} is not UTF-8 text: {err}") from err
+    except RecursionError as err:
+        raise InputError(f"{path} nests JSON values too deeply to parse") from err
+    except ValueError as err:
+        # JSONDecodeError, or an integer literal past int()'s digit limit
         raise InputError(f"{path} is not valid JSON: {err}") from err
 
 
@@ -319,7 +316,7 @@ def _run_points(args):
     pts = points.ProjectivePointSet.from_json(_load_json(args.input))
     conditions = points.conditions_report(pts, args.degree)
     crossing = points.normal_crossing_check(pts)
-    span = points.node_span_dim(pts)
+    span = crossing.span_dim
     report = {
         "conditions": conditions.to_json(),
         "node_span_dim": span,

@@ -1,37 +1,21 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of rows, rows are lists of :class:`fractions.Fraction`
-(plain ints are accepted anywhere and widened; floats and bools are
-rejected because they silently break exactness).  All reductions funnel
-through one integer kernel, fraction-free Bareiss elimination, compiled
-when the extension built (``nodalic._rowred_cy``) and pure Python
-otherwise.  Both backends run the same algorithm with the same pivoting
-rule, first nonzero entry in column order, so every result here is a
-deterministic function of the input alone.
-
-Set ``NODALIC_PURE_PYTHON=1`` to force the pure backend; the active one
-is reported by :func:`kernel_backend`.
+(plain ints are accepted anywhere; floats and bools are rejected because
+they silently break exactness).  All reductions funnel through one
+integer kernel, :func:`nodalic._rowred_py.reduce_int_rows`: rows of
+plain ints go to it as they are, and a row holding a Fraction is first
+scaled by the lcm of its denominators, which keeps the row space.  The
+kernel pivots on the first nonzero entry in column order, so every
+result here is a deterministic function of the input alone.
 """
 
-import os
 import re
 from fractions import Fraction
 from math import lcm
 
+from . import _rowred_py as _kernel
 from .errors import InputError, PreconditionError
-
-if os.environ.get("NODALIC_PURE_PYTHON", "") not in ("", "0"):
-    from . import _rowred_py as _kernel
-else:
-    try:
-        from . import _rowred_cy as _kernel
-    except ImportError:
-        from . import _rowred_py as _kernel
-
-
-def kernel_backend():
-    """Name of the row-reduction backend in use: "cython" or "python"."""
-    return _kernel.BACKEND
 
 
 def as_rational(value):
@@ -61,11 +45,14 @@ def parse_rational(value):
         if not _RATIONAL_RE.match(value):
             raise InputError(f"not a rational literal: {value!r}")
         num, _, den = value.partition("/")
-        if den:
-            if int(den) == 0:
-                raise InputError(f"zero denominator: {value!r}")
-            return Fraction(int(num), int(den))
-        return Fraction(int(num))
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError as err:
+            # past the interpreter's digit limit for parsing an int
+            raise InputError("rational literal has too many digits to parse") from err
+        if den == 0:
+            raise InputError(f"zero denominator: {value!r}")
+        return Fraction(num, den)
     raise InputError(
         f"expected an integer or \"a/b\" string, got {type(value).__name__}: {value!r}"
     )
@@ -92,15 +79,10 @@ def parse_matrix(obj, ncols=None):
     return rows
 
 
-def check_matrix(matrix, ncols=None):
-    """Validate shape, return (fraction_rows, ncols).
-
-    ``ncols`` must be supplied when ``matrix`` has no rows and is checked
-    against the row length otherwise.
-    """
+def _check_shape(matrix, ncols):
+    """Validate the list-of-rows shape; return (rows, ncols) unconverted."""
     if not isinstance(matrix, (list, tuple)):
         raise InputError(f"matrix must be a list of rows, got {type(matrix).__name__}")
-    rows = []
     width = ncols
     for i, row in enumerate(matrix):
         if not isinstance(row, (list, tuple)):
@@ -109,21 +91,37 @@ def check_matrix(matrix, ncols=None):
             width = len(row)
         elif len(row) != width:
             raise InputError(f"row {i} has {len(row)} entries, expected {width}")
-        rows.append([as_rational(x) for x in row])
     if width is None:
         raise InputError("cannot infer the column count of a matrix with no rows")
-    return rows, width
+    return matrix, width
 
 
-def _int_rows(rows):
-    """Scale each row by the lcm of its denominators; keeps the row space."""
+def check_matrix(matrix, ncols=None):
+    """Validate shape, return (fraction_rows, ncols).
+
+    ``ncols`` must be supplied when ``matrix`` has no rows and is checked
+    against the row length otherwise.
+    """
+    rows, width = _check_shape(matrix, ncols)
+    return [[as_rational(x) for x in row] for row in rows], width
+
+
+def _int_rows(matrix, ncols=None):
+    """Validated integer rows with the same row space, and the column count.
+
+    A row of plain ints is copied as it is; any other row is widened to
+    Fractions and scaled by the lcm of its denominators.
+    """
+    rows, width = _check_shape(matrix, ncols)
     out = []
     for row in rows:
-        m = 1
-        for x in row:
-            m = lcm(m, x.denominator)
-        out.append([int(x * m) for x in row])
-    return out
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
+        row = [as_rational(x) for x in row]
+        m = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (m // x.denominator) for x in row])
+    return out, width
 
 
 def rref(matrix, ncols=None):
@@ -134,34 +132,22 @@ def rref(matrix, ncols=None):
     (pivots equal to 1, zeros above and below), so equal row spaces give
     equal output.
     """
-    rows, width = check_matrix(matrix, ncols)
-    work = _int_rows(rows)
+    work, width = _int_rows(matrix, ncols)
     pivots = _kernel.reduce_int_rows(work, width, True)
     reduced = []
     for i, c in enumerate(pivots):
         piv = work[i][c]
         reduced.append([Fraction(v, piv) for v in work[i]])
     zero = [Fraction(0)] * width
-    for _ in range(len(rows) - len(pivots)):
+    for _ in range(len(work) - len(pivots)):
         reduced.append(list(zero))
     return reduced, len(pivots), pivots
 
 
 def rank(matrix, ncols=None):
     """Rank over the rationals (forward elimination only)."""
-    rows, width = check_matrix(matrix, ncols)
-    work = _int_rows(rows)
+    work, width = _int_rows(matrix, ncols)
     return len(_kernel.reduce_int_rows(work, width, False))
-
-
-def int_matrix_rank(rows, ncols):
-    """Rank of a matrix that is already integer, without copying overhead.
-
-    ``rows`` must be lists of plain ints; they are copied once, so the
-    caller's data is untouched.
-    """
-    work = [list(r) for r in rows]
-    return len(_kernel.reduce_int_rows(work, ncols, False))
 
 
 def kernel_vectors(matrix, ncols=None):
@@ -204,7 +190,7 @@ def column_space_basis(matrix, ncols=None):
     space, and keep their input order, so the choice is deterministic.
     """
     rows, width = check_matrix(matrix, ncols)
-    work = _int_rows(rows)
+    work, _ = _int_rows(rows, width)
     pivots = _kernel.reduce_int_rows(work, width, False)
     return [[row[c] for c in pivots] for row in rows]
 

@@ -11,7 +11,7 @@ from above; the two roads are compared in tests and in the CLI sweep.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, lcm
 
 from . import linalg
 from .errors import InputError, check_int
@@ -119,26 +119,34 @@ def monomial_basis(n, d):
     return list(walk(n + 1, d))
 
 
+def _integer_point(point):
+    """Primitive integer representative of a stored (lead-1) point."""
+    scale = lcm(*(x.denominator for x in point))
+    return [x.numerator * (scale // x.denominator) for x in point]
+
+
 def evaluation_matrix(pts, d):
     """Monomial values at each point: delta rows, comb(n+d, n) columns.
 
     Rescaling a point's coordinates scales its whole row, so ranks are
-    well defined on projective points; the stored normalization makes
-    the matrix itself canonical too.
+    well defined on projective points.  Each point is evaluated at its
+    primitive integer representative, so the rows are primitive rows of
+    plain ints, and the stored normalization makes the matrix itself
+    canonical too.
     """
     if not isinstance(pts, ProjectivePointSet):
         raise InputError("evaluation_matrix expects a ProjectivePointSet")
     check_int(d, "d", minimum=0)
     mons = monomial_basis(pts.ambient_dim, d)
+    # column exponent of each coordinate, so a row is built one
+    # coordinate at a time from that coordinate's powers
+    exponents = list(zip(*mons))
     rows = []
     for point in pts.points:
-        row = []
-        for exponents in mons:
-            value = Fraction(1)
-            for coord, e in zip(point, exponents):
-                if e:
-                    value *= coord**e
-            row.append(value)
+        row = [1] * len(mons)
+        for x, column in zip(_integer_point(point), exponents):
+            powers = [x**e for e in range(d + 1)]
+            row = [v * powers[e] for v, e in zip(row, column)]
         rows.append(row)
     return rows
 
@@ -185,15 +193,21 @@ def conditions_report(pts, d):
 
 def node_span_dim(pts):
     """Projective dimension of the linear span of the points."""
-    if not isinstance(pts, ProjectivePointSet):
-        raise InputError("node_span_dim expects a ProjectivePointSet")
-    return linalg.rank(pts.coordinate_matrix(), pts.ambient_dim + 1) - 1
+    return normal_crossing_check(pts).span_dim
 
 
 @dataclass(frozen=True)
 class NormalCrossingCheck:
+    """Branch independence, read off the rank of the coordinate matrix.
+
+    ``span_dim`` is the projective dimension of the points' linear span,
+    which the same rank gives; it is reported as ``node_span_dim``, so it
+    stays out of this check's JSON.
+    """
+
     independent_branches: bool
     tangent_intersection_dim: int
+    span_dim: int
 
     def to_json(self):
         return {
@@ -216,6 +230,7 @@ def normal_crossing_check(pts):
     return NormalCrossingCheck(
         independent_branches=rank == pts.delta,
         tangent_intersection_dim=pts.ambient_dim - rank,
+        span_dim=rank - 1,
     )
 
 

@@ -52,10 +52,10 @@ class TestLineBundleSum:
 
     def test_twist_shifts_everything(self):
         s = bott.LineBundleSum.of([(-6, 1)])
-        assert bott.twist_term(s, 4).summands == ((-2, 1),)
-        assert bott.twist_term(s, 0) == s
+        assert s.twisted(4).summands == ((-2, 1),)
+        assert s.twisted(0) == s
         mixed = bott.LineBundleSum.of([(1, 2), (0, 1)])
-        assert bott.twist_term(mixed, -3).summands == ((-3, 1), (-2, 2))
+        assert mixed.twisted(-3).summands == ((-3, 1), (-2, 2))
 
     def test_total_cohomology(self):
         s = bott.LineBundleSum.of([(1, 2), (-4, 1)])

@@ -242,6 +242,25 @@ class TestSurface:
         path.write_text("{not json", encoding="utf-8")
         assert cli.run(["ic-stalk", "--input", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            # a literal past the interpreter's 4300-digit limit for int()
+            json.dumps({"ambient_dim": 1, "points": [["1" * 5000 + "/7", 1]]}).encode(),
+            b'{"ambient_dim": 1, "points": [[' + b"1" * 5000 + b", 1]]}",
+            b'{"ambient_dim": 1, "points": [[1, 2]], "note": "\xff\xfe"}',
+            b"[" * 100000 + b"]" * 100000,
+        ],
+        ids=["long-rational-string", "long-json-number", "not-utf8", "deep-nesting"],
+    )
+    def test_unparsable_input_gives_one_error_line(self, tmp_path, capsys, content):
+        path = tmp_path / "input.json"
+        path.write_bytes(content)
+        assert cli.run(["points", "--input", str(path), "--degree", "1"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
     def test_unknown_subcommand_exits_one(self, capsys):
         assert cli.run(["frobnicate"]) == 1
         capsys.readouterr()

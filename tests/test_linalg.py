@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from nodalic import linalg
+from nodalic import _rowred_py, linalg
 from nodalic.errors import InputError, PreconditionError
 
 
@@ -66,6 +67,12 @@ class TestRref:
         _, rank, _ = linalg.rref(matrix)
         assert rank <= 2
 
+    def test_deterministic_repeats(self):
+        matrix = [[3, 1, 4], [1, 5, 9], [2, 6, 5], [3, 5, 8]]
+        first = linalg.rref(matrix)
+        for _ in range(3):
+            assert linalg.rref(matrix) == first
+
 
 class TestKernel:
     def test_identity_kernel_empty(self):
@@ -100,6 +107,23 @@ class TestKernel:
             if nullity:
                 product = linalg.matmul(matrix, basis)
                 assert all(all(x == 0 for x in row) for row in product)
+
+
+class TestEliminationKernel:
+    def test_forward_pass_leaves_primitive_rows(self):
+        rng = random.Random(313)
+        for _ in range(40):
+            nrows = rng.randint(1, 8)
+            ncols = rng.randint(1, 8)
+            # rows with a common factor, so content has to be removed
+            rows = []
+            for _ in range(nrows):
+                factor = rng.choice([1, 2, 6])
+                rows.append([factor * rng.randint(-9, 9) for _ in range(ncols)])
+            pivots = _rowred_py.reduce_int_rows(rows, ncols, False)
+            for row in rows[: len(pivots)]:
+                assert gcd(*row) == 1
+            assert all(x == 0 for row in rows[len(pivots):] for x in row)
 
 
 class TestColumnSpace:
@@ -205,36 +229,3 @@ class TestShapeValidation:
         with pytest.raises(InputError):
             linalg.rank([])
         assert linalg.rank([], 5) == 0
-
-
-class TestBackends:
-    def test_backend_reported(self):
-        assert linalg.kernel_backend() in ("cython", "python")
-
-    def test_pure_and_compiled_agree(self):
-        from nodalic import _rowred_py
-
-        try:
-            from nodalic import _rowred_cy
-        except ImportError:
-            pytest.skip("compiled kernel not built")
-        rng = random.Random(707)
-        for _ in range(40):
-            rows = rng.randint(1, 8)
-            cols = rng.randint(1, 8)
-            matrix = [
-                [rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)
-            ]
-            for reduced in (False, True):
-                a = [list(r) for r in matrix]
-                b = [list(r) for r in matrix]
-                piv_a = _rowred_py.reduce_int_rows(a, cols, reduced)
-                piv_b = _rowred_cy.reduce_int_rows(b, cols, reduced)
-                assert piv_a == piv_b
-                assert a == b
-
-    def test_deterministic_repeats(self):
-        matrix = [[3, 1, 4], [1, 5, 9], [2, 6, 5], [3, 5, 8]]
-        first = linalg.rref(matrix)
-        for _ in range(3):
-            assert linalg.rref(matrix) == first
