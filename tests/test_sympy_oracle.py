@@ -30,18 +30,25 @@ def from_sympy(matrix):
 def random_entry(rng, rational):
     if rational:
         return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
-    return Fraction(rng.randint(-9, 9))
+    return rng.randint(-9, 9)
 
 
 def random_matrix(rng, rows, cols, rational, rank=None):
-    """Random matrix; with ``rank`` given, a product of that inner size."""
+    """Random matrix of Fractions or of plain ints.
+
+    With ``rank`` given, the matrix is a product of that inner size, so
+    its rank is at most ``rank``.
+    """
     if rank is None:
         return [[random_entry(rng, rational) for _ in range(cols)] for _ in range(rows)]
     if rank == 0:
-        return [[Fraction(0)] * cols for _ in range(rows)]
+        return [[0] * cols for _ in range(rows)]
     left = random_matrix(rng, rows, rank, rational)
     right = random_matrix(rng, rank, cols, rational)
-    return linalg.matmul(left, right)
+    product = linalg.matmul(left, right)
+    if rational:
+        return product
+    return [[int(x) for x in row] for row in product]
 
 
 def matrices(seed, count):
