@@ -14,7 +14,19 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .errors import InputError, check_int
+from .errors import InputError, PreconditionError, check_int
+
+# Dimensions here are binomials comb(|a| + n, n) in the twists a, which
+# grow as |a|^n: a twist of 3000 digits gives a bound too long to print.
+# Every twist that enters a resolution or a chase is held to this bound.
+MAX_TWIST = 10**6
+FAIL_TWIST_RANGE = f"twist out of range: |twist| must be at most {MAX_TWIST}"
+
+
+def _check_twist(value, name):
+    check_int(value, name)
+    if abs(value) > MAX_TWIST:
+        raise PreconditionError(FAIL_TWIST_RANGE)
 
 
 def bott_h(n, q, a):
@@ -36,7 +48,7 @@ def bott_h(n, q, a):
 def _canonical_summands(pairs):
     merged = {}
     for twist, mult in pairs:
-        check_int(twist, "twist")
+        _check_twist(twist, "twist")
         check_int(mult, "multiplicity", minimum=1)
         merged[twist] = merged.get(twist, 0) + mult
     return tuple(sorted(merged.items()))
@@ -102,7 +114,7 @@ class Resolution:
 
     def __post_init__(self):
         check_int(self.ambient_dim, "ambient_dim", minimum=1)
-        check_int(self.resolved_twist, "resolved_twist")
+        _check_twist(self.resolved_twist, "resolved_twist")
         if not self.terms:
             raise InputError("a resolution needs at least one term")
         for term in self.terms:
@@ -220,7 +232,7 @@ def h1_vanishing_chase(res, target_twist):
     """
     if not isinstance(res, Resolution):
         raise InputError("h1_vanishing_chase expects a Resolution")
-    check_int(target_twist, "target_twist")
+    _check_twist(target_twist, "target_twist")
     n = res.ambient_dim
     e = target_twist - res.resolved_twist
     length = len(res.terms)

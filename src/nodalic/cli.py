@@ -439,11 +439,15 @@ def _dumps(report):
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
+# built once: parsing never changes the parser, and a parser per call
+# costs far more than the parse and leaves cyclic garbage behind
+_PARSER = _build_parser()
+
+
 def run(argv=None):
     """Execute one command line; returns the exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         report, lines, code = _DISPATCH[args.command](args)
         if args.out is not None:
             try:

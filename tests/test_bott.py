@@ -4,7 +4,7 @@ from math import comb, factorial
 import pytest
 
 from nodalic import bott
-from nodalic.errors import InputError
+from nodalic.errors import InputError, PreconditionError
 
 
 class TestBottH:
@@ -171,6 +171,46 @@ class TestResolutionJson:
     def test_rejects_non_object(self):
         with pytest.raises(InputError):
             bott.Resolution.from_json([1, 2])
+
+
+PAST = -(bott.MAX_TWIST + 1)
+
+
+class TestTwistBound:
+    def test_bound_is_inclusive(self):
+        edge = bott.MAX_TWIST
+        res = bott.Resolution(
+            ambient_dim=2,
+            resolved_twist=edge,
+            terms=(bott.LineBundleSum.of([(-edge, 1)]),),
+        )
+        assert bott.h1_vanishing_chase(res, -edge).target_twist == -edge
+
+    @pytest.mark.parametrize(
+        "summand, resolved, target",
+        [(PAST, 0, 2), (-2, PAST, 2), (-2, 0, PAST)],
+        ids=["summand", "resolved", "target"],
+    )
+    def test_one_past_the_bound_is_a_named_precondition(
+        self, summand, resolved, target
+    ):
+        with pytest.raises(PreconditionError, match="twist out of range"):
+            res = bott.Resolution(
+                ambient_dim=2,
+                resolved_twist=resolved,
+                terms=(bott.LineBundleSum.of([(summand, 1)]),),
+            )
+            bott.h1_vanishing_chase(res, target)
+
+    def test_long_twist_in_a_document(self):
+        doc = {
+            "ambient_dim": 2,
+            "resolved_twist": 0,
+            "terms": [[{"twist": -(10**3000 - 1), "mult": 1}]],
+        }
+        with pytest.raises(PreconditionError) as err:
+            bott.Resolution.from_json(doc)
+        assert str(err.value) == bott.FAIL_TWIST_RANGE
 
 
 class TestChase:

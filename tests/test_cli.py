@@ -261,6 +261,19 @@ class TestSurface:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ")
 
+    def test_oversized_twist_gives_one_precondition_line(self, tmp_path, capsys):
+        # its h1 bound would run past the interpreter's 4300-digit limit for
+        # printing an int
+        term = [{"twist": -(10**3000 - 1), "mult": 1}]
+        doc = {"ambient_dim": 2, "resolved_twist": 0, "terms": [term, term]}
+        path = write_doc(tmp_path, "resolution.json", doc)
+        assert cli.run(["chase", "--input", path, "--twist", "2", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"precondition violated: {bott.FAIL_TWIST_RANGE}"
+        ]
+
     def test_unknown_subcommand_exits_one(self, capsys):
         assert cli.run(["frobnicate"]) == 1
         capsys.readouterr()

@@ -470,3 +470,41 @@ class TestOperatorIdentities:
             if data.delta:
                 assert cohomology[1] == data.delta - s
             assert all(v == 0 for v in cohomology[2:])
+
+
+class TestSparseComplex:
+    def test_orthogonal_cycles_store_one_summand_per_log(self):
+        rng = random.Random(22)
+        for _ in range(15):
+            data = random_monodromy_data(rng, max_half_dim=4, max_delta=8)
+            complex_ = monodromy.build_stalk_complex(data)
+            assert sum(len(level) for level in complex_.summands) == 1 + data.delta
+            assert all(not level for level in complex_.summands[2:])
+            assert len(complex_.dims) == data.delta + 1
+            assert len(complex_.differentials) == data.delta
+
+    def test_forty_nodes(self):
+        # 2^40 index tuples, of which only the 40 single logs are nonzero
+        rng = random.Random(23)
+        m = 8
+        cycles = []
+        for _ in range(40):
+            scale = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 5)))
+            cycles.append(
+                [scale * rng.randint(-2, 2) if i % 2 == 0 else 0 for i in range(m)]
+            )
+            cycles[-1][0] = scale
+        data = data_for(m, cycles, h_ambient=2)
+        s = monodromy.span_dim(data)
+        report = monodromy.ic_stalk(data)
+        assert (report.h0, report.h1) == (m - s, 40 - s)
+        assert report.higher == (0,) * 39
+        assert report.excision_rank == s
+
+    def test_non_skew_pairing_keeps_longer_products(self):
+        # equal cycles under a symmetric pairing: every product is nonzero
+        pairing = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+        data = data_for(2, [(1, 0), (Fraction(1, 2), 0), (3, 0)], pairing=pairing)
+        complex_ = monodromy.build_stalk_complex(data)
+        assert [len(level) for level in complex_.summands] == [1, 3, 3, 1]
+        assert complex_.dims == (2, 3, 3, 1)
