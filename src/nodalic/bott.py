@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .errors import InputError, PreconditionError, check_int
+from .errors import InputError, PreconditionError, check_int, check_reportable
 
 # Dimensions here are binomials comb(|a| + n, n) in the twists a, which
 # grow as |a|^n: a twist of 3000 digits gives a bound too long to print.
@@ -179,7 +179,8 @@ def eagon_northcott_resolution(n, num_quadrics):
     Models the node set of a section built from ``num_quadrics`` + 1
     quadrics in projective n-space: term p is O(n-p) with multiplicity
     binom(h+n, n-p) * binom(h+p-1, p-1) where h = num_quadrics, and the
-    resolved sheaf is the ideal sheaf twisted by h + n.
+    resolved sheaf is the ideal sheaf twisted by h + n.  Every
+    multiplicity must be short enough to print.
     """
     check_int(n, "n", minimum=1)
     h = num_quadrics
@@ -187,6 +188,7 @@ def eagon_northcott_resolution(n, num_quadrics):
     terms = []
     for p in range(1, n + 1):
         mult = comb(h + n, n - p) * comb(h + p - 1, p - 1)
+        check_reportable(mult, "multiplicity")
         terms.append(LineBundleSum.of([(n - p, mult)]))
     return Resolution(ambient_dim=n, resolved_twist=h + n, terms=tuple(terms))
 
@@ -228,7 +230,7 @@ def h1_vanishing_chase(res, target_twist):
     to the ambient dimension.  When the splice conditions hold, h^p and
     h^{p+1} of term p both zero for every intermediate p, the bound is
     attained and ``exact_h1`` is reported; a zero upper bound also pins
-    the exact value at 0.
+    the exact value at 0.  The bound must be short enough to print.
     """
     if not isinstance(res, Resolution):
         raise InputError("h1_vanishing_chase expects a Resolution")
@@ -247,6 +249,9 @@ def h1_vanishing_chase(res, target_twist):
             if value:
                 obstructions.append((p, a, value))
                 upper += value
+    # every reported dimension (each obstruction, the exact h1) is at
+    # most the bound
+    check_reportable(upper, "h1 bound")
     vanishes = upper == 0
 
     def h_term(p, q):

@@ -28,3 +28,18 @@ def check_int(value, name, minimum=None, maximum=None):
     if maximum is not None and value > maximum:
         raise InputError(f"{name} must be at most {maximum}, got {value}")
     return value
+
+
+# CPython refuses to turn an int of more than 4300 digits into text (the
+# default of sys.set_int_max_str_digits), and 2**14284 < 10**4300, so a
+# count of at most this many bits can always be printed.
+MAX_REPORTED_BITS = 14284
+
+
+def check_reportable(value, name):
+    """Require an int count short enough to print, else PreconditionError."""
+    if value.bit_length() > MAX_REPORTED_BITS:
+        raise PreconditionError(
+            f"{name} too large to report: more than {MAX_REPORTED_BITS} bits"
+        )
+    return value

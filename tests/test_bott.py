@@ -4,7 +4,7 @@ from math import comb, factorial
 import pytest
 
 from nodalic import bott
-from nodalic.errors import InputError, PreconditionError
+from nodalic.errors import MAX_REPORTED_BITS, InputError, PreconditionError
 
 
 class TestBottH:
@@ -211,6 +211,30 @@ class TestTwistBound:
         with pytest.raises(PreconditionError) as err:
             bott.Resolution.from_json(doc)
         assert str(err.value) == bott.FAIL_TWIST_RANGE
+
+
+class TestReportableSize:
+    def test_bound_is_the_longest_printable_bit_length(self):
+        assert 2**MAX_REPORTED_BITS < 10**4300 < 2 ** (MAX_REPORTED_BITS + 1)
+
+    def test_bound_is_inclusive(self):
+        # h^2 of O(-3) on the plane is 1, so the bound is the multiplicity
+        def chase(mult):
+            terms = tuple(bott.LineBundleSum.of([p]) for p in ((0, 1), (-3, mult)))
+            res = bott.Resolution(ambient_dim=2, resolved_twist=0, terms=terms)
+            return bott.h1_vanishing_chase(res, 0)
+
+        edge = 2**MAX_REPORTED_BITS - 1
+        assert chase(edge).upper_bound == edge
+        with pytest.raises(PreconditionError) as err:
+            chase(edge + 1)
+        assert str(err.value) == (
+            f"h1 bound too large to report: more than {MAX_REPORTED_BITS} bits"
+        )
+
+    def test_long_eagon_northcott_multiplicity_fails_by_name(self):
+        with pytest.raises(PreconditionError, match="multiplicity too large"):
+            bott.eagon_northcott_resolution(10**4, 10**4)
 
 
 class TestChase:

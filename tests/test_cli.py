@@ -3,6 +3,7 @@ import json
 import pytest
 
 from nodalic import bott, cli, points
+from nodalic.errors import MAX_REPORTED_BITS
 from nodalic.points import ProjectivePointSet
 
 SYMPLECTIC4 = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]]
@@ -273,6 +274,45 @@ class TestSurface:
         assert captured.err.splitlines() == [
             f"precondition violated: {bott.FAIL_TWIST_RANGE}"
         ]
+
+    def test_oversized_multiplicity_gives_one_precondition_line(
+        self, tmp_path, capsys
+    ):
+        # a 4291-digit multiplicity parses, but its h1 bound has 4302 digits
+        term = [{"twist": -(10**6), "mult": 10**4290}]
+        doc = {"ambient_dim": 2, "resolved_twist": 0, "terms": [term, term]}
+        path = write_doc(tmp_path, "resolution.json", doc)
+        assert cli.run(["chase", "--input", path, "--twist", "0", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "precondition violated: h1 bound too large to report: "
+            f"more than {MAX_REPORTED_BITS} bits"
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["grid", "--n", str(10**9), "--k", "3"], points.FAIL_GRID_SIZE),
+            (["grid", "--n", "3", "--k", str(10**6)], points.FAIL_GRID_SIZE),
+            (["points", "--degree", str(10**9)], points.FAIL_MONOMIALS),
+            (
+                ["eagon-northcott", "--n", "10000", "--quadrics", "10000"],
+                f"multiplicity too large to report: more than {MAX_REPORTED_BITS} bits",
+            ),
+        ],
+        ids=["grid-dimension", "grid-degree", "points-degree", "eagon-northcott"],
+    )
+    def test_oversized_request_gives_one_precondition_line(
+        self, tmp_path, capsys, argv, message
+    ):
+        if argv[0] == "points":
+            doc = {"ambient_dim": 2, "points": [[1, 2, 3], [0, 1, "1/2"]]}
+            argv = argv + ["--input", write_doc(tmp_path, "points.json", doc)]
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"precondition violated: {message}"]
 
     def test_unknown_subcommand_exits_one(self, capsys):
         assert cli.run(["frobnicate"]) == 1

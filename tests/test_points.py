@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from nodalic import linalg, points
-from nodalic.errors import InputError
+from nodalic.errors import InputError, PreconditionError
 
 from helpers import random_invertible
 
@@ -48,6 +48,78 @@ class TestPointSet:
         doc["note"] = "x"
         with pytest.raises(InputError):
             points.ProjectivePointSet.from_json(doc)
+
+    def test_vectors_are_primitive_with_positive_lead(self):
+        pts = point_set(2, [(0, -3, 6), (Fraction(-1, 2), 1, Fraction(3, 4))])
+        assert pts.vectors == ((0, 1, -2), (2, -4, -3))
+        assert pts.points == (
+            (0, 1, -2),
+            (1, -2, Fraction(-3, 2)),
+        )
+
+    def test_rescaling_gives_equal_sets(self):
+        rng = random.Random(313)
+        factors = [-1, -3, Fraction(1, 2), Fraction(-5, 7), Fraction(7, 3)]
+        for _ in range(20):
+            n = rng.randint(1, 3)
+            coords = {
+                tuple(
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    for _ in range(n + 1)
+                )
+                for _ in range(rng.randint(1, 6))
+            }
+            coords.discard((0,) * (n + 1))
+            try:
+                pts = point_set(n, sorted(coords))
+            except InputError:
+                continue  # two of the vectors are proportional
+            scaled = []
+            for p in sorted(coords):
+                factor = rng.choice(factors)
+                scaled.append([factor * x for x in p])
+            again = point_set(n, scaled)
+            assert again == pts
+            assert again.points == pts.points
+            doc = {
+                "ambient_dim": n,
+                "points": [[linalg.rational_to_json(x) for x in p] for p in scaled],
+            }
+            parsed = points.ProjectivePointSet.from_json(doc)
+            assert parsed == pts
+            assert parsed.points == pts.points
+
+    @pytest.mark.parametrize(
+        "coords, message",
+        [
+            ([[0, "0/3", 0]], "point 0 is the zero vector"),
+            ([[1, "1/0", 1]], "zero denominator: '1/0'"),
+            (
+                [[1, 1, 1], [-2, "-2", "-6/3"]],
+                "points 0 and 1 coincide as projective points",
+            ),
+            ([[1, 1.5, 1]], 'expected an integer or "a/b" string, got float: 1.5'),
+            # every literal is parsed before any point is checked
+            (
+                [[0, 0, 0], [1, 1.5, 1]],
+                'expected an integer or "a/b" string, got float: 1.5',
+            ),
+            ([[1, 2], [1, "1/0", 1]], "zero denominator: '1/0'"),
+        ],
+    )
+    def test_document_error_messages(self, coords, message):
+        doc = {"ambient_dim": 2, "points": coords}
+        with pytest.raises(InputError) as err:
+            points.ProjectivePointSet.from_json(doc)
+        assert str(err.value) == message
+
+    def test_coordinate_error_messages(self):
+        with pytest.raises(InputError) as err:
+            point_set(2, [(1, 2, 3), (1, 1.5, 1)])
+        assert str(err.value) == "expected an int or Fraction, got float: 1.5"
+        with pytest.raises(InputError) as err:
+            point_set(2, [(1, 2), (1, 1.5, 1)])
+        assert str(err.value) == "point 0 has 2 coordinates, expected 3"
 
 
 class TestMonomialBasis:
@@ -340,3 +412,44 @@ class TestNodeCounts:
             points.node_count_ci(2, 1)
         with pytest.raises(InputError):
             points.node_count_quadrics(2, 0)
+
+
+class TestSizeBounds:
+    # the oversized requests are checked by arithmetic on n, k and d, so
+    # these tests build nothing of their size
+    def test_monomial_bound_is_inclusive(self):
+        assert len(points.monomial_basis(1, points.MAX_MONOMIALS - 1)) == (
+            points.MAX_MONOMIALS
+        )
+        with pytest.raises(PreconditionError) as err:
+            points.monomial_basis(1, points.MAX_MONOMIALS)
+        assert str(err.value) == points.FAIL_MONOMIALS
+
+    def test_huge_degree_fails_by_name(self):
+        pts = point_set(2, [(1, 2, 3)])
+        for n, d in ((10**9, 10**9), (2, 10**12), (10**12, 1)):
+            with pytest.raises(PreconditionError, match="too many monomials"):
+                points.monomial_basis(n, d)
+        with pytest.raises(PreconditionError, match="too many monomials"):
+            points.conditions_report(pts, 10**9)
+
+    def test_grid_bound_is_inclusive(self, monkeypatch):
+        # 4 points of 3 coordinates, and 1 point of 12
+        monkeypatch.setattr(points, "MAX_GRID_COORDINATES", 12)
+        assert points.grid_nodes(2, 3).delta == 4
+        assert points.grid_nodes(11, 2).delta == 1
+        with pytest.raises(PreconditionError) as err:
+            points.grid_nodes(2, 4)
+        assert str(err.value) == points.FAIL_GRID_SIZE
+        with pytest.raises(PreconditionError):
+            points.grid_nodes(12, 2)
+
+    def test_huge_grid_fails_by_name(self):
+        for n, k in ((10**9, 2), (10**9, 3), (2, 10**12), (60, 3)):
+            with pytest.raises(PreconditionError, match="grid too large"):
+                points.grid_nodes(n, k)
+
+    def test_paper_example_sizes_pass(self):
+        # the largest default paper-examples grid, 625 points on 210 monomials
+        assert len(points.monomial_basis(4, 6)) == 210
+        assert points.grid_nodes(4, 6).delta == 625

@@ -106,3 +106,21 @@ def test_grid_evaluation_rank_matches():
         assert rank == linalg.rank(matrix) == len(pivots)
         assert ours == list(pivots)
         assert reduced == from_sympy(expected)
+
+
+def test_rank_matches_in_every_orientation():
+    # tall matrices are ranked through their transpose, wide ones as they are
+    rng = random.Random(1204)
+    # sympy's own rank is slow on dense squares past about 20 x 20
+    shapes = [(40, 12), (12, 40), (12, 12), (30, 3), (3, 30), (17, 9), (9, 17)]
+    for i in range(56):
+        rows, cols = shapes[i % len(shapes)]
+        rank = rng.randint(0, min(rows, cols) - 1) if i % 2 else None
+        matrix = random_matrix(rng, rows, cols, rational=i % 4 >= 2, rank=rank)
+        expected = to_sympy(
+            [[Fraction(x) for x in row] for row in matrix]
+        ).rank()
+        assert linalg.rank(matrix) == expected
+        assert linalg.rank(linalg.transpose(matrix), rows) == expected
+        if rank is not None:
+            assert expected <= rank
