@@ -371,7 +371,8 @@ def _run_grid(args):
         f"ambient dimension: {pts.ambient_dim}",
         f"points: {pts.delta}",
     ]
-    for point in pts.points:
+    # the report's entries print as the Fractions they encode
+    for point in report["points"]:
         lines.append("  (" + ", ".join(str(x) for x in point) + ")")
     return report, lines, 0
 

@@ -20,7 +20,6 @@ and the ``grid`` command).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import comb, gcd, lcm
 
@@ -60,14 +59,6 @@ def _primitive_vector(pairs, index):
     return tuple(x // content for x in vec)
 
 
-def _rational_pairs(coords):
-    return [(x.numerator, x.denominator) for x in map(linalg.as_rational, coords)]
-
-
-def _same_pairs(pairs):
-    return pairs
-
-
 @dataclass(frozen=True)
 class ProjectivePointSet:
     """Distinct points of projective n-space, stored as integer vectors.
@@ -85,12 +76,13 @@ class ProjectivePointSet:
     @classmethod
     def from_coordinates(cls, ambient_dim, coordinates):
         """Point set from coordinate vectors of ints or Fractions."""
-        return cls._from_pairs(ambient_dim, coordinates, _rational_pairs)
+        return cls._from_pairs(ambient_dim, coordinates, rational=True)
 
     @classmethod
-    def _from_pairs(cls, ambient_dim, coordinates, to_pairs):
-        # to_pairs turns one point's coordinates into (numerator,
-        # denominator) pairs, after its shape is checked
+    def _from_pairs(cls, ambient_dim, coordinates, rational=False):
+        # each point's coordinates are (numerator, denominator) pairs, or
+        # ints and Fractions when rational is true, converted after the
+        # point's shape is checked
         check_int(ambient_dim, "ambient_dim", minimum=1)
         if not isinstance(coordinates, (list, tuple)):
             raise InputError("points must be a list of coordinate vectors")
@@ -104,7 +96,12 @@ class ProjectivePointSet:
                     f"point {i} has {len(coords)} coordinates, "
                     f"expected {ambient_dim + 1}"
                 )
-            vector = _primitive_vector(to_pairs(coords), i)
+            if rational:
+                coords = [
+                    (x.numerator, x.denominator)
+                    for x in map(linalg.as_rational, coords)
+                ]
+            vector = _primitive_vector(coords, i)
             if vector in seen:
                 raise InputError(
                     f"points {seen[vector]} and {i} coincide as projective points"
@@ -156,7 +153,7 @@ class ProjectivePointSet:
             if not isinstance(vec, list):
                 raise InputError(f"point {i} is not an array")
             coordinates.append([linalg.parse_rational_pair(x) for x in vec])
-        return cls._from_pairs(obj["ambient_dim"], coordinates, _same_pairs)
+        return cls._from_pairs(obj["ambient_dim"], coordinates)
 
 
 def _check_monomial_count(n, d):
@@ -195,28 +192,24 @@ def monomial_basis(n, d):
     return list(walk(n + 1, d))
 
 
-@lru_cache(maxsize=64)
-def _exponent_columns(n, d):
-    """For each coordinate, its exponent in every degree-d monomial."""
-    return tuple(zip(*monomial_basis(n, d)))
-
-
 def evaluation_matrix(pts, d):
     """Monomial values at each point: delta rows, comb(n+d, n) columns.
 
     Rescaling a point's coordinates scales its whole row, so ranks are
     well defined on projective points.  Each point is evaluated at its
     stored integer vector, so the rows are plain ints and the matrix is
-    canonical.  A row is built one coordinate at a time from that
-    coordinate's powers; the exponent columns are cached per (n, d).
+    canonical.
     """
     if not isinstance(pts, ProjectivePointSet):
         raise InputError("evaluation_matrix expects a ProjectivePointSet")
     check_int(d, "d", minimum=0)
-    exponents = _exponent_columns(pts.ambient_dim, d)
+    mons = monomial_basis(pts.ambient_dim, d)
+    # column exponent of each coordinate, so a row is built one
+    # coordinate at a time from that coordinate's powers
+    exponents = list(zip(*mons))
     rows = []
     for vector in pts.vectors:
-        row = [1] * len(exponents[0])
+        row = [1] * len(mons)
         for x, column in zip(vector, exponents):
             powers = [x**e for e in range(d + 1)]
             row = [v * powers[e] for v, e in zip(row, column)]
