@@ -11,19 +11,24 @@ all products of length two or more vanish and the answer collapses to
 two numbers, which this module also derives in closed form and checks
 against the complex.
 
-Denominators are cleared once, at ingest: the pairing is scaled by one
-common multiple of its denominators, each cycle by the lcm of its own,
-and each cycle's functional <., v> is computed once on those integers.
+A document is parsed once, each literal to one Fraction, and
+denominators are cleared once, at ingest: the pairing is scaled by one
+common multiple of its denominators, each cycle by the lcm of its own
+(which also gives its weight), and each cycle's functional <., v> is
+computed once on those integers.
 Positive rescalings change no rank, skewness, orthogonality or
 commutation, so every check runs on plain ints.  The complex stores
 only the products that are nonzero: a product grows by prepending a
 logarithm only when that logarithm does not kill it, so orthogonal
 cycles give the identity and the delta single logarithms rather than
 2^delta summands, and degree >= 2 still comes out of the computation.
-Summand bases and differentials stay exact Fractions.  With CPython 3.11
-on a shared 2-vCPU machine, ``ic_stalk`` takes about 1.4 ms at m = 10,
-delta = 6 and 7 ms at m = 16, delta = 14, where enumerating all 2^delta
-index tuples over Fractions took 47 ms and 2.1 s.
+Summand bases and differentials stay exact Fractions; every summand of
+degree >= 1 has a one-column basis, so each block of a differential is
+the ratio of two proportional columns, and no reduced echelon form is
+computed.  With CPython 3.11 on a shared 2-vCPU machine, ``ic_stalk``
+takes about 1.4 ms at m = 10, delta = 6 and 7 ms at m = 16, delta = 14,
+where enumerating all 2^delta index tuples over Fractions took 47 ms and
+2.1 s.
 """
 
 from dataclasses import dataclass, field
@@ -85,6 +90,7 @@ class MonodromyData:
                 f"pairing has {len(rows)} rows, expected {self.dim}"
             )
         cycles = []
+        scales = []
         for i, cycle in enumerate(self.cycles):
             if not isinstance(cycle, (list, tuple)):
                 raise InputError(f"cycle {i} is not a vector")
@@ -92,23 +98,25 @@ class MonodromyData:
                 raise InputError(
                     f"cycle {i} has length {len(cycle)}, expected {self.dim}"
                 )
-            cycles.append([linalg.as_rational(x) for x in cycle])
+            cycle = [linalg.as_rational(x) for x in cycle]
+            cycles.append(cycle)
+            scales.append(lcm(*(x.denominator for x in cycle)))
         scale = lcm(*(x.denominator for row in rows for x in row))
         int_pairing = _freeze(
             [x.numerator * (scale // x.denominator) for x in row] for row in rows
         )
-        int_cycles, _ = linalg._int_rows(cycles, self.dim)
+        int_cycles = _freeze(
+            [x.numerator * (c // x.denominator) for x in cycle]
+            for cycle, c in zip(cycles, scales)
+        )
         frozen = {
             "pairing": _freeze(rows),
             "cycles": _freeze(cycles),
             "int_pairing": int_pairing,
-            "int_cycles": _freeze(int_cycles),
+            "int_cycles": int_cycles,
             "functionals": _freeze(_functional(int_pairing, v) for v in int_cycles),
             # v_i = int_cycles[i] / c_i and f_i = functionals[i] / (scale * c_i)
-            "weights": tuple(
-                Fraction(1, scale * lcm(*(x.denominator for x in c)) ** 2)
-                for c in cycles
-            ),
+            "weights": tuple(Fraction(1, scale * c * c) for c in scales),
         }
         for name, value in frozen.items():
             object.__setattr__(self, name, value)
@@ -130,7 +138,16 @@ class MonodromyData:
             )
         dim = obj["dim"]
         check_int(dim, "dim", minimum=0)
-        pairing = linalg.parse_matrix(obj["pairing"], dim)
+        pairing = obj["pairing"]
+        if not isinstance(pairing, list):
+            raise InputError("matrix must be a JSON array of rows")
+        rows = []
+        for i, row in enumerate(pairing):
+            if not isinstance(row, list):
+                raise InputError(f"row {i} is not an array")
+            rows.append(tuple(linalg.parse_rational(x) for x in row))
+        # a ragged pairing is reported ahead of anything wrong in the cycles
+        linalg._check_shape(rows, dim)
         raw_cycles = obj["cycles"]
         if not isinstance(raw_cycles, list):
             raise InputError('"cycles" must be an array of vectors')
@@ -138,11 +155,11 @@ class MonodromyData:
         for i, vec in enumerate(raw_cycles):
             if not isinstance(vec, list):
                 raise InputError(f"cycle {i} is not an array")
-            cycles.append([linalg.parse_rational(x) for x in vec])
+            cycles.append(tuple(linalg.parse_rational(x) for x in vec))
         return cls(
             dim=dim,
-            pairing=tuple(tuple(r) for r in pairing),
-            cycles=tuple(tuple(c) for c in cycles),
+            pairing=tuple(rows),
+            cycles=tuple(cycles),
             h_ambient=obj["h_ambient"],
             fiber_dim=obj.get("fiber_dim"),
         )
@@ -198,11 +215,10 @@ def _is_skew(pairing):
 class PLOperator:
     """Logarithm of the local monodromy around one node."""
 
-    index: int
     matrix: tuple
 
 
-def pl_operator(pairing, cycle, sign, index=0):
+def pl_operator(pairing, cycle, sign):
     """Rank-one nilpotent x -> sign*<x, cycle>*cycle for a skew pairing.
 
     ``sign`` must be +1 or -1; the choice never changes any dimension
@@ -217,10 +233,9 @@ def pl_operator(pairing, cycle, sign, index=0):
     vec = [linalg.as_rational(x) for x in cycle]
     if sign not in (1, -1):
         raise InputError(f"sign must be +1 or -1, got {sign!r}")
-    check_int(index, "index", minimum=0)
     if not _is_skew(rows):
         raise PreconditionError(FAIL_SKEW)
-    return PLOperator(index=index, matrix=_freeze(_log_matrix(rows, vec, sign)))
+    return PLOperator(matrix=_freeze(_log_matrix(rows, vec, sign)))
 
 
 def transvection(op):
@@ -329,21 +344,17 @@ class StalkComplex:
         return tuple(range(len(self.summands)))
 
 
-def _column_coordinates(basis, images, width):
-    """Coordinates of ``images`` columns in ``basis`` columns.
+def _ratio(image, basis):
+    """The scalar c with ``image == c * basis``, for a nonzero ``basis`` column.
 
-    ``basis`` is dim x r with independent columns, r >= 1; every image
-    column must lie in their span, anything else means the complex's
+    An image off the line of the basis column means the complex's
     summands were assembled from non-commuting operators.
     """
-    r = len(basis[0])
-    aug = [list(brow) + list(irow) for brow, irow in zip(basis, images)]
-    reduced, rank, _ = linalg.rref(aug, r + width)
-    # independent basis columns are always pivots, so any extra rank
-    # means an image column escaped the span
-    if rank != r:
+    lead = next(k for k, x in enumerate(basis) if x)
+    c = image[lead] / basis[lead]
+    if any(y != c * x for x, y in zip(basis, image)):
         raise PreconditionError(FAIL_COMMUTING)
-    return [row[r:] for row in reduced[:r]]
+    return c
 
 
 def build_stalk_complex(data, sign=-1):
@@ -412,9 +423,8 @@ def build_stalk_complex(data, sign=-1):
                 dropped = idx[l]
                 source = [x for (x,) in summands[p][col][1]]
                 scale = sign * ws[dropped] * _dot(fs[dropped], source)
-                image = [[scale * x] for x in vs[dropped]]
-                block = _column_coordinates(basis, image, 1)
-                row[col] = (-1) ** l * block[0][0]
+                image = [scale * x for x in vs[dropped]]
+                row[col] = (-1) ** l * _ratio(image, [x for (x,) in basis])
         differentials.append(_freeze(d))
 
     return StalkComplex(

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb, factorial
 
 import pytest
@@ -113,6 +115,25 @@ class TestKoszulResolution:
                 res = bott.koszul_resolution(n, [k - 1] * n)
                 assert res.terms[-1].summands == ((n * (1 - k), 1),)
 
+    def test_subset_counts_match_enumeration(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            degrees = [rng.randint(1, 6) for _ in range(rng.randint(1, 8))]
+            res = bott.koszul_resolution(len(degrees), degrees)
+            expected = [
+                bott.LineBundleSum.of(
+                    [(-sum(subset), 1) for subset in combinations(degrees, p)]
+                )
+                for p in range(1, len(degrees) + 1)
+            ]
+            assert list(res.terms) == expected
+
+    def test_forty_equal_degrees(self):
+        res = bott.koszul_resolution(40, [2] * 40)
+        assert [t.summands for t in res.terms] == [
+            ((-2 * p, comb(40, p)),) for p in range(1, 41)
+        ]
+
 
 class TestEagonNorthcottResolution:
     def test_plane_single_extra_quadric(self):
@@ -201,6 +222,15 @@ class TestTwistBound:
                 terms=(bott.LineBundleSum.of([(summand, 1)]),),
             )
             bott.h1_vanishing_chase(res, target)
+
+    def test_koszul_degrees_summing_past_the_bound(self):
+        half = bott.MAX_TWIST // 2
+        res = bott.koszul_resolution(2, [half, bott.MAX_TWIST - half])
+        assert res.terms[-1].summands == ((-bott.MAX_TWIST, 1),)
+        # 40 distinct degrees: 2^40 subsets, and no term is ever built
+        degrees = [bott.MAX_TWIST // 40 + i for i in range(40)]
+        with pytest.raises(PreconditionError, match="twist out of range"):
+            bott.koszul_resolution(40, degrees)
 
     def test_long_twist_in_a_document(self):
         doc = {

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from nodalic import _rowred_py, linalg
+from nodalic import linalg
 from nodalic.errors import InputError, PreconditionError
 
 
@@ -120,7 +120,7 @@ class TestEliminationKernel:
             for _ in range(nrows):
                 factor = rng.choice([1, 2, 6])
                 rows.append([factor * rng.randint(-9, 9) for _ in range(ncols)])
-            pivots = _rowred_py.reduce_int_rows(rows, ncols, False)
+            pivots = linalg.reduce_int_rows(rows, ncols, False)
             for row in rows[: len(pivots)]:
                 assert gcd(*row) == 1
             assert all(x == 0 for row in rows[len(pivots):] for x in row)

@@ -137,7 +137,7 @@ class TestTransvection:
         assert t == [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
 
     def test_non_nilpotent_rejected(self):
-        fake = monodromy.PLOperator(index=0, matrix=((1, 0), (0, 1)))
+        fake = monodromy.PLOperator(matrix=((1, 0), (0, 1)))
         with pytest.raises(InputError, match="square"):
             monodromy.transvection(fake)
 
@@ -240,6 +240,55 @@ class TestDataParsing:
                     "h_ambient": 0,
                 }
             )
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"pairing": "x"}, "matrix must be a JSON array of rows"),
+            ({"pairing": [[0, 1], 5]}, "row 1 is not an array"),
+            # a row's literals are parsed before the next row is looked at
+            ({"pairing": [[0, "x"], 5]}, "not a rational literal: 'x'"),
+            ({"pairing": [[0, 1, 0], [-1, 0]]}, "row 0 has 3 entries, expected 2"),
+            # every literal of the pairing is parsed before any row length
+            ({"pairing": [[0, 1, 0], [-1, "z"]]}, "not a rational literal: 'z'"),
+            ({"pairing": [[0, 1]]}, "pairing has 1 rows, expected 2"),
+            ({"pairing": [[0, "1/0"], [-1, 0]]}, "zero denominator: '1/0'"),
+            ({"pairing": [[0, "abc"], [-1, 0]]}, "not a rational literal: 'abc'"),
+            (
+                {"pairing": [[0, 1.5], [-1, 0]]},
+                'expected an integer or "a/b" string, got float: 1.5',
+            ),
+            (
+                {"cycles": [[1, 0.5]]},
+                'expected an integer or "a/b" string, got float: 0.5',
+            ),
+            ({"cycles": [[1, "q"]]}, "not a rational literal: 'q'"),
+            ({"cycles": "x"}, '"cycles" must be an array of vectors'),
+            ({"cycles": [[1, 0], 3]}, "cycle 1 is not an array"),
+            ({"cycles": [[1, 0, 0]]}, "cycle 0 has length 3, expected 2"),
+            # a ragged pairing row wins over a bad cycle literal
+            (
+                {"pairing": [[0, 1, 0], [-1, 0]], "cycles": [[1, "q"]]},
+                "row 0 has 3 entries, expected 2",
+            ),
+            # the row count is checked after the cycles are parsed, but
+            # before their lengths
+            (
+                {"pairing": [[0, 1]], "cycles": [[1, "q"]]},
+                "not a rational literal: 'q'",
+            ),
+            (
+                {"pairing": [[0, 1]], "cycles": [[1, 0, 0]]},
+                "pairing has 1 rows, expected 2",
+            ),
+        ],
+    )
+    def test_document_error_messages(self, changes, message):
+        doc = {"dim": 2, "pairing": [[0, 1], [-1, 0]], "cycles": [[1, 0]], "h_ambient": 0}
+        doc.update(changes)
+        with pytest.raises(InputError) as err:
+            MonodromyData.from_json(doc)
+        assert str(err.value) == message
 
 
 class TestStalkComplex:
@@ -508,3 +557,92 @@ class TestSparseComplex:
         complex_ = monodromy.build_stalk_complex(data)
         assert [len(level) for level in complex_.summands] == [1, 3, 3, 1]
         assert complex_.dims == (2, 3, 3, 1)
+
+
+def log_matrix(pairing, cycle, sign):
+    # x -> sign * <x, v> * v for any pairing, skew or not
+    functional = [sum(p * c for p, c in zip(row, cycle)) for row in pairing]
+    return [[sign * a * f for f in functional] for a in cycle]
+
+
+def reference_differential(complex_, logs, p):
+    """Degree-p differential with every block solved by rref.
+
+    The block from summand jdx to summand idx, where idx adds the factor
+    idx[l] to jdx, is (-1)^l times the coordinates of N_{idx[l]} applied
+    to the columns of jdx's basis, in the basis of idx.
+    """
+    sources = complex_.summands[p]
+    offsets = [0]
+    for _, basis in sources:
+        offsets.append(offsets[-1] + len(basis[0]))
+    rows = []
+    for idx, basis in complex_.summands[p + 1]:
+        row = [Fraction(0)] * offsets[-1]
+        for k, (jdx, source) in enumerate(sources):
+            for l in range(len(idx)):
+                if idx[:l] + idx[l + 1 :] != jdx:
+                    continue
+                image = linalg.matmul(logs[idx[l]], [list(r) for r in source])
+                aug = [list(b) + list(i) for b, i in zip(basis, image)]
+                reduced, rank, _ = linalg.rref(aug)
+                assert rank == 1
+                for j, x in enumerate(reduced[0][1:]):
+                    row[offsets[k] + j] = (-1) ** l * x
+        rows.append(row)
+    return rows
+
+
+def dropped_factor_blocks(complex_, p):
+    """(row, column) of each degree-p block that drops a later factor."""
+    sources = {jdx: k for k, (jdx, _) in enumerate(complex_.summands[p])}
+    return [
+        (r, sources[idx[:l] + idx[l + 1 :]])
+        for r, (idx, _) in enumerate(complex_.summands[p + 1])
+        for l in range(1, len(idx))
+        if idx[:l] + idx[l + 1 :] in sources
+    ]
+
+
+class TestDroppedFactorBlocks:
+    # a non-symmetric pairing and proportional cycles with <v, v> != 0:
+    # the logs commute and every product of them is nonzero, so dropping
+    # a later factor gives a nonzero block
+    PAIRING = [[2, 1, 0], [0, 1, -1], [1, 0, 3]]
+    CYCLES = [(1, -1, 2), (Fraction(1, 2), Fraction(-1, 2), 1), (-3, 3, -6)]
+
+    def test_differentials_match_rref_coordinates(self):
+        data = data_for(3, self.CYCLES, pairing=self.PAIRING)
+        for sign in (1, -1):
+            complex_ = monodromy.build_stalk_complex(data, sign)
+            assert complex_.dims == (3, 3, 3, 1)
+            assert dropped_factor_blocks(complex_, 1)
+            logs = [log_matrix(self.PAIRING, c, sign) for c in self.CYCLES]
+            for p, diff in enumerate(complex_.differentials):
+                assert [list(r) for r in diff] == reference_differential(
+                    complex_, logs, p
+                )
+                for r, c in dropped_factor_blocks(complex_, p):
+                    assert diff[r][c] != 0
+
+    def test_differentials_compose_to_zero(self):
+        data = data_for(3, self.CYCLES, pairing=self.PAIRING)
+        for sign in (1, -1):
+            complex_ = monodromy.build_stalk_complex(data, sign)
+            for a, b in zip(complex_.differentials[1:], complex_.differentials):
+                product = linalg.matmul([list(r) for r in a], [list(r) for r in b])
+                assert all(x == 0 for row in product for x in row)
+
+    def test_image_off_the_line_rejected(self, monkeypatch):
+        # <v_1, v_0> = 1 under the identity pairing, and N_1 carries v_0
+        # onto v_1, which is not a multiple of v_0
+        pairing = [[1, 0], [0, 1]]
+        data = data_for(2, [(1, 0), (1, 1)], pairing=pairing)
+        with pytest.raises(PreconditionError, match=FAIL_COMMUTING):
+            monodromy.build_stalk_complex(data)
+        # the block itself checks the line too, not only the pairwise test
+        monkeypatch.setattr(
+            monodromy, "_rank_one_products_commute", lambda vs, fs: True
+        )
+        with pytest.raises(PreconditionError, match=FAIL_COMMUTING):
+            monodromy.build_stalk_complex(data)
