@@ -9,6 +9,7 @@ exact value when the relevant cohomology of the intermediate terms
 vanishes and the bound collapses to a single term.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -154,8 +155,10 @@ def koszul_resolution(n, degrees):
     1 <= c <= n; term p is the sum of O(-sum of each p-subset of the
     degrees).  The resolved sheaf is the untwisted ideal sheaf.
 
-    The p-subsets are counted by their sums, one degree at a time, not
-    enumerated: c equal degrees take c^2 / 2 steps instead of 2^c.
+    The p-subsets are counted by their sums, one distinct degree at a
+    time, not enumerated: c equal degrees take c steps instead of 2^c.
+    Every multiplicity must be short enough to print; a list whose middle
+    term cannot be fails by name before anything is counted.
     """
     check_int(n, "n", minimum=1)
     if not isinstance(degrees, (list, tuple)) or not degrees:
@@ -171,13 +174,32 @@ def koszul_resolution(n, degrees):
     # term c is O(-sum of all degrees), the largest twist of any term
     if sum(degrees) > MAX_TWIST:
         raise PreconditionError(FAIL_TWIST_RANGE)
-    # counts[p][s]: p-subsets of the degrees seen so far that sum to s
+    # term c // 2 holds comb(c, c // 2) >= 2^c / (c + 1) subsets on at most
+    # half * (max - min) + 1 sums, so one of its multiplicities is at least
+    # their ratio; the cheap power bound settles a long list before comb runs
+    half = c // 2
+    sums = half * (max(degrees) - min(degrees)) + 1
+    check_reportable((1 << c) // ((c + 1) * sums), "multiplicity")
+    check_reportable(-(-comb(c, half) // sums), "multiplicity")
+    # counts[p][s]: p-subsets of the degrees seen so far that sum to s; a
+    # degree d listed m times adds j of its copies in comb(m, j) ways
     counts = [{0: 1}] + [{} for _ in degrees]
-    for seen, d in enumerate(degrees, 1):
-        for p in range(seen, 0, -1):
-            grown = counts[p]
-            for s, r in counts[p - 1].items():
-                grown[s + d] = grown.get(s + d, 0) + r
+    seen = 0
+    for d, m in sorted(Counter(degrees).items()):
+        ways = [1]
+        for j in range(m):
+            ways.append(ways[-1] * (m - j) // (j + 1))
+        for p in range(seen, -1, -1):
+            for j in range(1, m + 1):
+                grown = counts[p + j]
+                w = ways[j]
+                t = j * d
+                for s, r in counts[p].items():
+                    grown[s + t] = grown.get(s + t, 0) + r * w
+        seen += m
+    for term in counts:
+        for r in term.values():
+            check_reportable(r, "multiplicity")
     terms = tuple(
         LineBundleSum.of((-s, r) for s, r in counts[p].items())
         for p in range(1, c + 1)

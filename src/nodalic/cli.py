@@ -16,13 +16,12 @@ from dataclasses import dataclass
 from . import bott, monodromy, points
 from .errors import InputError, PreconditionError, check_int
 
-_EXPECTED_CI_VANISHING = {2: 4, 3: 3}  # n -> max vanishing k; otherwise k = 2
 _EXPECTED_EN_MAX_H = 2
 _SEVERI_SAMPLES = ((3, 1), (4, 0), (4, 4), (5, 2), (7, 3), (9, 4))
 
 
 def _expected_ci(n, k):
-    return k <= _EXPECTED_CI_VANISHING.get(n, 2)
+    return k in bott.ci_threshold(n).admissible_k
 
 
 @dataclass(frozen=True)

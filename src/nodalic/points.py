@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd, lcm
+from operator import mul
 
 from . import linalg
 from .errors import InputError, PreconditionError, check_int, check_reportable
@@ -192,28 +193,55 @@ def monomial_basis(n, d):
     return list(walk(n + 1, d))
 
 
+def _prefix_plan(n, d):
+    """How the degree-d monomials in n+1 variables grow from their prefixes.
+
+    Level i lists, for each exponent prefix of the first i + 1 variables
+    with sum at most d, its parent prefix (an index into level i - 1)
+    and its last exponent, in the lexicographic order of
+    :func:`monomial_basis`.  The last two variables share one level: a
+    monomial extends its prefix by x^e * y^(f - e), where f is the degree
+    the prefix leaves, and that level lists the index of (f, e) in the
+    table of these products, f ascending, then e.
+    """
+    levels = []
+    free = [d]
+    for level in range(n):
+        parents, exponents, left = [], [], []
+        for i, f in enumerate(free):
+            start = f * (f + 1) // 2 if level == n - 1 else 0
+            parents += [i] * (f + 1)
+            exponents += range(start, start + f + 1)
+            left += range(f, -1, -1)
+        levels.append((parents, exponents))
+        free = left
+    return levels
+
+
 def evaluation_matrix(pts, d):
     """Monomial values at each point: delta rows, comb(n+d, n) columns.
 
     Rescaling a point's coordinates scales its whole row, so ranks are
     well defined on projective points.  Each point is evaluated at its
     stored integer vector, so the rows are plain ints and the matrix is
-    canonical.
+    canonical.  Monomials sharing an exponent prefix share its product,
+    so each value costs one multiplication.
     """
     if not isinstance(pts, ProjectivePointSet):
         raise InputError("evaluation_matrix expects a ProjectivePointSet")
     check_int(d, "d", minimum=0)
-    mons = monomial_basis(pts.ambient_dim, d)
-    # column exponent of each coordinate, so a row is built one
-    # coordinate at a time from that coordinate's powers
-    exponents = list(zip(*mons))
+    _check_monomial_count(pts.ambient_dim, d)
+    levels = _prefix_plan(pts.ambient_dim, d)
     rows = []
     for vector in pts.vectors:
-        row = [1] * len(mons)
-        for x, column in zip(vector, exponents):
-            powers = [x**e for e in range(d + 1)]
-            row = [v * powers[e] for v, e in zip(row, column)]
-        rows.append(row)
+        powers = [[x**e for e in range(d + 1)] for x in vector]
+        x, y = powers[-2:]
+        powers[-2] = [x[e] * y[f - e] for f in range(d + 1) for e in range(f + 1)]
+        values = [1]
+        for factors, (parents, exponents) in zip(powers, levels):
+            prefixes = map(values.__getitem__, parents)
+            values = list(map(mul, prefixes, map(factors.__getitem__, exponents)))
+        rows.append(values)
     return rows
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
@@ -133,6 +134,31 @@ class TestKoszulResolution:
         assert [t.summands for t in res.terms] == [
             ((-2 * p, comb(40, p)),) for p in range(1, 41)
         ]
+
+
+    def test_unprintable_middle_term_fails_before_counting(self):
+        # comb(14300, 7150) has more than MAX_REPORTED_BITS bits; the count
+        # of a million equal degrees, as many as the twist bound allows, would
+        # not even fit in memory
+        for c in (14300, 10**6):
+            start = time.perf_counter()
+            with pytest.raises(PreconditionError, match="multiplicity too large"):
+                bott.koszul_resolution(c, [1] * c)
+            assert time.perf_counter() - start < 1
+
+    def test_unprintable_multiplicity_found_by_the_count(self):
+        # the spread of one large degree leaves the middle-term bound
+        # printable, but the 7147-subsets of the ones alone are not
+        degrees = [1] * 14295 + [1000]
+        with pytest.raises(PreconditionError, match="multiplicity too large"):
+            bott.koszul_resolution(len(degrees), degrees)
+
+    def test_longest_printable_run_of_equal_degrees(self):
+        assert comb(14291, 7145).bit_length() == MAX_REPORTED_BITS
+        res = bott.koszul_resolution(14291, [1] * 14291)
+        assert res.terms[7144].summands == ((-7145, comb(14291, 7145)),)
+        with pytest.raises(PreconditionError, match="multiplicity too large"):
+            bott.koszul_resolution(14292, [1] * 14292)
 
 
 class TestEagonNorthcottResolution:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -126,6 +127,17 @@ class TestChaseCommands:
     def test_koszul_too_many_degrees_exits_one(self, capsys):
         assert cli.run(["koszul", "--n", "2", "--degrees", "2,2,2"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_koszul_unprintable_multiplicity_exits_two(self, capsys):
+        degrees = ",".join(["1"] * 14300)
+        start = time.perf_counter()
+        assert cli.run(["koszul", "--n", "14300", "--degrees", degrees]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"precondition violated: multiplicity too large to report: more than {MAX_REPORTED_BITS} bits"
+        ]
 
     def test_bad_degrees_flag_exits_one(self):
         assert cli.run(["koszul", "--n", "2", "--degrees", "a,b"]) == 1

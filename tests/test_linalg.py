@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 
-from nodalic import linalg
+from nodalic import linalg, points
 from nodalic.errors import InputError, PreconditionError
 
 
@@ -124,6 +125,158 @@ class TestEliminationKernel:
             for row in rows[: len(pivots)]:
                 assert gcd(*row) == 1
             assert all(x == 0 for row in rows[len(pivots):] for x in row)
+
+
+WORD = 2**63
+
+
+def kernel_rank(rows, ncols):
+    """Rank by the list kernel, on a copy."""
+    return len(linalg.reduce_int_rows([list(row) for row in rows], ncols, False))
+
+
+def packed_rank(rows, ncols):
+    """Rank by the packed pass, whatever the row count."""
+    bits = max((abs(x) for row in rows for x in row), default=0).bit_length()
+    return linalg._packed_rank([list(row) for row in rows], ncols, bits)
+
+
+def low_rank(rng, rows, cols, rank, bound):
+    """Product of random rows x rank and rank x cols matrices."""
+    if rank == 0:
+        return [[0] * cols for _ in range(rows)]
+    left = [[rng.randint(-bound, bound) for _ in range(rank)] for _ in range(rows)]
+    right = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rank)]
+    return [[sum(map(mul, row, col)) for col in zip(*right)] for row in left]
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(rows, ncols) of every call to the list kernel."""
+    calls = []
+    kernel = linalg.reduce_int_rows
+
+    def counted(rows, ncols, reduced=True):
+        calls.append((len(rows), ncols))
+        return kernel(rows, ncols, reduced)
+
+    monkeypatch.setattr(linalg, "reduce_int_rows", counted)
+    return calls
+
+
+class TestPackedRank:
+    def test_matches_list_kernel_on_seeded_shapes(self):
+        rng = random.Random(717)
+        cutoff = linalg.PACKED_MIN_ROWS
+        for trial in range(120):
+            short = rng.randint(cutoff - 3, cutoff + 12)
+            long = short + rng.randint(0, 30)
+            # wide, tall and square
+            rows, cols = [(short, long), (long, short), (short, short)][trial % 3]
+            bound = rng.choice((1, 9, 2**20, WORD - 1))
+            if trial % 2:
+                matrix = low_rank(rng, rows, cols, rng.randint(0, short), 3)
+            else:
+                matrix = [
+                    [rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)
+                ]
+            expected = kernel_rank(matrix, cols)
+            assert linalg.rank(matrix, cols) == expected
+            assert packed_rank(matrix, cols) == expected
+
+    def test_edge_shapes(self):
+        rng = random.Random(718)
+        cases = [
+            ([[0] * 12 for _ in range(9)], 12, 0),
+            ([[0, 0, 0, 0, 5]], 5, 1),
+            ([[3], [0], [-7], [2**62]], 1, 1),
+            ([[0] * 9 + [x] for x in (0, 4, -6, 0, 9, 2**40, 0, 1)], 10, 1),
+        ]
+        # zero rows and zero columns among random ones
+        matrix = [[rng.randint(-9, 9) for _ in range(14)] for _ in range(10)]
+        for row in matrix[::3]:
+            row[:] = [0] * 14
+        for row in matrix:
+            row[2] = row[7] = row[13] = 0
+        cases.append((matrix, 14, kernel_rank(matrix, 14)))
+        for matrix, ncols, expected in cases:
+            assert packed_rank(matrix, ncols) == expected
+            assert linalg.rank(matrix, ncols) == expected
+
+    def test_word_edges_pick_the_path(self, monkeypatch):
+        calls = []
+        packed = linalg._packed_rank
+
+        def counted(rows, ncols, bits):
+            calls.append(bits)
+            return packed(rows, ncols, bits)
+
+        monkeypatch.setattr(linalg, "_packed_rank", counted)
+        rng = random.Random(719)
+        for extremes, fits in (
+            ((WORD - 1, -WORD), True),
+            ((-(WORD - 1),), True),
+            ((WORD,), False),
+            ((-WORD - 1,), False),
+        ):
+            matrix = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(9)]
+            for i, x in enumerate(extremes):
+                matrix[3 + i][5 + i] = x
+            calls.clear()
+            assert linalg.rank(matrix) == kernel_rank(matrix, 12)
+            assert len(calls) == int(fits)
+            if fits:
+                assert calls == [64 if -WORD in extremes else 63]
+
+    @pytest.mark.parametrize("column", [0, 4, 9])
+    def test_growth_hands_over_at_the_column(self, kernel_calls, column):
+        rng = random.Random(720 + column)
+        ncols, nrows = 10, 9
+        # unit rows are the first pivots and clear the small heads of the
+        # rows below, which hold odd words from ``column`` on: their first
+        # update there needs about 126 bits a slot
+        units = min(column, nrows - 2)
+        matrix = [[int(i == j) for j in range(ncols)] for i in range(units)]
+        while len(matrix) < nrows:
+            head = [rng.randint(-9, 9) for _ in range(units)] + [0] * (column - units)
+            tail = [rng.randint(WORD // 2, WORD - 1) | 1 for _ in range(ncols - column)]
+            matrix.append(head + tail)
+        expected = kernel_rank(matrix, ncols)
+        kernel_calls.clear()
+        assert linalg.rank(matrix, ncols) == expected
+        assert kernel_calls == [(nrows - units, ncols - column)]
+
+    def test_grid_matrix_stays_packed(self, kernel_calls):
+        values = [Fraction(p, q) for p, q in ((1, 1), (-5, 2), (7, 3), (-8, 3), (9, 1))]
+        grid = points.grid_nodes(3, 6, [values] * 3)
+        matrix = points.evaluation_matrix(grid, 5)
+        assert len(matrix) == 125 and len(matrix[0]) == 56
+        expected = kernel_rank(matrix, 56)
+        kernel_calls.clear()
+        assert linalg.rank(matrix, 56) == expected
+        assert kernel_calls == []
+
+    def test_dense_growth_reaches_the_list_kernel(self, kernel_calls):
+        rng = random.Random(721)
+        matrix = [[rng.randint(-2**30, 2**30) for _ in range(24)] for _ in range(20)]
+        assert linalg.rank(matrix) == 20
+        assert len(kernel_calls) == 1
+
+    def test_slot_width_and_unpack(self):
+        rng = random.Random(722)
+        for _ in range(40):
+            ncols = rng.randint(1, 12)
+            bits = rng.randint(0, 63)
+            # a row that is zero before ``start``, as the rows handed over are
+            start = rng.randint(0, ncols - 1)
+            row = [0] * start
+            row += [rng.randint(-(2**bits), 2**bits - 1) for _ in range(ncols - start)]
+            packed, ones = linalg._pack([row], ncols)
+            width = linalg._slot_width(packed[0], 64, ones)
+            assert all(-(2**width) <= x < 2**width for x in row)
+            narrower = width - 1
+            assert width == 0 or not all(-(2**narrower) <= x < 2**narrower for x in row)
+            assert linalg._unpack(packed[0], ncols, start) == row[start:]
 
 
 class TestColumnSpace:

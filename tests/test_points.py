@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -151,6 +151,24 @@ class TestEvaluationMatrix:
         matrix = points.evaluation_matrix(pts, 0)
         assert matrix == [[Fraction(1)]]
         assert linalg.rank(matrix, 1) == 1
+
+    def test_entries_are_the_monomials_in_basis_order(self):
+        rng = random.Random(809)
+        for n in range(1, 5):
+            for d in range(0, 6):
+                # one point per projective class, keyed by its lead-1 form
+                distinct = {}
+                for _ in range(6):
+                    c = [rng.randint(-7, 7) for _ in range(n + 1)]
+                    if any(c):
+                        lead = next(x for x in c if x)
+                        distinct.setdefault(tuple(Fraction(x, lead) for x in c), c)
+                pts = point_set(n, list(distinct.values()))
+                expected = [
+                    [prod(x**e for x, e in zip(vector, mon)) for mon in points.monomial_basis(n, d)]
+                    for vector in pts.vectors
+                ]
+                assert points.evaluation_matrix(pts, d) == expected
 
     def test_collinear_points_drop_rank(self):
         pts = point_set(2, COLLINEAR)

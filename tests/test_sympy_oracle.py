@@ -124,3 +124,25 @@ def test_rank_matches_in_every_orientation():
         assert linalg.rank(linalg.transpose(matrix), rows) == expected
         if rank is not None:
             assert expected <= rank
+
+
+def test_packed_ranks_with_word_entries_match():
+    # entries up to the 64-bit edges: the packed pass, its handover to the
+    # list kernel, and matrices past the edge that never pack
+    rng = random.Random(1205)
+    word = 2**63
+    for i in range(24):
+        rows = rng.randint(linalg.PACKED_MIN_ROWS - 1, 13)
+        cols = rng.randint(rows, 18)
+        bound = (9, 2**31, word - 1, word)[i % 4]
+        if i % 3:
+            inner = rng.randint(1, rows - 1)
+            left = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+            right = [[rng.randint(-bound, bound) // 3 for _ in range(cols)] for _ in range(inner)]
+            matrix = [[int(x) for x in row] for row in linalg.matmul(left, right)]
+        else:
+            matrix = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+        matrix[0][-1] = -word if bound >= word - 1 else matrix[0][-1]
+        expected = sympy.Matrix(matrix).rank()
+        assert linalg.rank(matrix) == expected
+        assert linalg.rank(linalg.transpose(matrix), rows) == expected
