@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass
 
 from . import bott, monodromy, points
-from .errors import InputError, PreconditionError, check_int
+from .errors import InputError, PreconditionError, check_int, unreportable
 
 _EXPECTED_EN_MAX_H = 2
 _SEVERI_SAMPLES = ((3, 1), (4, 0), (4, 4), (5, 2), (7, 3), (9, 4))
@@ -449,6 +449,7 @@ def run(argv=None):
     try:
         args = _PARSER.parse_args(argv)
         report, lines, code = _DISPATCH[args.command](args)
+        text = _dumps(report) if args.json else "\n".join(lines) + "\n"
         if args.out is not None:
             try:
                 with open(args.out, "w", encoding="utf-8") as handle:
@@ -461,10 +462,15 @@ def run(argv=None):
     except PreconditionError as err:
         print(f"precondition violated: {err}", file=sys.stderr)
         return 2
-    if args.json:
-        sys.stdout.write(_dumps(report))
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    except ValueError as err:
+        # str() refuses an int past the interpreter's digit limit; the
+        # engines bound their counts with check_reportable, so this only
+        # catches one they missed.  Any other ValueError is a fault.
+        if "integer string conversion" not in str(err):
+            raise
+        print(f"precondition violated: {unreportable('number')}", file=sys.stderr)
+        return 2
+    sys.stdout.write(text)
     if code == 2:
         print("precondition violated: a sweep cell deviates from its asserted verdict", file=sys.stderr)
     return code

@@ -36,10 +36,15 @@ def check_int(value, name, minimum=None, maximum=None):
 MAX_REPORTED_BITS = 14284
 
 
+def unreportable(name):
+    """The PreconditionError for a count ``name`` too long to print."""
+    return PreconditionError(
+        f"{name} too large to report: more than {MAX_REPORTED_BITS} bits"
+    )
+
+
 def check_reportable(value, name):
     """Require an int count short enough to print, else PreconditionError."""
     if value.bit_length() > MAX_REPORTED_BITS:
-        raise PreconditionError(
-            f"{name} too large to report: more than {MAX_REPORTED_BITS} bits"
-        )
+        raise unreportable(name)
     return value

@@ -382,3 +382,26 @@ class TestDeterminism:
         ) == 0
         text = capsys.readouterr().out
         assert json.loads(text) == json.loads(json.dumps(json.loads(text)))
+
+
+class TestRenderBackstop:
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_unprintable_count_exits_two(self, monkeypatch, capsys, tmp_path, fmt):
+        monkeypatch.setattr(points, "node_count_quadrics", lambda n, h: 10**5000)
+        out = tmp_path / "report.json"
+        argv = ["eagon-northcott", "--n", "3", "--quadrics", "2", "--out", str(out)]
+        assert cli.run(argv + fmt) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"precondition violated: number too large to report: more than {MAX_REPORTED_BITS} bits"
+        ]
+        assert not out.exists()
+
+    def test_other_value_errors_still_propagate(self, monkeypatch):
+        def broken(n, h):
+            raise ValueError("not a digit limit")
+
+        monkeypatch.setattr(points, "node_count_quadrics", broken)
+        with pytest.raises(ValueError, match="not a digit limit"):
+            cli.run(["eagon-northcott", "--n", "3", "--quadrics", "2"])

@@ -382,3 +382,60 @@ class TestShapeValidation:
         with pytest.raises(InputError):
             linalg.rank([])
         assert linalg.rank([], 5) == 0
+
+
+@pytest.fixture
+def int_rows_calls(monkeypatch):
+    """Row count of every call to the validating copy."""
+    calls = []
+    validate = linalg._int_rows
+
+    def counted(matrix, ncols=None):
+        calls.append(len(matrix))
+        return validate(matrix, ncols)
+
+    monkeypatch.setattr(linalg, "_int_rows", counted)
+    return calls
+
+
+class TestRankCore:
+    def test_tall_int_matrix_is_transposed_from_the_input(self, int_rows_calls):
+        rng = random.Random(1901)
+        for rows, cols in ((12, 5), (30, 9), (9, 8), (3, 0)):
+            matrix = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            before = [list(row) for row in matrix]
+            assert linalg.rank(matrix, cols) == kernel_rank(matrix, cols)
+            assert matrix == before
+        assert int_rows_calls == []
+        # a row that is not all plain ints goes through the validating copy
+        tall = [[Fraction(1, 2), 3], [1, 1], [2, 2]]
+        assert linalg.rank(tall) == 2
+        assert int_rows_calls == [3]
+
+    def test_tall_matrix_is_still_validated(self):
+        with pytest.raises(InputError):
+            linalg.rank([[1, 2], [3, True], [5, 6]])
+        with pytest.raises(InputError):
+            linalg.rank([[1, 2], [3, 4.0], [5, 6]])
+        with pytest.raises(InputError):
+            linalg.rank([[1, 2], [3], [5, 6]])
+        with pytest.raises(InputError):
+            linalg.rank([[1, 2], [3, 4], [5, 6]], 3)
+
+    def test_core_orients_and_dispatches(self, kernel_calls):
+        rng = random.Random(1902)
+        for rows, cols in ((40, 9), (9, 40), (9, 8), (8, 9), (12, 12), (5, 30), (30, 5)):
+            matrix = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+            expected = kernel_rank(matrix, cols)
+            for bits in (2, None):
+                kernel_calls.clear()
+                work = [list(row) for row in matrix]
+                assert linalg.rank_int_rows(work, cols, bits) == expected
+                short = min(rows, cols)
+                packed = bits is not None and short >= linalg.PACKED_MIN_ROWS
+                assert kernel_calls == ([] if packed else [(short, max(rows, cols))])
+
+    def test_zero_width_and_no_rows(self):
+        assert linalg.rank_int_rows([[] for _ in range(10)], 0, 0) == 0
+        assert linalg.rank_int_rows([], 7, 0) == 0
+        assert linalg.rank([[] for _ in range(10)], 0) == 0

@@ -471,3 +471,131 @@ class TestSizeBounds:
         # the largest default paper-examples grid, 625 points on 210 monomials
         assert len(points.monomial_basis(4, 6)) == 210
         assert points.grid_nodes(4, 6).delta == 625
+
+
+def monomial_rows(pts, d):
+    """Point-major evaluation, one product per entry, from monomial_basis."""
+    basis = points.monomial_basis(pts.ambient_dim, d)
+    return [[prod(map(pow, vector, mon)) for mon in basis] for vector in pts.vectors]
+
+
+def kernel_rank(rows, ncols):
+    if len(rows) > ncols:
+        rows, ncols = list(zip(*rows)), len(rows)
+    return len(linalg.reduce_int_rows([list(row) for row in rows], ncols, False))
+
+
+def random_point_set(rng, n, delta, bound):
+    """``delta`` distinct points with coordinates in [-bound, bound]."""
+    seen = {}
+    while len(seen) < delta:
+        vector = [rng.randint(-bound, bound) for _ in range(n + 1)]
+        if any(vector):
+            lead = next(x for x in vector if x)
+            seen.setdefault(tuple(Fraction(x, lead) for x in vector), vector)
+    return point_set(n, list(seen.values()))
+
+
+class TestEvaluationColumns:
+    def test_columns_are_the_transposed_monomial_values(self):
+        rng = random.Random(1811)
+        for n in range(1, 5):
+            for d in range(0, 5):
+                pts = random_point_set(rng, n, rng.randint(1, 9), 4)
+                columns = points.evaluation_columns(pts, d)
+                expected = monomial_rows(pts, d)
+                assert columns == [list(c) for c in zip(*expected)]
+                assert points.evaluation_matrix(pts, d) == expected
+                assert len({id(row) for row in columns}) == len(columns)
+
+    def test_empty_point_set(self):
+        pts = point_set(2, [])
+        assert points.evaluation_columns(pts, 2) == [[]] * 6
+        assert points.evaluation_matrix(pts, 2) == []
+        report = points.conditions_report(pts, 2)
+        assert (report.rank, report.h0_ideal, report.h1_ideal) == (0, 6, 0)
+        assert report.independent
+        assert points.node_span_dim(pts) == -1
+        assert points.normal_crossing_check(pts).tangent_intersection_dim == 2
+
+    def test_rank_matches_the_validated_rank_on_every_shape(self):
+        rng = random.Random(1812)
+        shapes = {"tall": 0, "wide": 0, "square": 0}
+        # (n, d, delta): width comb(n + d, n) against delta points
+        cases = [(1, 0, 1), (1, 3, 4), (2, 0, 1), (2, 1, 3), (2, 2, 6), (3, 1, 4)]
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            d = rng.randint(0, 4)
+            cases.append((n, d, rng.randint(1, 2 * comb(n + d, n) + 1)))
+        for n, d, delta in cases:
+            width = comb(n + d, n)
+            bound = rng.choice((1, 2, 9, 2**40) if width < 10 else (1, 2, 9))
+            delta = min(delta, (2 * bound + 1) ** (n + 1) // 3)
+            pts = random_point_set(rng, n, delta, bound)
+            report = points.conditions_report(pts, d)
+            expected = kernel_rank(monomial_rows(pts, d), width)
+            assert report.rank == expected
+            assert linalg.rank(points.evaluation_matrix(pts, d), width) == expected
+            assert report.h1_ideal == pts.delta - expected
+            shapes["tall" if delta > width else "wide" if delta < width else "square"] += 1
+        assert min(shapes.values()) >= 3
+
+    @pytest.mark.parametrize("base, fits", [(2, 62), (3, 39)])
+    def test_word_edge_takes_both_paths(self, monkeypatch, base, fits):
+        assert base**fits < 2**63 <= base ** (fits + 1)
+        calls = []
+        packed = linalg._packed_rank
+
+        def counted(rows, ncols, bits):
+            calls.append(bits)
+            return packed(rows, ncols, bits)
+
+        monkeypatch.setattr(linalg, "_packed_rank", counted)
+        values = (-base, -1, 0, 1, base)
+        pts = point_set(2, [(x, y, 1) for x in values for y in values[1:]])
+        for d, bits in ((fits, (base**fits).bit_length()), (fits + 1, None)):
+            calls.clear()
+            report = points.conditions_report(pts, d)
+            assert report.rank == kernel_rank(monomial_rows(pts, d), comb(d + 2, 2))
+            assert calls == ([] if bits is None else [bits])
+
+    def test_entry_bits_builds_no_large_power(self):
+        assert points._entry_bits(2, 62) == 63
+        assert points._entry_bits(2, 63) is None
+        assert points._entry_bits(3, 39) == 62
+        assert points._entry_bits(3, 40) is None
+        assert points._entry_bits(2**63 - 1, 1) == 63
+        assert points._entry_bits(2**63, 1) is None
+        assert points._entry_bits(0, 0) == 1
+        assert points._entry_bits(0, 5) == 0
+        assert points._entry_bits(1, 10**12) == 1
+
+        class Unpowered(int):
+            def __pow__(self, exponent):
+                raise AssertionError("built a power")
+
+        # the power would have 10^12 bits
+        assert points._entry_bits(Unpowered(2), 10**12) is None
+        assert points._entry_bits(Unpowered(2**40), 2) is None
+
+    def test_reports_validate_nothing_again(self, monkeypatch):
+        calls = []
+        validate = linalg._int_rows
+
+        def counted(matrix, ncols=None):
+            calls.append(len(matrix))
+            return validate(matrix, ncols)
+
+        monkeypatch.setattr(linalg, "_int_rows", counted)
+        values = [Fraction(p, q) for p, q in ((1, 1), (-5, 2), (7, 3), (-8, 3))]
+        for grid, d in ((points.grid_nodes(3, 5, [values] * 3), 4), (point_set(2, []), 1)):
+            points.conditions_report(grid, d)
+            points.normal_crossing_check(grid)
+        assert calls == []
+
+    def test_entries_past_a_word_rank_exactly(self):
+        rng = random.Random(1813)
+        for n, delta, d in ((2, 12, 3), (1, 10, 9), (3, 9, 2)):
+            pts = random_point_set(rng, n, delta, 2**70)
+            report = points.conditions_report(pts, d)
+            assert report.rank == kernel_rank(monomial_rows(pts, d), comb(n + d, n))
