@@ -193,11 +193,6 @@ def check_matrix(matrix, ncols=None):
     return [[as_rational(x) for x in row] for row in rows], width
 
 
-def _plain_ints(row):
-    # exact type test: bool and Fraction rows are not plain
-    return {*map(type, row)} <= {int}
-
-
 def _int_rows(matrix, ncols=None):
     """Validated integer rows with the same row space, and the column count.
 
@@ -207,7 +202,8 @@ def _int_rows(matrix, ncols=None):
     rows, width = _check_shape(matrix, ncols)
     out = []
     for row in rows:
-        if _plain_ints(row):
+        # exact type test: bool and Fraction rows go the slow way
+        if {*map(type, row)} <= {int}:
             out.append(list(row))
             continue
         row = [as_rational(x) for x in row]
@@ -451,18 +447,12 @@ def rank_int_rows(rows, ncols, bits):
 def rank(matrix, ncols=None):
     """Rank over the rationals (forward elimination only).
 
-    Validates the input and hands fresh int rows to
-    :func:`rank_int_rows`.  A tall matrix of plain ints is transposed
-    straight from the input, so each entry is copied once; any other
-    matrix goes through :func:`_int_rows` and is transposed there if it
-    is tall.  The entries are scanned for their size only when the
-    oriented matrix has rows enough for the packed pass.
+    Validates the input into fresh int rows (:func:`_int_rows`) and
+    hands them to :func:`rank_int_rows`, which transposes a tall matrix.
+    The entries are scanned for their size only when the oriented matrix
+    has rows enough for the packed pass.
     """
-    rows, width = _check_shape(matrix, ncols)
-    if len(rows) > width and all(map(_plain_ints, rows)):
-        work, width = [list(column) for column in zip(*rows)], len(rows)
-    else:
-        work, width = _int_rows(rows, width)
+    work, width = _int_rows(matrix, ncols)
     bits = None
     if min(len(work), width) >= PACKED_MIN_ROWS:
         high = max(map(max, work))

@@ -275,12 +275,9 @@ def _entry_bits(largest, d):
 
     With ``largest`` the largest coordinate size of a point set, every
     degree-d evaluation is at most ``largest**d`` in size, and the pure
-    powers reach it.  The power is at least 2^(d * (b - 1)) for ``b`` the
-    bit length of ``largest``, so it is built only when that is below a
-    word.
+    powers reach it, so the power is one more entry of the size the
+    evaluation already holds.
     """
-    if largest > 1 and d * (largest.bit_length() - 1) >= 63:
-        return None
     bits = (largest**d).bit_length()
     return bits if bits < 64 else None
 
