@@ -104,7 +104,7 @@ from array import array
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InputError, PreconditionError
+from .errors import InputError
 
 
 def as_rational(value):
@@ -150,12 +150,21 @@ def parse_rational_pair(value):
     )
 
 
-def parse_rational(value):
-    """Parse a JSON-level scalar, as :func:`parse_rational_pair`, to a Fraction."""
-    # most literals are plain ints (never bools, which the pair rejects)
-    if type(value) is int:
-        return Fraction(value)
-    return Fraction(*parse_rational_pair(value))
+def rational_pairs(values):
+    """``(numerator, denominator)`` of each int or Fraction in ``values``."""
+    return [(x.numerator, x.denominator) for x in map(as_rational, values)]
+
+
+def clear_denominators(pairs):
+    """``(scale, ints)``: the lcm of the denominators, and the rationals times it.
+
+    ``pairs`` are ``(numerator, denominator)`` with positive
+    denominators.  For reduced pairs the scale is the least that makes
+    every rational an int; for pairs as written ("2/4") it may be a
+    multiple of that.
+    """
+    scale = lcm(*(den for _, den in pairs))
+    return scale, [num * (scale // den) for num, den in pairs]
 
 
 def rational_to_json(value):
@@ -196,8 +205,8 @@ def check_matrix(matrix, ncols=None):
 def _int_rows(matrix, ncols=None):
     """Validated integer rows with the same row space, and the column count.
 
-    A row of plain ints is copied as it is; any other row is widened to
-    Fractions and scaled by the lcm of its denominators.
+    A row of plain ints is copied as it is; any other row is checked
+    entry by entry and its denominators cleared.
     """
     rows, width = _check_shape(matrix, ncols)
     out = []
@@ -206,9 +215,7 @@ def _int_rows(matrix, ncols=None):
         if {*map(type, row)} <= {int}:
             out.append(list(row))
             continue
-        row = [as_rational(x) for x in row]
-        m = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (m // x.denominator) for x in row])
+        out.append(clear_denominators(rational_pairs(row))[1])
     return out, width
 
 
@@ -507,31 +514,8 @@ def matmul(a, b):
     ]
 
 
-def transpose(matrix, ncols=None):
-    rows, width = check_matrix(matrix, ncols)
-    return [[row[c] for row in rows] for c in range(width)]
-
-
 def identity(n):
     # Fractions are immutable, so every entry can share these two
     zero, one = Fraction(0), Fraction(1)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
-
-def solve_exact(a, b):
-    """Solve ``a @ x = b`` for square invertible ``a``; ``b`` is a matrix.
-
-    Raises :class:`PreconditionError` when ``a`` is not invertible, since
-    the caller asserted a unique solution exists.
-    """
-    arows, n = check_matrix(a)
-    if len(arows) != n:
-        raise InputError(f"coefficient matrix must be square, got {len(arows)}x{n}")
-    brows, bw = check_matrix(b)
-    if len(brows) != n:
-        raise InputError(f"right-hand side has {len(brows)} rows, expected {n}")
-    aug = [arows[i] + brows[i] for i in range(n)]
-    reduced, _, pivots = rref(aug, n + bw)
-    if pivots != list(range(n)):
-        raise PreconditionError("matrix is singular, no unique solution")
-    return [row[n:] for row in reduced[:n]]

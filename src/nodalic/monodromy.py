@@ -11,11 +11,13 @@ all products of length two or more vanish and the answer collapses to
 two numbers, which this module also derives in closed form and checks
 against the complex.
 
-A document is parsed once, each literal to one Fraction, and
-denominators are cleared once, at ingest: the pairing is scaled by one
-common multiple of its denominators, each cycle by the lcm of its own
-(which also gives its weight), and each cycle's functional <., v> is
-computed once on those integers.
+A document is parsed once, each literal to one (numerator, denominator)
+pair, and denominators are cleared once, at ingest: the pairing is
+scaled by the least common multiple that makes all its entries ints,
+each cycle by the least of its own (which also gives its weight), and
+each cycle's functional <., v> is computed once on those integers.
+:class:`MonodromyData` holds only these integer forms; the pairing and
+the cycles as Fractions are built when asked for.
 Positive rescalings change no rank, skewness, orthogonality or
 commutation, so every check runs on plain ints.  The complex stores
 only the products that are nonzero: a product grows by prepending a
@@ -31,10 +33,10 @@ where enumerating all 2^delta index tuples over Fractions took 47 ms and
 2.1 s.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd
 from operator import mul
 
 from . import linalg
@@ -53,77 +55,69 @@ def _freeze(rows):
 
 @dataclass(frozen=True)
 class MonodromyData:
-    """Vanishing-cycle presentation of a nodal degeneration.
+    """Vanishing-cycle presentation of a nodal degeneration, on integers.
 
     ``dim`` is the rank of the middle cohomology of the nearby fiber,
-    ``pairing`` the intersection form on it, ``cycles`` one class per
-    node, ``h_ambient`` the rank of the constant ambient system, and
+    ``h_ambient`` the rank of the constant ambient system, and
     ``fiber_dim`` optional odd documentation of the fiber dimension.
-    Construction checks shapes and clears denominators: ``int_pairing``
-    is the pairing times one common multiple of its denominators (a
-    per-row scale would break skewness), ``int_cycles`` each cycle times
-    the lcm of its own, ``functionals`` the rows ``int_pairing @ v``, and
-    ``weights`` the w_i with N_i = sign * w_i * outer(v_i, f_i) on those
-    ints.  The semantic invariants are the business of :func:`validate`.
+    The intersection form is ``int_pairing / scale``, with one common
+    scale for all its entries (a per-row scale would break skewness),
+    and cycle i, one per node, is ``int_cycles[i] / cycle_scales[i]``.
+    Each scale is the least that clears its denominators, so equal
+    rationals give equal data however they are written.
+    ``functionals`` holds the rows ``int_pairing @ v`` and ``weights``
+    the w_i with N_i = sign * w_i * outer(v_i, f_i) on those ints.
+    Build it with :meth:`from_json` or :meth:`from_rationals`, which
+    check shapes; the semantic invariants are the business of
+    :func:`validate`.
     """
 
     dim: int
-    pairing: tuple
-    cycles: tuple
+    int_pairing: tuple
+    scale: int
+    int_cycles: tuple
+    cycle_scales: tuple
+    functionals: tuple
+    weights: tuple
     h_ambient: int
     fiber_dim: int | None = None
-    int_pairing: tuple = field(init=False, repr=False, compare=False)
-    int_cycles: tuple = field(init=False, repr=False, compare=False)
-    functionals: tuple = field(init=False, repr=False, compare=False)
-    weights: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        check_int(self.dim, "dim", minimum=0)
-        check_int(self.h_ambient, "h_ambient", minimum=0)
-        if self.fiber_dim is not None:
-            check_int(self.fiber_dim, "fiber_dim", minimum=1)
-            if self.fiber_dim % 2 == 0:
-                raise InputError(f"fiber_dim must be odd, got {self.fiber_dim}")
-        rows, _ = linalg.check_matrix(list(self.pairing), self.dim)
-        if len(rows) != self.dim:
-            raise InputError(
-                f"pairing has {len(rows)} rows, expected {self.dim}"
-            )
-        cycles = []
-        scales = []
-        for i, cycle in enumerate(self.cycles):
-            if not isinstance(cycle, (list, tuple)):
-                raise InputError(f"cycle {i} is not a vector")
-            if len(cycle) != self.dim:
-                raise InputError(
-                    f"cycle {i} has length {len(cycle)}, expected {self.dim}"
-                )
-            cycle = [linalg.as_rational(x) for x in cycle]
-            cycles.append(cycle)
-            scales.append(lcm(*(x.denominator for x in cycle)))
-        scale = lcm(*(x.denominator for row in rows for x in row))
-        int_pairing = _freeze(
-            [x.numerator * (scale // x.denominator) for x in row] for row in rows
-        )
-        int_cycles = _freeze(
-            [x.numerator * (c // x.denominator) for x in cycle]
-            for cycle, c in zip(cycles, scales)
-        )
-        frozen = {
-            "pairing": _freeze(rows),
-            "cycles": _freeze(cycles),
-            "int_pairing": int_pairing,
-            "int_cycles": int_cycles,
-            "functionals": _freeze(_functional(int_pairing, v) for v in int_cycles),
-            # v_i = int_cycles[i] / c_i and f_i = functionals[i] / (scale * c_i)
-            "weights": tuple(Fraction(1, scale * c * c) for c in scales),
-        }
-        for name, value in frozen.items():
-            object.__setattr__(self, name, value)
 
     @property
     def delta(self):
-        return len(self.cycles)
+        return len(self.int_cycles)
+
+    @property
+    def pairing(self):
+        """The intersection form, as rows of Fractions."""
+        return tuple(
+            tuple(Fraction(x, self.scale) for x in row) for row in self.int_pairing
+        )
+
+    @property
+    def cycles(self):
+        """The vanishing cycles, as tuples of Fractions."""
+        return tuple(
+            tuple(Fraction(x, c) for x in v)
+            for v, c in zip(self.int_cycles, self.cycle_scales)
+        )
+
+    @classmethod
+    def from_rationals(cls, dim, pairing, cycles, h_ambient, fiber_dim=None):
+        """Data from a pairing matrix and cycle vectors of ints or Fractions.
+
+        The pairing's shape and entries are checked first, then the
+        cycles' entries, then, as for :meth:`from_json`, ``h_ambient``,
+        ``fiber_dim``, the row count and the cycle lengths.
+        """
+        check_int(dim, "dim", minimum=0)
+        rows, _ = linalg._check_shape(pairing, dim)
+        rows = [linalg.rational_pairs(row) for row in rows]
+        vectors = []
+        for i, cycle in enumerate(cycles):
+            if not isinstance(cycle, (list, tuple)):
+                raise InputError(f"cycle {i} is not a vector")
+            vectors.append(linalg.rational_pairs(cycle))
+        return cls._from_pairs(dim, rows, vectors, h_ambient, fiber_dim)
 
     @classmethod
     def from_json(cls, obj):
@@ -138,6 +132,7 @@ class MonodromyData:
             )
         dim = obj["dim"]
         check_int(dim, "dim", minimum=0)
+        parse = linalg.parse_rational_pair
         pairing = obj["pairing"]
         if not isinstance(pairing, list):
             raise InputError("matrix must be a JSON array of rows")
@@ -145,7 +140,7 @@ class MonodromyData:
         for i, row in enumerate(pairing):
             if not isinstance(row, list):
                 raise InputError(f"row {i} is not an array")
-            rows.append(tuple(linalg.parse_rational(x) for x in row))
+            rows.append([parse(x) for x in row])
         # a ragged pairing is reported ahead of anything wrong in the cycles
         linalg._check_shape(rows, dim)
         raw_cycles = obj["cycles"]
@@ -155,30 +150,62 @@ class MonodromyData:
         for i, vec in enumerate(raw_cycles):
             if not isinstance(vec, list):
                 raise InputError(f"cycle {i} is not an array")
-            cycles.append(tuple(linalg.parse_rational(x) for x in vec))
+            cycles.append([parse(x) for x in vec])
+        return cls._from_pairs(
+            dim, rows, cycles, obj["h_ambient"], obj.get("fiber_dim")
+        )
+
+    @classmethod
+    def _from_pairs(cls, dim, rows, cycles, h_ambient, fiber_dim):
+        # rows and cycles hold (numerator, denominator) pairs, and every
+        # row already has dim entries; the counts are checked here
+        check_int(h_ambient, "h_ambient", minimum=0)
+        if fiber_dim is not None:
+            check_int(fiber_dim, "fiber_dim", minimum=1)
+            if fiber_dim % 2 == 0:
+                raise InputError(f"fiber_dim must be odd, got {fiber_dim}")
+        if len(rows) != dim:
+            raise InputError(f"pairing has {len(rows)} rows, expected {dim}")
+        for i, cycle in enumerate(cycles):
+            if len(cycle) != dim:
+                raise InputError(
+                    f"cycle {i} has length {len(cycle)}, expected {dim}"
+                )
+        scale, flat = _least_scale([x for row in rows for x in row])
+        int_pairing = tuple(tuple(flat[k * dim:(k + 1) * dim]) for k in range(dim))
+        cleared = [_least_scale(cycle) for cycle in cycles]
+        int_cycles = tuple(tuple(v) for _, v in cleared)
         return cls(
             dim=dim,
-            pairing=tuple(rows),
-            cycles=tuple(cycles),
-            h_ambient=obj["h_ambient"],
-            fiber_dim=obj.get("fiber_dim"),
+            int_pairing=int_pairing,
+            scale=scale,
+            int_cycles=int_cycles,
+            cycle_scales=tuple(c for c, _ in cleared),
+            functionals=_freeze(_functional(int_pairing, v) for v in int_cycles),
+            # v_i = int_cycles[i] / c_i and f_i = functionals[i] / (scale * c_i)
+            weights=tuple(Fraction(1, scale * c * c) for c, _ in cleared),
+            h_ambient=h_ambient,
+            fiber_dim=fiber_dim,
         )
 
 
-def _pair(pairing, x, y):
-    """Value of the intersection form: x^T * pairing * y."""
-    return _dot(x, _functional(pairing, y))
+def _least_scale(pairs):
+    """The least scale making the rationals of ``pairs`` ints, and those ints.
+
+    The lcm of the denominators as written is that scale times the gcd
+    of itself and the scaled numerators, so "2/4" and "1/2" agree.
+    """
+    scale, ints = linalg.clear_denominators(pairs)
+    g = gcd(scale, *ints)
+    if g > 1:
+        scale //= g
+        ints = [x // g for x in ints]
+    return scale, ints
 
 
 def _functional(pairing, cycle):
     # row vector of <., cycle>: entry i is (pairing @ cycle)[i]
     return [_dot(row, cycle) for row in pairing]
-
-
-def _log_matrix(pairing, cycle, sign):
-    # x -> sign * <x, v> * v ; as a matrix: sign * v * (pairing @ v)^T
-    functional = _functional(pairing, cycle)
-    return [[sign * a * f for f in functional] for a in cycle]
 
 
 def _dot(x, y):
@@ -209,52 +236,6 @@ def _rank_one_products_commute(vs, fs):
 def _is_skew(pairing):
     m = len(pairing)
     return all(pairing[i][j] == -pairing[j][i] for i in range(m) for j in range(i, m))
-
-
-@dataclass(frozen=True)
-class PLOperator:
-    """Logarithm of the local monodromy around one node."""
-
-    matrix: tuple
-
-
-def pl_operator(pairing, cycle, sign):
-    """Rank-one nilpotent x -> sign*<x, cycle>*cycle for a skew pairing.
-
-    ``sign`` must be +1 or -1; the choice never changes any dimension
-    reported downstream.  A zero cycle is allowed here (zero operator)
-    and rejected later by validate.
-    """
-    rows, m = linalg.check_matrix(list(pairing))
-    if len(rows) != m:
-        raise InputError(f"pairing must be square, got {len(rows)}x{m}")
-    if not isinstance(cycle, (list, tuple)) or len(cycle) != m:
-        raise InputError(f"cycle must be a vector of length {m}")
-    vec = [linalg.as_rational(x) for x in cycle]
-    if sign not in (1, -1):
-        raise InputError(f"sign must be +1 or -1, got {sign!r}")
-    if not _is_skew(rows):
-        raise PreconditionError(FAIL_SKEW)
-    return PLOperator(matrix=_freeze(_log_matrix(rows, vec, sign)))
-
-
-def transvection(op):
-    """The monodromy itself, identity plus the logarithm.
-
-    The logarithm must square to zero; per the surface contract this is
-    classified as an input error.
-    """
-    if not isinstance(op, PLOperator):
-        raise InputError("transvection expects a PLOperator")
-    n = [list(row) for row in op.matrix]
-    m = len(n)
-    square = linalg.matmul(n, n)
-    if any(any(x != 0 for x in row) for row in square):
-        raise InputError("operator does not square to zero")
-    out = [list(row) for row in n]
-    for i in range(m):
-        out[i][i] += 1
-    return out
 
 
 @dataclass(frozen=True)

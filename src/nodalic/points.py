@@ -29,7 +29,7 @@ coordinate; :func:`evaluation_matrix` is their transpose, point-major.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import mul
 
 from . import linalg
@@ -58,8 +58,7 @@ def _primitive_vector(pairs, index):
     The result is primitive with its first nonzero entry positive, so it
     depends only on the projective point.
     """
-    scale = lcm(*(den for _, den in pairs))
-    vec = [num * (scale // den) for num, den in pairs]
+    _, vec = linalg.clear_denominators(pairs)
     content = gcd(*vec)
     if content == 0:
         raise InputError(f"point {index} is the zero vector")
@@ -106,10 +105,7 @@ class ProjectivePointSet:
                     f"expected {ambient_dim + 1}"
                 )
             if rational:
-                coords = [
-                    (x.numerator, x.denominator)
-                    for x in map(linalg.as_rational, coords)
-                ]
+                coords = linalg.rational_pairs(coords)
             vector = _primitive_vector(coords, i)
             if vector in seen:
                 raise InputError(

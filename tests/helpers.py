@@ -45,10 +45,12 @@ def random_monodromy_data(rng, max_half_dim=5, max_delta=6):
     m = 2 * rng.randint(1, max_half_dim)
     change = random_invertible(rng, m)
     pairing = linalg.matmul(
-        linalg.transpose(change),
+        [list(column) for column in zip(*change)],
         linalg.matmul(standard_symplectic(m), change),
     )
-    inverse = linalg.solve_exact(change, linalg.identity(m))
+    # P is invertible, so the reduced form of [P | I] is [I | P^-1]
+    augmented = [row + unit for row, unit in zip(change, linalg.identity(m))]
+    inverse = [row[m:] for row in linalg.rref(augmented)[0]]
     cycles = []
     for _ in range(rng.randint(0, max_delta)):
         while True:
@@ -63,9 +65,20 @@ def random_monodromy_data(rng, max_half_dim=5, max_delta=6):
                 for i in range(m)
             )
         )
-    return MonodromyData(
-        dim=m,
-        pairing=tuple(tuple(row) for row in pairing),
-        cycles=tuple(cycles),
-        h_ambient=rng.randint(0, 5),
+    return MonodromyData.from_rationals(
+        dim=m, pairing=pairing, cycles=cycles, h_ambient=rng.randint(0, 5)
     )
+
+
+def log_matrix(pairing, cycle, sign):
+    """Explicit monodromy logarithm x -> sign * <x, v> * v, for any pairing."""
+    functional = [sum(p * c for p, c in zip(row, cycle)) for row in pairing]
+    return [[sign * a * f for f in functional] for a in cycle]
+
+
+def transvection(pairing, cycle, sign):
+    """The monodromy itself: the identity plus :func:`log_matrix`."""
+    matrix = log_matrix(pairing, cycle, sign)
+    for i, row in enumerate(matrix):
+        row[i] += 1
+    return matrix

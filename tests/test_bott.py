@@ -146,6 +146,27 @@ class TestKoszulResolution:
                 bott.koszul_resolution(c, [1] * c)
             assert time.perf_counter() - start < 1
 
+    def test_many_distinct_degrees_fail_before_counting(self):
+        # 1..200 took 13-16 s to count, [1, 2, 3] * 400 about 70 s; the
+        # work bound turns both away by arithmetic on the degrees
+        for degrees in (list(range(1, 201)), [1, 2, 3] * 400, [1, 2] * 1500):
+            start = time.perf_counter()
+            with pytest.raises(PreconditionError) as err:
+                bott.koszul_resolution(len(degrees), degrees)
+            assert str(err.value) == bott.FAIL_KOSZUL_WORK
+            assert time.perf_counter() - start < 1
+
+    def test_ci_cells_still_resolve(self):
+        # the paper-examples sweep and the benchmark's cells (n <= 6,
+        # k <= 8) and the widest maxima the CLI fuzz draws stay inside the
+        # work bound; so do the long runs of ones tested above and below
+        for n in range(1, 17):
+            for k in range(2, 17):
+                res = bott.koszul_resolution(n, [k - 1] * n)
+                assert [t.summands for t in res.terms] == [
+                    ((-(k - 1) * p, comb(n, p)),) for p in range(1, n + 1)
+                ]
+
     def test_unprintable_multiplicity_found_by_the_count(self):
         # the spread of one large degree leaves the middle-term bound
         # printable, but the 7147-subsets of the ones alone are not

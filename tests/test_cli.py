@@ -139,6 +139,15 @@ class TestChaseCommands:
             f"precondition violated: multiplicity too large to report: more than {MAX_REPORTED_BITS} bits"
         ]
 
+    def test_koszul_many_distinct_degrees_exit_two(self, capsys):
+        degrees = ",".join(map(str, range(1, 201)))
+        start = time.perf_counter()
+        assert cli.run(["koszul", "--n", "200", "--degrees", degrees]) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"precondition violated: {bott.FAIL_KOSZUL_WORK}"]
+
     def test_bad_degrees_flag_exits_one(self):
         assert cli.run(["koszul", "--n", "2", "--degrees", "a,b"]) == 1
         assert cli.run(["koszul", "--n", "2", "--degrees", ""]) == 1

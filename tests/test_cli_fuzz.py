@@ -4,9 +4,11 @@ Whatever the document or the flags, a run of ``nodalic`` exits with 0, 1
 or 2 and writes nothing or exactly one line to stderr: no traceback
 escapes.  Documents are valid inputs of each command with random parts
 replaced, deleted or repeated; flags take small, huge, negative and
-non-numeric values.  Sizes stay small or far past a named bound, so
-every example runs in milliseconds.  Examples are derandomised, so every
-run checks the same cases.
+non-numeric values.  Sizes stay small or far past a named bound:
+``koszul`` gets up to a few hundred degrees, either many distinct ones,
+which its work bound turns away before counting, or long runs of two,
+and ``paper-examples`` maxima up to 16 with a small grid cap.  Examples
+are derandomised, so every run checks the same cases.
 """
 
 import contextlib
@@ -119,9 +121,19 @@ def command_lines(draw):
         doc = draw(documents("chase"))
         groups.append(["--twist", draw(numbers(-6, 10, HUGE))])
     elif command == "koszul":
-        degrees = draw(st.lists(st.integers(-1, 5).map(str), max_size=4))
-        groups.append(["--n", draw(numbers(-1, 4, HUGE))])
-        groups.append(["--degrees", ",".join(degrees)])
+        degrees = draw(
+            st.one_of(
+                st.lists(st.integers(-1, 5), max_size=4),
+                st.lists(st.integers(1, 400), min_size=120, max_size=300),
+                st.lists(st.integers(1, 2), min_size=50, max_size=300),
+            )
+        )
+        if len(degrees) > 4 and draw(st.integers(0, 4)):
+            n = str(len(degrees))
+        else:
+            n = draw(numbers(-1, 4, HUGE))
+        groups.append(["--n", n])
+        groups.append(["--degrees", ",".join(map(str, degrees))])
     elif command == "eagon-northcott":
         # n = h = 10000 fails by name on its first multiplicity; a large n
         # with a small h would be a slow but valid request
@@ -136,16 +148,23 @@ def command_lines(draw):
         groups.append(["--n", draw(numbers(-1, 3, HUGE))])
         groups.append(["--k", draw(numbers(0, 5, HUGE))])
     elif command == "paper-examples":
-        # the sweep loops over every n, k and h up to the maxima, so only
-        # small maxima (and invalid ones) are drawn
+        # the sweep loops over every n, k and h up to the maxima and ranks
+        # every grid of at most --grid-cap points (1000 by default), so
+        # large maxima always come with a small cap
+        large = draw(st.booleans())
         for flag, low, high in (
             ("--max-n", 1, 3),
             ("--max-k", 1, 4),
             ("--max-h", 0, 2),
             ("--grid-cap", -1, 30),
         ):
-            if draw(st.booleans()):
-                groups.append([flag, draw(numbers(low, high, ["x"]))])
+            if large and flag != "--grid-cap":
+                value = str(draw(st.integers(high + 1, 16)))
+            elif large or draw(st.booleans()):
+                value = draw(numbers(low, high, ["x"]))
+            else:
+                continue
+            groups.append([flag, value])
     if command in ("koszul", "eagon-northcott") and draw(st.booleans()):
         groups.append(["--twist", draw(numbers(-6, 10, HUGE))])
     if draw(st.booleans()):

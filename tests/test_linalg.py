@@ -6,7 +6,7 @@ from operator import mul
 import pytest
 
 from nodalic import linalg, points
-from nodalic.errors import InputError, PreconditionError
+from nodalic.errors import InputError
 
 
 def frac_matrix(rows):
@@ -325,13 +325,21 @@ class TestMatmul:
             linalg.matmul([[1, 2]], [[1, 2]])
 
 
+def solve(a, b):
+    """X with a @ X = b, read off the reduced form [I | X] of [a | b]."""
+    n = len(a)
+    reduced, _, pivots = linalg.rref([list(x) + list(y) for x, y in zip(a, b)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in reduced[:n]]
+
+
 class TestSolveExact:
+    """Solving square systems through rref, as the test helpers invert."""
+
     def test_diagonal(self):
-        solution = linalg.solve_exact([[2, 0], [0, 4]], linalg.identity(2))
-        assert solution == frac_matrix([["1/2", 0], [0, "1/4"]]) or solution == [
-            [Fraction(1, 2), Fraction(0)],
-            [Fraction(0), Fraction(1, 4)],
-        ]
+        solution = solve([[2, 0], [0, 4]], linalg.identity(2))
+        assert solution == [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 4)]]
 
     def test_inverse_roundtrip(self):
         rng = random.Random(606)
@@ -342,35 +350,42 @@ class TestSolveExact:
             ]
             if linalg.rank(matrix, m) < m:
                 continue
-            inverse = linalg.solve_exact(matrix, linalg.identity(m))
+            inverse = solve(matrix, linalg.identity(m))
             assert linalg.matmul(matrix, inverse) == linalg.identity(m)
 
     def test_singular_rejected(self):
-        with pytest.raises(PreconditionError):
-            linalg.solve_exact([[1, 2], [2, 4]], linalg.identity(2))
+        # the left block of [a | I] has rank 1, so no pivot lands in column 1
+        assert solve([[1, 2], [2, 4]], linalg.identity(2)) is None
 
 
 class TestScalars:
     def test_parse_int_and_string(self):
-        assert linalg.parse_rational(7) == Fraction(7)
-        assert linalg.parse_rational("-3/6") == Fraction(-1, 2)
-        assert linalg.parse_rational("+4") == Fraction(4)
+        assert linalg.parse_rational_pair(7) == (7, 1)
+        assert linalg.parse_rational_pair("-3/6") == (-3, 6)
+        assert linalg.parse_rational_pair("+4") == (4, 1)
 
     @pytest.mark.parametrize("bad", [1.5, True, "3.2", "1/0", "a/b", "2/-3", None])
     def test_parse_rejects(self, bad):
         with pytest.raises(InputError):
-            linalg.parse_rational(bad)
+            linalg.parse_rational_pair(bad)
 
     def test_serialize_canonical(self):
         assert linalg.rational_to_json(Fraction(6, 3)) == 2
         assert linalg.rational_to_json(Fraction(-1, 2)) == "-1/2"
-        assert linalg.parse_rational(linalg.rational_to_json(Fraction(22, 7))) == Fraction(22, 7)
+        pair = linalg.parse_rational_pair(linalg.rational_to_json(Fraction(22, 7)))
+        assert Fraction(*pair) == Fraction(22, 7)
 
     def test_as_rational_rejects_float_and_bool(self):
         with pytest.raises(InputError):
             linalg.as_rational(0.5)
         with pytest.raises(InputError):
             linalg.as_rational(True)
+
+    def test_clear_denominators_scales_by_the_lcm(self):
+        assert linalg.clear_denominators([(1, 2), (1, 3), (6, 1)]) == (6, [3, 2, 36])
+        assert linalg.clear_denominators([(2, 4), (-6, 3)]) == (12, [6, -24])
+        assert linalg.clear_denominators([(0, 5), (7, 1)]) == (5, [0, 35])
+        assert linalg.clear_denominators([]) == (1, [])
 
 
 class TestShapeValidation:

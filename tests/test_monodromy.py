@@ -15,16 +15,20 @@ from nodalic.monodromy import (
     MonodromyData,
 )
 
-from helpers import basis_vector, random_monodromy_data, standard_symplectic
+from helpers import (
+    basis_vector,
+    log_matrix,
+    random_monodromy_data,
+    standard_symplectic,
+    transvection,
+)
 
 
 def data_for(m, cycles, h_ambient=0, pairing=None):
-    return MonodromyData(
+    return MonodromyData.from_rationals(
         dim=m,
-        pairing=tuple(
-            tuple(row) for row in (pairing or standard_symplectic(m))
-        ),
-        cycles=tuple(tuple(c) for c in cycles),
+        pairing=pairing or standard_symplectic(m),
+        cycles=cycles,
         h_ambient=h_ambient,
     )
 
@@ -50,21 +54,22 @@ def determinant(matrix):
     return det
 
 
-def explicit_log(pairing, cycle, sign):
-    return [
-        list(row)
-        for row in monodromy.pl_operator(pairing, cycle, sign).matrix
-    ]
+def pair(pairing, x, y):
+    """Value of the intersection form: x^T * pairing * y."""
+    return sum(a * p * b for a, row in zip(x, pairing) for p, b in zip(row, y))
 
 
 class TestPlOperator:
+    """The explicit logarithm the tests compare against, and the package's
+    checks on the data it is built from."""
+
     def test_standard_plane_operator(self):
-        op = monodromy.pl_operator(standard_symplectic(2), (1, 0), -1)
-        assert [list(r) for r in op.matrix] == [[0, 1], [0, 0]]
+        op = log_matrix(standard_symplectic(2), (1, 0), -1)
+        assert op == [[0, 1], [0, 0]]
 
     def test_zero_cycle_gives_zero_matrix(self):
-        op = monodromy.pl_operator(standard_symplectic(4), (0, 0, 0, 0), -1)
-        assert all(all(x == 0 for x in row) for row in op.matrix)
+        op = log_matrix(standard_symplectic(4), (0, 0, 0, 0), -1)
+        assert all(all(x == 0 for x in row) for row in op)
 
     def test_square_is_zero(self):
         rng = random.Random(11)
@@ -72,74 +77,65 @@ class TestPlOperator:
             m = 2 * rng.randint(1, 4)
             cycle = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
             for sign in (1, -1):
-                op = monodromy.pl_operator(standard_symplectic(m), cycle, sign)
-                n = [list(r) for r in op.matrix]
+                n = log_matrix(standard_symplectic(m), cycle, sign)
                 square = linalg.matmul(n, n)
                 assert all(all(x == 0 for x in row) for row in square)
 
     def test_rank_at_most_one(self):
-        op = monodromy.pl_operator(standard_symplectic(4), (1, 2, 3, 4), 1)
-        assert linalg.rank([list(r) for r in op.matrix], 4) == 1
+        op = log_matrix(standard_symplectic(4), (1, 2, 3, 4), 1)
+        assert linalg.rank(op, 4) == 1
 
     def test_implements_pairing_action(self):
         m = 4
         pairing = standard_symplectic(m)
         cycle = [Fraction(x) for x in (2, -1, 0, 3)]
-        op = monodromy.pl_operator(pairing, cycle, -1)
+        op = log_matrix(pairing, cycle, -1)
         rng = random.Random(12)
         for _ in range(10):
             x = [Fraction(rng.randint(-4, 4)) for _ in range(m)]
-            image = [
-                sum(op.matrix[i][j] * x[j] for j in range(m)) for i in range(m)
-            ]
-            value = monodromy._pair(pairing, x, cycle)
+            image = [sum(op[i][j] * x[j] for j in range(m)) for i in range(m)]
+            value = pair(pairing, x, cycle)
             assert image == [-value * v for v in cycle]
 
     def test_symmetric_pairing_rejected(self):
+        data = data_for(2, [(1, 0)], pairing=linalg.identity(2))
         with pytest.raises(PreconditionError, match=FAIL_SKEW):
-            monodromy.pl_operator(linalg.identity(2), (1, 0), -1)
+            monodromy.ic_stalk(data)
 
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
-            monodromy.pl_operator(standard_symplectic(4), (1, 0), -1)
+            data_for(4, [(1, 0)])
 
     def test_bad_sign(self):
-        with pytest.raises(InputError):
-            monodromy.pl_operator(standard_symplectic(2), (1, 0), 2)
+        data = data_for(2, [(1, 0)])
+        for run in (monodromy.build_stalk_complex, monodromy.ic_stalk):
+            with pytest.raises(InputError, match="sign"):
+                run(data, 2)
 
 
 class TestTransvection:
     def test_zero_log_gives_identity(self):
-        op = monodromy.pl_operator(standard_symplectic(2), (0, 0), -1)
-        assert monodromy.transvection(op) == linalg.identity(2)
+        assert transvection(standard_symplectic(2), (0, 0), -1) == linalg.identity(2)
 
     def test_determinant_one(self):
         rng = random.Random(13)
         for _ in range(15):
             m = 2 * rng.randint(1, 3)
             cycle = [Fraction(rng.randint(-3, 3)) for _ in range(m)]
-            op = monodromy.pl_operator(standard_symplectic(m), cycle, -1)
-            assert determinant(monodromy.transvection(op)) == 1
+            assert determinant(transvection(standard_symplectic(m), cycle, -1)) == 1
 
     def test_opposite_signs_invert(self):
         m = 4
         cycle = (1, 2, 0, -1)
-        plus = monodromy.pl_operator(standard_symplectic(m), cycle, 1)
-        minus = monodromy.pl_operator(standard_symplectic(m), cycle, -1)
         product = linalg.matmul(
-            monodromy.transvection(plus), monodromy.transvection(minus)
+            transvection(standard_symplectic(m), cycle, 1),
+            transvection(standard_symplectic(m), cycle, -1),
         )
         assert product == linalg.identity(m)
 
     def test_shifted_diagonal(self):
-        op = monodromy.pl_operator(standard_symplectic(2), (1, 0), -1)
-        t = monodromy.transvection(op)
+        t = transvection(standard_symplectic(2), (1, 0), -1)
         assert t == [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]
-
-    def test_non_nilpotent_rejected(self):
-        fake = monodromy.PLOperator(matrix=((1, 0), (0, 1)))
-        with pytest.raises(InputError, match="square"):
-            monodromy.transvection(fake)
 
 
 class TestValidate:
@@ -208,7 +204,7 @@ class TestDataParsing:
 
     def test_even_fiber_dim_rejected(self):
         with pytest.raises(InputError, match="odd"):
-            MonodromyData(
+            MonodromyData.from_rationals(
                 dim=2,
                 pairing=((0, 1), (-1, 0)),
                 cycles=(),
@@ -290,6 +286,82 @@ class TestDataParsing:
             MonodromyData.from_json(doc)
         assert str(err.value) == message
 
+    def test_from_json_and_from_rationals_agree(self):
+        doc = {
+            "dim": 4,
+            "pairing": [
+                [0, "3/2", 0, 0], ["-3/2", 0, 0, 0], [0, 0, 0, 5], [0, 0, -5, 0]
+            ],
+            "cycles": [["1/3", 0, "-2/3", 0], [0, 0, "7/4", 0], [2, 0, 0, 0]],
+            "h_ambient": 2,
+            "fiber_dim": 3,
+        }
+        rational = MonodromyData.from_rationals(
+            dim=4,
+            pairing=[[Fraction(x) for x in row] for row in doc["pairing"]],
+            cycles=[[Fraction(x) for x in c] for c in doc["cycles"]],
+            h_ambient=2,
+            fiber_dim=3,
+        )
+        assert MonodromyData.from_json(doc) == rational
+        assert rational.scale == 2
+        assert rational.cycle_scales == (3, 4, 1)
+
+    def test_spelling_does_not_matter(self):
+        def doc(half, third, two):
+            return {
+                "dim": 2,
+                "pairing": [[0, half], ["-" + half, 0]],
+                "cycles": [[third, 0], [0, two]],
+                "h_ambient": 0,
+            }
+
+        plain = MonodromyData.from_json(doc("1/2", "1/3", 2))
+        spelled = MonodromyData.from_json(doc("2/4", "3/9", "6/3"))
+        assert spelled == plain
+        assert spelled.int_pairing == plain.int_pairing == ((0, 1), (-1, 0))
+        assert spelled.int_cycles == plain.int_cycles == ((1, 0), (0, 2))
+        assert (spelled.scale, spelled.cycle_scales) == (2, (3, 1))
+
+    def test_fractions_are_built_on_request(self):
+        data = MonodromyData.from_json(
+            {
+                "dim": 2,
+                "pairing": [[0, "4/6"], ["-2/3", 0]],
+                "cycles": [["1/2", "-1/5"], [3, "9/6"], [0, 0]],
+                "h_ambient": 0,
+            }
+        )
+        assert data.pairing == ((0, Fraction(2, 3)), (Fraction(-2, 3), 0))
+        assert data.cycles == (
+            (Fraction(1, 2), Fraction(-1, 5)),
+            (Fraction(3), Fraction(3, 2)),
+            (Fraction(0), Fraction(0)),
+        )
+        assert all(type(x) is Fraction for row in data.pairing + data.cycles for x in row)
+        assert data.cycle_scales == (10, 2, 1)
+        assert data.int_cycles == ((5, -2), (6, 3), (0, 0))
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"fiber_dim": 4}, "fiber_dim must be odd, got 4"),
+            ({"pairing": [[0, 1]]}, "pairing has 1 rows, expected 2"),
+            ({"cycles": [[1, 0, 0]]}, "cycle 0 has length 3, expected 2"),
+            ({"cycles": [[1, 0], 3]}, "cycle 1 is not a vector"),
+            ({"pairing": [[0, 1.5], [-1, 0]]}, "expected an int or Fraction, got float: 1.5"),
+            ({"cycles": [[0.5, 0]]}, "expected an int or Fraction, got float: 0.5"),
+            ({"pairing": [[0, 1, 0], [-1, 0]]}, "row 0 has 3 entries, expected 2"),
+            ({"h_ambient": -1}, "h_ambient must be at least 0, got -1"),
+        ],
+    )
+    def test_from_rationals_error_messages(self, changes, message):
+        kwargs = {"dim": 2, "pairing": [[0, 1], [-1, 0]], "cycles": [[1, 0]], "h_ambient": 0}
+        kwargs.update(changes)
+        with pytest.raises(InputError) as err:
+            MonodromyData.from_rationals(**kwargs)
+        assert str(err.value) == message
+
 
 class TestStalkComplex:
     def test_single_cycle_dims(self):
@@ -325,9 +397,7 @@ class TestStalkComplex:
             pairing = [list(r) for r in data.pairing]
             for sign in (1, -1):
                 complex_ = monodromy.build_stalk_complex(data, sign)
-                logs = [
-                    explicit_log(pairing, list(c), sign) for c in data.cycles
-                ]
+                logs = [log_matrix(pairing, c, sign) for c in data.cycles]
                 for p in range(1, data.delta + 1):
                     for idx, basis in complex_.summands[p]:
                         product = linalg.identity(data.dim)
@@ -391,7 +461,7 @@ class TestComplexCohomology:
             for col in range(width):
                 x = [kernel_cols[i][col] for i in range(data.dim)]
                 for cycle in data.cycles:
-                    assert monodromy._pair(pairing, x, list(cycle)) == 0
+                    assert pair(pairing, x, cycle) == 0
 
 
 class TestIcStalk:
@@ -499,7 +569,7 @@ class TestOperatorIdentities:
         for _ in range(10):
             data = random_monodromy_data(rng, max_half_dim=3, max_delta=4)
             pairing = [list(r) for r in data.pairing]
-            logs = [explicit_log(pairing, list(c), -1) for c in data.cycles]
+            logs = [log_matrix(pairing, c, -1) for c in data.cycles]
             for n in logs:
                 square = linalg.matmul(n, n)
                 assert all(all(x == 0 for x in row) for row in square)
@@ -557,12 +627,6 @@ class TestSparseComplex:
         complex_ = monodromy.build_stalk_complex(data)
         assert [len(level) for level in complex_.summands] == [1, 3, 3, 1]
         assert complex_.dims == (2, 3, 3, 1)
-
-
-def log_matrix(pairing, cycle, sign):
-    # x -> sign * <x, v> * v for any pairing, skew or not
-    functional = [sum(p * c for p, c in zip(row, cycle)) for row in pairing]
-    return [[sign * a * f for f in functional] for a in cycle]
 
 
 def reference_differential(complex_, logs, p):

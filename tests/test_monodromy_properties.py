@@ -17,7 +17,7 @@ from nodalic import linalg, monodromy
 from nodalic.errors import PreconditionError
 from nodalic.monodromy import MonodromyData
 
-from helpers import random_monodromy_data
+from helpers import random_monodromy_data, transvection
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -38,10 +38,10 @@ def instances(draw):
         cycles.append(
             tuple(Fraction(draw(st.integers(-2, 2))) for _ in range(data.dim))
         )
-    return MonodromyData(
+    return MonodromyData.from_rationals(
         dim=data.dim,
         pairing=data.pairing,
-        cycles=tuple(cycles),
+        cycles=cycles,
         h_ambient=data.h_ambient,
     )
 
@@ -60,11 +60,8 @@ def outcome(data):
 
 
 def rewritten(data, pairing, cycles):
-    return MonodromyData(
-        dim=data.dim,
-        pairing=tuple(tuple(row) for row in pairing),
-        cycles=tuple(tuple(c) for c in cycles),
-        h_ambient=data.h_ambient,
+    return MonodromyData.from_rationals(
+        dim=data.dim, pairing=pairing, cycles=cycles, h_ambient=data.h_ambient
     )
 
 
@@ -92,9 +89,9 @@ def test_symplectic_change_of_basis_changes_nothing(data, moves):
     cycles = [list(c) for c in data.cycles]
     for t, u in moves:
         u = [t * x for x in u[: data.dim]]
-        move = monodromy.transvection(monodromy.pl_operator(pairing, u, 1))
+        move = transvection(pairing, u, 1)
         assert linalg.matmul(
-            linalg.transpose(move), linalg.matmul(pairing, move)
+            [list(column) for column in zip(*move)], linalg.matmul(pairing, move)
         ) == pairing
         cycles = [
             [sum(a * b for a, b in zip(row, c)) for row in move] for c in cycles
