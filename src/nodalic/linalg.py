@@ -14,6 +14,14 @@ it has just built (the evaluation rows of :mod:`nodalic.points`) calls
 directly, with a bound on their entries, so nothing is checked, copied
 or scanned again.
 
+The rank core first drops zero rows and reads each row's lead column,
+its first nonzero entry.  Rows with distinct lead columns are, once
+sorted by them, in echelon form, hence independent, so their number is
+the rank and no row update is made: this echelon certificate is how
+the Newton rows of a complete grid rank (:mod:`nodalic.points`).  The
+first repeated lead column ends the scan, and the rows go on to
+elimination as below.
+
 The kernel is fraction-free elimination over Python big integers that
 keeps every row primitive (content 1).  The forward pass clears column
 ``c`` below the pivot ``piv`` by ``row = (piv/g) * row - (f/g) * piv_row``
@@ -102,6 +110,7 @@ import re
 import sys
 from array import array
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
 
 from .errors import InputError
@@ -439,11 +448,23 @@ def rank_int_rows(rows, ncols, bits):
     The rank core.  ``rows`` must be lists of plain ints that the caller
     no longer needs: nothing is validated or copied.  ``bits`` is None
     unless every entry fits a signed 64-bit word, and then every entry
-    is below 2^bits in size.  A matrix with more rows than columns is
+    is below 2^bits in size.  Zero rows are dropped, and nonzero rows
+    with distinct lead columns are their own rank (the module
+    docstring).  Otherwise a matrix with more rows than columns is
     reduced as its transpose; then at least ``PACKED_MIN_ROWS`` rows and
     a ``bits`` take the packed forward pass, anything else the list
     kernel.
     """
+    rows = [row for row in rows if any(row)]
+    leads = set()
+    for row in rows:
+        lead = next(compress(count(), row))
+        if lead in leads:
+            break
+        leads.add(lead)
+    else:
+        # rows with distinct lead columns are independent
+        return len(rows)
     if len(rows) > ncols:
         rows, ncols = [list(column) for column in zip(*rows)], len(rows)
     if bits is not None and len(rows) >= PACKED_MIN_ROWS:

@@ -17,18 +17,40 @@ takes about 1.7 ms instead of 5.8 ms with Fractions; ``points``, the
 lead-1 Fraction form, is derived only when asked for (by ``to_json``
 and the ``grid`` command).
 
-The evaluation is built monomial-major (:func:`evaluation_columns`): one
-row per monomial, one entry per point.  Each coordinate's powers are
-vectors across all points, and each monomial's row is its exponent
-prefix's row times one of them, so the interpreter takes one step per
-monomial instead of one per point.  :func:`conditions_report` ranks
-these rows as they come, with an entry bound read off the largest
-coordinate; :func:`evaluation_matrix` is their transpose, point-major.
+The evaluation is built basis-major: one row per basis form of degree
+d, one entry per point.  Each coordinate's factors are vectors across
+all points, and each row is its exponent prefix's row times one of
+them, so the interpreter takes one step per row instead of one per
+point.  :func:`evaluation_columns` does this for the monomials, and
+:func:`evaluation_matrix` is its transpose, point-major.
+
+:func:`conditions_report` changes the basis first.  With h the last
+coordinate, the nodes of each other coordinate i are the ratios x_i/x_h
+that occur at two or more points, and basis element k is
+x_h^(d-|k|) times, for each i, the product of ``q*x_i - p*x_h`` over
+the first k_i nodes p/q (``x_i`` once the nodes run out): Newton
+interpolation on tensor grids (Gasca and Sauer, Adv. Comput. Math. 12,
+2000).  Expanding element k gives a nonzero multiple of the monomial
+x^k x_h^(d-|k|) plus monomials x^j x_h^(d-|j|) with j < k entrywise, so
+the change of basis is triangular with a nonzero diagonal and the rank
+is unchanged.  Element k vanishes at every point whose node index in
+some coordinate i is below k_i.  On a complete grid, sorted by node
+index tuples, each nonzero row k is therefore zero before the point with
+indices k and nonzero there, so the rows have distinct lead columns, and
+:func:`nodalic.linalg.rank_int_rows` certifies their number as the rank
+with no elimination; the count is the Hilbert function #{k : k_i < m_i,
+|k| <= d} of Alon's Combinatorial Nullstellensatz (1999).  A set with
+no repeated ratio has no nodes, and its rows are the monomial ones.  A
+set of at most d + 1 points needs no matrix at all: distinct points
+impose independent conditions in every degree d >= delta - 1, since
+for each point a product of delta - 1 linear forms, one through each
+other point and none through it, separates it.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import comb, gcd
 from operator import mul
 
@@ -152,12 +174,27 @@ class ProjectivePointSet:
         if not isinstance(raw, list):
             raise InputError('"points" must be an array of coordinate vectors')
         # every literal is parsed before any point is checked, so a bad
-        # literal is reported ahead of a short, zero or repeated point
+        # literal is reported ahead of a short, zero or repeated point;
+        # each distinct literal is parsed once, keyed by its type too, so
+        # that true never takes the entry of 1
+        parsed = {}
+
+        def parse(x):
+            key = type(x), x
+            try:
+                return parsed[key]
+            except KeyError:
+                parsed[key] = pair = linalg.parse_rational_pair(x)
+                return pair
+            except TypeError:
+                # unhashable, so not a literal: parsing it raises
+                return linalg.parse_rational_pair(x)
+
         coordinates = []
         for i, vec in enumerate(raw):
             if not isinstance(vec, list):
                 raise InputError(f"point {i} is not an array")
-            coordinates.append([linalg.parse_rational_pair(x) for x in vec])
+            coordinates.append(list(map(parse, vec)))
         return cls._from_pairs(obj["ambient_dim"], coordinates)
 
 
@@ -176,25 +213,12 @@ def _check_monomial_count(n, d):
             raise PreconditionError(FAIL_MONOMIALS)
 
 
-def monomial_basis(n, d):
-    """Exponent vectors of the degree-d monomials in n+1 variables.
-
-    Lexicographically ascending; length comb(n+d, n), which must be at
-    most ``MAX_MONOMIALS``.
-    """
-    check_int(n, "n", minimum=1)
+def _check_request(pts, d, caller):
+    """The checks every degree-d evaluation runs first, in this order."""
+    if not isinstance(pts, ProjectivePointSet):
+        raise InputError(f"{caller} expects a ProjectivePointSet")
     check_int(d, "d", minimum=0)
-    _check_monomial_count(n, d)
-
-    def walk(remaining_vars, total):
-        if remaining_vars == 1:
-            yield (total,)
-            return
-        for e in range(total + 1):
-            for rest in walk(remaining_vars - 1, total - e):
-                yield (e,) + rest
-
-    return list(walk(n + 1, d))
+    _check_monomial_count(pts.ambient_dim, d)
 
 
 def _prefix_plan(n, d):
@@ -202,11 +226,11 @@ def _prefix_plan(n, d):
 
     Level i lists, for each exponent prefix of the first i + 1 variables
     with sum at most d, its parent prefix (an index into level i - 1)
-    and its last exponent, in the lexicographic order of
-    :func:`monomial_basis`.  The last two variables share one level: a
-    monomial extends its prefix by x^e * y^(f - e), where f is the degree
-    the prefix leaves, and that level lists the index of (f, e) in the
-    table of these products, f ascending, then e.
+    and its last exponent, in lexicographic order.  The last two
+    variables share one level: a monomial extends its prefix by
+    x^e * y^(f - e), where f is the degree the prefix leaves, and that
+    level lists the index of (f, e) in the table of these products,
+    f ascending, then e.
     """
     levels = []
     free = [d]
@@ -222,36 +246,113 @@ def _prefix_plan(n, d):
     return levels
 
 
-def evaluation_columns(pts, d):
-    """Each monomial's values at the points: comb(n+d, n) rows, delta columns.
+def _rows_from_tables(tables, n, d, ones):
+    """One row per exponent vector of degree d, along :func:`_prefix_plan`.
 
-    Row ``j`` holds the ``j``-th monomial of :func:`monomial_basis`
-    evaluated at every stored integer vector, in point order.  The power
-    tables are vectors across all points, one per exponent, and each
-    monomial's row is its prefix's row times one table row, along
-    :func:`_prefix_plan`: one multiplication per value, and one
-    interpreted step per monomial rather than per point.  Every row is a
-    fresh list.
+    ``tables[i][e]`` is coordinate i's row for exponent e, the last
+    table being the homogenising coordinate's.  Each row is its prefix's
+    row times one table row, so the interpreter takes one step per row
+    and one multiplication per value.  An empty table row stands for a
+    zero row: ``map`` stops at the shorter row, so every row built from
+    it is empty too, at no cost.
     """
-    if not isinstance(pts, ProjectivePointSet):
-        raise InputError("evaluation_columns expects a ProjectivePointSet")
-    check_int(d, "d", minimum=0)
-    n = pts.ambient_dim
-    _check_monomial_count(n, d)
-    ones = [1] * pts.delta
-    tables = []
-    for i in range(n + 1):
-        xs = [vector[i] for vector in pts.vectors]
-        powers = [ones]
-        for _ in range(d):
-            powers.append(list(map(mul, powers[-1], xs)))
-        tables.append(powers)
     x, y = tables[-2:]
     tables[-2] = [list(map(mul, x[e], y[f - e])) for f in range(d + 1) for e in range(f + 1)]
     rows = [ones]
     for factors, (parents, exponents) in zip(tables, _prefix_plan(n, d)):
         rows = [list(map(mul, rows[p], factors[e])) for p, e in zip(parents, exponents)]
     return rows
+
+
+def evaluation_columns(pts, d):
+    """Each monomial's values at the points: comb(n+d, n) rows, delta columns.
+
+    Row ``j`` holds the ``j``-th degree-d monomial, in lexicographic
+    order of exponent vectors, evaluated at every stored integer vector,
+    in point order.  The power tables are vectors across all points, one
+    per exponent, combined by :func:`_rows_from_tables`.  Every row is a
+    fresh list.
+    """
+    _check_request(pts, d, "evaluation_columns")
+    ones = [1] * pts.delta
+    tables = []
+    for i in range(pts.ambient_dim + 1):
+        xs = [vector[i] for vector in pts.vectors]
+        powers = [ones]
+        for _ in range(d):
+            powers.append(list(map(mul, powers[-1], xs)))
+        tables.append(powers)
+    return _rows_from_tables(tables, pts.ambient_dim, d, ones)
+
+
+def _ratio_keys(xs, hs):
+    """Each ratio x/h as a reduced ``(p, q)`` with q > 0, or None where h = 0."""
+    return [
+        (x // g, h // g) if h > 0 else (-x // g, -h // g) if h else None
+        for x, h, g in zip(xs, hs, map(gcd, xs, hs))
+    ]
+
+
+def _running_products(ones, factors, rest, d):
+    """Products of the first e factor rows, e = 0..d: ``factors``, then ``rest``.
+
+    From the first all-zero product on, the rows are empty.
+    """
+    table = [ones]
+    row = ones
+    for e in range(d):
+        row = list(map(mul, row, factors[e] if e < len(factors) else rest))
+        if not any(row):
+            return table + [[]] * (d - e)
+        table.append(row)
+    return table
+
+
+def _newton_rows(pts, d):
+    """Nonzero rows of the degree-d Newton basis at the points, and an entry bound.
+
+    With h the last coordinate, the nodes of coordinate i < n are its
+    ratios x_i/x_h that occur at two or more points, at most d of them,
+    in the order they first occur.  Factor j of coordinate i is
+    ``q*x_i - p*x_h`` for node j = p/q and ``x_i`` once the nodes run
+    out, and basis element k is ``x_h^(d-|k|)`` times the first k_i
+    factors of each coordinate i.  The points are sorted by their tuple
+    of node indices (a ratio that is no node counts as one past the
+    last), which only permutes the columns.  With no nodes nothing moves,
+    and the rows are those of :func:`evaluation_columns` less any that
+    hold a power of a coordinate zero at every point.  Every entry
+    is a product of d factor values, so the bound of :func:`_entry_bits`
+    holds with the largest factor bound.
+    """
+    n = pts.ambient_dim
+    hs = [vector[n] for vector in pts.vectors]
+    coordinates = [[vector[i] for vector in pts.vectors] for i in range(n)]
+    nodes, labels = [], []
+    for xs in coordinates:
+        keys = _ratio_keys(xs, hs)
+        counts = Counter(keys)
+        counts.pop(None, None)
+        axis = [key for key, count in counts.items() if count > 1][:d]
+        index = {key: j for j, key in enumerate(axis)}
+        labels.append(list(map(index.get, keys, repeat(len(axis)))))
+        nodes.append(axis)
+    if any(nodes):
+        order = sorted(range(pts.delta), key=list(zip(*labels)).__getitem__)
+        hs = [hs[j] for j in order]
+        coordinates = [[xs[j] for j in order] for xs in coordinates]
+    top = largest = max(map(abs, hs))
+    ones = [1] * pts.delta
+    tables = []
+    for xs, axis in zip(coordinates, nodes):
+        size = max(map(abs, xs))
+        largest = max(largest, size)
+        for p, q in axis:
+            largest = max(largest, q * size + abs(p) * top)
+        factors = [[q * x - p * h for x, h in zip(xs, hs)] for p, q in axis]
+        tables.append(_running_products(ones, factors, xs, d))
+    tables.append(_running_products(ones, (), hs, d))
+    rows = _rows_from_tables(tables, n, d, ones)
+    return [row for row in rows if row], _entry_bits(largest, d)
 
 
 def evaluation_matrix(pts, d):
@@ -269,10 +370,11 @@ def evaluation_matrix(pts, d):
 def _entry_bits(largest, d):
     """Bit length of ``largest**d``, or None when that is 2^63 or more.
 
-    With ``largest`` the largest coordinate size of a point set, every
-    degree-d evaluation is at most ``largest**d`` in size, and the pure
-    powers reach it, so the power is one more entry of the size the
-    evaluation already holds.
+    With ``largest`` a bound on the size of every factor of a product of
+    d values, such as the largest coordinate size of a point set for its
+    degree-d monomials, every product is below 2^bits in size.  For the
+    monomials the pure powers reach the bound, so it is one more entry
+    of the size the evaluation already holds.
     """
     bits = (largest**d).bit_length()
     return bits if bits < 64 else None
@@ -309,15 +411,20 @@ class ConditionsReport:
 def conditions_report(pts, d):
     """Rank bookkeeping for the degree-d evaluation of a point set.
 
-    The monomial-major rows of :func:`evaluation_columns` go straight to
-    :func:`nodalic.linalg.rank_int_rows`, with the entry bound worked
-    out from the largest coordinate: they are fresh ints, so they are
-    not validated, copied or scanned again.
+    After the checks of :func:`evaluation_columns`, a set of at most
+    d + 1 points has rank delta by the separator theorem, with no
+    matrix.  Otherwise the rows of :func:`_newton_rows` go straight to
+    :func:`nodalic.linalg.rank_int_rows`, with their entry bound: they
+    are fresh ints, so they are not validated, copied or scanned again,
+    and on a complete grid they are in echelon form.
     """
-    rows = evaluation_columns(pts, d)
-    width = len(rows)
-    bits = _entry_bits(_largest_coordinate(pts), d)
-    rank = linalg.rank_int_rows(rows, pts.delta, bits)
+    _check_request(pts, d, "conditions_report")
+    width = comb(pts.ambient_dim + d, d)
+    if d >= pts.delta - 1:
+        rank = pts.delta
+    else:
+        rows, bits = _newton_rows(pts, d)
+        rank = linalg.rank_int_rows(rows, pts.delta, bits)
     return ConditionsReport(
         delta=pts.delta,
         degree=d,

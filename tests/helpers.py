@@ -6,7 +6,8 @@ every test is reproducible from its seed.
 
 from fractions import Fraction
 
-from nodalic import linalg
+from nodalic import linalg, points
+from nodalic.errors import check_int
 from nodalic.monodromy import MonodromyData
 
 
@@ -82,3 +83,24 @@ def transvection(pairing, cycle, sign):
     for i, row in enumerate(matrix):
         row[i] += 1
     return matrix
+
+
+def monomial_basis(n, d):
+    """Exponent vectors of the degree-d monomials in n+1 variables.
+
+    Lexicographically ascending; length comb(n+d, n), which must be at
+    most ``points.MAX_MONOMIALS``.
+    """
+    check_int(n, "n", minimum=1)
+    check_int(d, "d", minimum=0)
+    points._check_monomial_count(n, d)
+
+    def walk(remaining_vars, total):
+        if remaining_vars == 1:
+            yield (total,)
+            return
+        for e in range(total + 1):
+            for rest in walk(remaining_vars - 1, total - e):
+                yield (e,) + rest
+
+    return list(walk(n + 1, d))

@@ -432,6 +432,52 @@ class TestRankCore:
                 packed = bits is not None and short >= linalg.PACKED_MIN_ROWS
                 assert kernel_calls == ([] if packed else [(short, max(rows, cols))])
 
+    def test_rows_with_distinct_leads_rank_with_no_elimination(self, kernel_calls, monkeypatch):
+        packed_calls = []
+        monkeypatch.setattr(linalg, "_packed_rank", lambda *args: packed_calls.append(args))
+        rng = random.Random(1903)
+        for _ in range(40):
+            cols = rng.randint(1, 30)
+            leads = rng.sample(range(cols), rng.randint(0, cols))
+            matrix = [
+                [0] * lead + [rng.choice((-1, 1)) * rng.randint(1, 2**70)]
+                + [rng.randint(-9, 9) for _ in range(cols - lead - 1)]
+                for lead in leads
+            ]
+            # zero rows are dropped before the leads are read
+            for _ in range(rng.randint(0, 3)):
+                matrix.insert(rng.randint(0, len(matrix)), [0] * cols)
+            expected = kernel_rank(matrix, cols)
+            assert expected == len(leads)
+            kernel_calls.clear()
+            assert linalg.rank_int_rows([list(row) for row in matrix], cols, None) == expected
+            assert linalg.rank(matrix, cols) == expected
+            assert kernel_calls == [] and packed_calls == []
+
+    def test_colliding_leads_always_reach_the_kernel(self, kernel_calls):
+        rng = random.Random(1904)
+        for trial in range(60):
+            cols = rng.randint(2, 14)
+            matrix = []
+            for _ in range(rng.randint(1, 11)):
+                lead = rng.randrange(cols)
+                head = [0] * lead + [rng.choice((-2, -1, 1, 3))]
+                matrix.append(head + [rng.randint(-3, 3) for _ in range(cols - lead - 1)])
+            # one more row on the lead column of another, half the time its double
+            other = rng.choice(matrix)
+            lead = next(c for c, x in enumerate(other) if x)
+            twin = [0] * lead + [rng.choice((-1, 1))]
+            twin += [rng.randint(-3, 3) for _ in range(cols - lead - 1)]
+            if trial % 2:
+                twin = [2 * x for x in other]
+            matrix.insert(rng.randint(0, len(matrix)), twin)
+            expected = kernel_rank(matrix, cols)
+            kernel_calls.clear()
+            assert linalg.rank_int_rows([list(row) for row in matrix], cols, None) == expected
+            assert len(kernel_calls) == 1
+            assert trial % 2 == 0 or expected < len(matrix)
+        assert linalg.rank_int_rows([[0, 2, 4], [0, 0, 0], [0, 1, 2]], 3, 3) == 1
+
     def test_zero_width_and_no_rows(self):
         assert linalg.rank_int_rows([[] for _ in range(10)], 0, 0) == 0
         assert linalg.rank_int_rows([], 7, 0) == 0

@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from itertools import product
 from math import comb, prod
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from nodalic import linalg, points
 from nodalic.errors import InputError, PreconditionError
 
-from helpers import random_invertible
+from helpers import monomial_basis, random_invertible
 
 COLLINEAR = [(1, 0, 0), (1, 1, 0), (1, 2, 0)]
 
@@ -105,6 +107,16 @@ class TestPointSet:
                 'expected an integer or "a/b" string, got float: 1.5',
             ),
             ([[1, 2], [1, "1/0", 1]], "zero denominator: '1/0'"),
+            # literals are parsed once each, but true never passes for 1
+            # nor 1.0 for 1, and a list is no literal
+            ([[1, 1, 1], [1, True, 2]], 'expected an integer or "a/b" string, got bool: True'),
+            ([[1, 2, 1], [2, 1.0, 1]], 'expected an integer or "a/b" string, got float: 1.0'),
+            ([[True, 1, 1], [1, 1, 1]], 'expected an integer or "a/b" string, got bool: True'),
+            (
+                [["1/2", 1, 1], [1, ["1/2"], 1]],
+                "expected an integer or \"a/b\" string, got list: ['1/2']",
+            ),
+            ([[1, 2, 3], [1, 2, None]], 'expected an integer or "a/b" string, got NoneType: None'),
         ],
     )
     def test_document_error_messages(self, coords, message):
@@ -124,25 +136,25 @@ class TestPointSet:
 
 class TestMonomialBasis:
     def test_counts(self):
-        assert len(points.monomial_basis(2, 1)) == 3
-        assert len(points.monomial_basis(2, 4)) == 15
-        assert len(points.monomial_basis(3, 2)) == 10
+        assert len(monomial_basis(2, 1)) == 3
+        assert len(monomial_basis(2, 4)) == 15
+        assert len(monomial_basis(3, 2)) == 10
 
     def test_count_formula(self):
         for n in range(1, 5):
             for d in range(0, 6):
-                assert len(points.monomial_basis(n, d)) == comb(n + d, n)
+                assert len(monomial_basis(n, d)) == comb(n + d, n)
 
     def test_degrees_and_order(self):
         for n in range(1, 4):
             for d in range(0, 5):
-                mons = points.monomial_basis(n, d)
+                mons = monomial_basis(n, d)
                 assert all(sum(e) == d for e in mons)
                 assert mons == sorted(mons)
                 assert len(set(mons)) == len(mons)
 
     def test_degree_zero(self):
-        assert points.monomial_basis(3, 0) == [(0, 0, 0, 0)]
+        assert monomial_basis(3, 0) == [(0, 0, 0, 0)]
 
 
 class TestEvaluationMatrix:
@@ -165,7 +177,7 @@ class TestEvaluationMatrix:
                         distinct.setdefault(tuple(Fraction(x, lead) for x in c), c)
                 pts = point_set(n, list(distinct.values()))
                 expected = [
-                    [prod(x**e for x, e in zip(vector, mon)) for mon in points.monomial_basis(n, d)]
+                    [prod(x**e for x, e in zip(vector, mon)) for mon in monomial_basis(n, d)]
                     for vector in pts.vectors
                 ]
                 assert points.evaluation_matrix(pts, d) == expected
@@ -436,18 +448,18 @@ class TestSizeBounds:
     # the oversized requests are checked by arithmetic on n, k and d, so
     # these tests build nothing of their size
     def test_monomial_bound_is_inclusive(self):
-        assert len(points.monomial_basis(1, points.MAX_MONOMIALS - 1)) == (
+        assert len(monomial_basis(1, points.MAX_MONOMIALS - 1)) == (
             points.MAX_MONOMIALS
         )
         with pytest.raises(PreconditionError) as err:
-            points.monomial_basis(1, points.MAX_MONOMIALS)
+            monomial_basis(1, points.MAX_MONOMIALS)
         assert str(err.value) == points.FAIL_MONOMIALS
 
     def test_huge_degree_fails_by_name(self):
         pts = point_set(2, [(1, 2, 3)])
         for n, d in ((10**9, 10**9), (2, 10**12), (10**12, 1)):
             with pytest.raises(PreconditionError, match="too many monomials"):
-                points.monomial_basis(n, d)
+                monomial_basis(n, d)
         with pytest.raises(PreconditionError, match="too many monomials"):
             points.conditions_report(pts, 10**9)
 
@@ -469,13 +481,13 @@ class TestSizeBounds:
 
     def test_paper_example_sizes_pass(self):
         # the largest default paper-examples grid, 625 points on 210 monomials
-        assert len(points.monomial_basis(4, 6)) == 210
+        assert len(monomial_basis(4, 6)) == 210
         assert points.grid_nodes(4, 6).delta == 625
 
 
 def monomial_rows(pts, d):
     """Point-major evaluation, one product per entry, from monomial_basis."""
-    basis = points.monomial_basis(pts.ambient_dim, d)
+    basis = monomial_basis(pts.ambient_dim, d)
     return [[prod(map(pow, vector, mon)) for mon in basis] for vector in pts.vectors]
 
 
@@ -540,7 +552,8 @@ class TestEvaluationColumns:
             shapes["tall" if delta > width else "wide" if delta < width else "square"] += 1
         assert min(shapes.values()) >= 3
 
-    @pytest.mark.parametrize("base, fits", [(2, 62), (3, 39)])
+    # base**fits < 2^63 <= base**(fits + 1)
+    @pytest.mark.parametrize("base, fits", [(2**21 - 1, 3), (55108, 4)])
     def test_word_edge_takes_both_paths(self, monkeypatch, base, fits):
         assert base**fits < 2**63 <= base ** (fits + 1)
         calls = []
@@ -551,9 +564,12 @@ class TestEvaluationColumns:
             return packed(rows, ncols, bits)
 
         monkeypatch.setattr(linalg, "_packed_rank", counted)
-        values = (-base, -1, 0, 1, base)
-        pts = point_set(2, [(x, y, 1) for x in values for y in values[1:]])
+        # no ratio x/z or y/z repeats, so the Newton rows are the monomial
+        # ones, and 12 points are more than the separator theorem covers
+        xs = (-base, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, base)
+        pts = point_set(2, [(x, y, 1) for x, y in zip(xs, xs[3:] + xs[:3])])
         for d, bits in ((fits, (base**fits).bit_length()), (fits + 1, None)):
+            assert points._newton_rows(pts, d) == (points.evaluation_columns(pts, d), bits)
             calls.clear()
             report = points.conditions_report(pts, d)
             assert report.rank == kernel_rank(monomial_rows(pts, d), comb(d + 2, 2))
@@ -591,3 +607,188 @@ class TestEvaluationColumns:
             pts = random_point_set(rng, n, delta, 2**70)
             report = points.conditions_report(pts, d)
             assert report.rank == kernel_rank(monomial_rows(pts, d), comb(n + d, n))
+
+
+def grid_points(rng, sizes, scale=True):
+    """Product grid of random distinct rationals, ``sizes[i]`` per axis.
+
+    The homogenising coordinate is 1 unless ``scale``, which rescales
+    each point by a random nonzero rational (the same projective point).
+    """
+    axes = []
+    for size in sizes:
+        values = set()
+        while len(values) < size:
+            values.add(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+        axes.append(sorted(values))
+    coords = []
+    for choice in product(*axes):
+        factor = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3)) if scale else 1
+        coords.append([factor * x for x in (*choice, 1)])
+    return coords
+
+
+def hilbert_count(sizes, d):
+    """#{a : 0 <= a_i < sizes[i], |a| <= d}, the rank of a complete grid."""
+    return sum(sum(a) <= d for a in product(*(range(size) for size in sizes)))
+
+
+def newton_rank_agrees(pts, d):
+    """The report's rank against the list kernel on the monomial rows.
+
+    Where the report ranks Newton rows, also checks the entry bound
+    they pass to the rank core.
+    """
+    if pts.delta > d + 1:
+        rows, bits = points._newton_rows(pts, d)
+        assert bits is None or all(abs(x) < 2**bits for row in rows for x in row)
+    report = points.conditions_report(pts, d)
+    assert report.rank == kernel_rank(monomial_rows(pts, d), comb(pts.ambient_dim + d, d))
+    return report.rank
+
+
+class TestNewtonRank:
+    def test_complete_partial_and_shuffled_grids(self):
+        rng = random.Random(2001)
+        newton = 0
+        for sizes in ((3, 3), (4, 2), (5, 5), (2, 3, 4), (3, 3, 3), (2, 2, 2, 3), (6,), (1, 4)):
+            n = len(sizes)
+            coords = grid_points(rng, sizes)
+            for d in range(0, sum(sizes)):
+                rank = newton_rank_agrees(point_set(n, coords), d)
+                assert rank == hilbert_count(sizes, d)
+                shuffled = rng.sample(coords, len(coords))
+                assert newton_rank_agrees(point_set(n, shuffled), d) == rank
+                partial = rng.sample(coords, rng.randint(1, len(coords)))
+                newton_rank_agrees(point_set(n, partial), d)
+                newton += len(partial) > d + 1
+        assert newton >= 20
+
+    def test_points_at_infinity_and_zero_coordinates(self):
+        rng = random.Random(2002)
+        for _ in range(40):
+            n = rng.randint(1, 3)
+            sizes = [rng.randint(1, 4) for _ in range(n)]
+            coords = grid_points(rng, sizes, scale=rng.random() < 0.5)
+            # zero coordinates: the grid's own zeros and the hyperplanes x_i = 0
+            coords += [[0] * i + [1] + [0] * (n - i) for i in range(n + 1)]
+            # points at infinity, x_h = 0, some of them sharing coordinates
+            for _ in range(rng.randint(1, 5)):
+                coords.append([rng.choice((0, 1, 2, -3)) for _ in range(n)] + [0])
+            distinct = {}
+            for c in coords:
+                if any(c):
+                    lead = next(x for x in c if x)
+                    distinct.setdefault(tuple(Fraction(x, lead) for x in c), c)
+            pts = point_set(n, list(distinct.values()))
+            for d in rng.sample(range(0, 6), 3):
+                newton_rank_agrees(pts, d)
+
+    def test_ratios_repeated_in_some_coordinates_only(self):
+        rng = random.Random(2003)
+        for _ in range(30):
+            n = rng.randint(2, 4)
+            repeated = rng.sample(range(n), rng.randint(1, n - 1))
+            coords = set()
+            for _ in range(rng.randint(4, 30)):
+                coords.add(tuple(
+                    rng.randint(-2, 2) if i in repeated else rng.randint(-10**6, 10**6)
+                    for i in range(n)
+                ) + (rng.choice((1, 1, 2, -3)),))
+            distinct = {}
+            for c in coords:
+                lead = next(x for x in c if x)
+                distinct.setdefault(tuple(Fraction(x, lead) for x in c), c)
+            pts = point_set(n, list(distinct.values()))
+            for d in range(0, 5):
+                newton_rank_agrees(pts, d)
+
+    def test_random_sets_and_small_cases(self):
+        rng = random.Random(2004)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            d = rng.randint(0, 4)
+            bound = rng.choice((1, 2, 5, 2**40))
+            delta = min(rng.randint(1, 25), (2 * bound + 1) ** (n + 1) // 3)
+            pts = random_point_set(rng, n, delta, bound)
+            newton_rank_agrees(pts, d)
+        # degree zero, at most one point and no point at all
+        for coords, d, rank in (
+            ([(1, 2, 3), (1, 2, 4), (5, 2, 3)], 0, 1),
+            ([(1, 2, 3)], 0, 1),
+            ([(1, 2, 3)], 4, 1),
+            ([(0, 0, 1)], 2, 1),
+            ([], 0, 0),
+            ([], 3, 0),
+        ):
+            assert newton_rank_agrees(point_set(2, coords), d) == rank
+
+    @pytest.mark.parametrize("n, k, d", [(2, 4, 2), (2, 5, 3), (2, 5, 5), (3, 4, 2), (3, 6, 6), (4, 4, 4), (4, 5, 3)])
+    def test_complete_grids_rank_with_no_elimination(self, monkeypatch, n, k, d):
+        def refuse(*args):
+            raise AssertionError("a complete grid reached the elimination")
+
+        monkeypatch.setattr(linalg, "_packed_rank", refuse)
+        monkeypatch.setattr(linalg, "reduce_int_rows", refuse)
+        count = hilbert_count([k - 1] * n, d)
+        values = [Fraction(p, q) for p, q in ((7, 3), (-5, 2), (9, 1), (-8, 3), (5, 2))]
+        rational = points.grid_nodes(n, k, values[:k - 1])
+        shuffled = random.Random(n * k * d).sample(rational.vectors, rational.delta)
+        for grid in (points.grid_nodes(n, k), rational, point_set(n, shuffled)):
+            assert grid.delta > d + 1
+            assert points.conditions_report(grid, d).rank == count
+            # the running products stop at zero, so no zero row is built
+            assert len(points._newton_rows(grid, d)[0]) == count
+
+    def test_newton_rows_without_repeats_are_the_monomial_rows(self):
+        rng = random.Random(2005)
+        for _ in range(20):
+            n = rng.randint(1, 3)
+            d = rng.randint(0, 4)
+            # distinct nonzero ratios in every coordinate, so no nodes
+            ratios = rng.sample(range(1, 10**4), 12 * n)
+            coords = [
+                [ratios[i * n + j] for j in range(n)] + [rng.choice((1, 2, 3))]
+                for i in range(12)
+            ]
+            pts = point_set(n, coords)
+            largest = max(max(map(abs, v)) for v in pts.vectors)
+            assert points._newton_rows(pts, d) == (
+                points.evaluation_columns(pts, d),
+                points._entry_bits(largest, d),
+            )
+
+
+class TestSeparatorTheorem:
+    def test_at_most_d_plus_one_points_need_no_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a matrix")
+
+        rng = random.Random(2101)
+        pts = random_point_set(rng, 2, 50, 10**6)
+        monkeypatch.setattr(points, "_newton_rows", refuse)
+        monkeypatch.setattr(linalg, "rank_int_rows", refuse)
+        start = time.perf_counter()
+        report = points.conditions_report(pts, 139)
+        assert time.perf_counter() - start < 0.5
+        assert (report.rank, report.h0_ambient, report.h1_ideal) == (50, comb(141, 2), 0)
+        assert report.independent
+        with pytest.raises(PreconditionError) as err:
+            points.conditions_report(pts, 140)
+        assert str(err.value) == points.FAIL_MONOMIALS
+        with pytest.raises(InputError, match="d must be"):
+            points.conditions_report(pts, True)
+
+    def test_agrees_with_the_kernel_around_d_equal_delta_minus_one(self):
+        rng = random.Random(2102)
+        for delta in range(1, 8):
+            for n in (1, 2, 3):
+                for pts in (random_point_set(rng, n, delta, 3), random_point_set(rng, n, delta, 9)):
+                    for d in range(max(0, delta - 3), delta + 2):
+                        rank = newton_rank_agrees(pts, d)
+                        if d >= delta - 1:
+                            assert rank == delta
+                # points on a line impose min(delta, d + 1) conditions
+                line = point_set(n, [[1, t] + [0] * (n - 1) for t in range(delta)])
+                for d in range(max(0, delta - 3), delta + 2):
+                    assert newton_rank_agrees(line, d) == min(delta, d + 1)
