@@ -44,7 +44,11 @@ no repeated ratio has no nodes, and its rows are the monomial ones.  A
 set of at most d + 1 points needs no matrix at all: distinct points
 impose independent conditions in every degree d >= delta - 1, since
 for each point a product of delta - 1 linear forms, one through each
-other point and none through it, separates it.
+other point and none through it, separates it.  Nor does a set on the
+projective line: any d + 1 of its points give a square evaluation
+whose determinant is, up to sign, the product of the minors
+a_i b_j - a_j b_i of their vectors (Vandermonde), nonzero for distinct
+points, so the rank is min(delta, d + 1).
 """
 
 from collections import Counter
@@ -61,8 +65,12 @@ from .errors import InputError, PreconditionError, check_int, check_reportable
 # built.  The largest default paper-examples cell evaluates 625 points on
 # 210 monomials in 5 coordinates.  At the bounds the work is slow but
 # finite: a grid of MAX_GRID_COORDINATES takes about 1.5 s and 40 MB to
-# print, and 50 plane points at degree 139 (9870 monomials) about 25 s
-# to rank.
+# print.  The column bound does not bound the rank's cost, which grows
+# with the point count and, through the entry size, with the degree:
+# random plane points with no repeated ratio and more than d + 1 of
+# them have no certificate and are eliminated, and 50 of them with
+# coordinates p/q, |p| <= 10^4 and q <= 100, at degree 40 (861
+# monomials) take about 40 s to rank (CPython 3.11, shared 2-vCPU VM).
 MAX_MONOMIALS = 10**4
 FAIL_MONOMIALS = (
     f"too many monomials: comb(n + d, n) must be at most {MAX_MONOMIALS}"
@@ -309,7 +317,7 @@ def _running_products(ones, factors, rest, d):
 
 
 def _newton_rows(pts, d):
-    """Nonzero rows of the degree-d Newton basis at the points, and an entry bound.
+    """Nonzero rows of the degree-d Newton basis at the points.
 
     With h the last coordinate, the nodes of coordinate i < n are its
     ratios x_i/x_h that occur at two or more points, at most d of them,
@@ -320,9 +328,7 @@ def _newton_rows(pts, d):
     of node indices (a ratio that is no node counts as one past the
     last), which only permutes the columns.  With no nodes nothing moves,
     and the rows are those of :func:`evaluation_columns` less any that
-    hold a power of a coordinate zero at every point.  Every entry
-    is a product of d factor values, so the bound of :func:`_entry_bits`
-    holds with the largest factor bound.
+    hold a power of a coordinate zero at every point.
     """
     n = pts.ambient_dim
     hs = [vector[n] for vector in pts.vectors]
@@ -340,19 +346,14 @@ def _newton_rows(pts, d):
         order = sorted(range(pts.delta), key=list(zip(*labels)).__getitem__)
         hs = [hs[j] for j in order]
         coordinates = [[xs[j] for j in order] for xs in coordinates]
-    top = largest = max(map(abs, hs))
     ones = [1] * pts.delta
     tables = []
     for xs, axis in zip(coordinates, nodes):
-        size = max(map(abs, xs))
-        largest = max(largest, size)
-        for p, q in axis:
-            largest = max(largest, q * size + abs(p) * top)
         factors = [[q * x - p * h for x, h in zip(xs, hs)] for p, q in axis]
         tables.append(_running_products(ones, factors, xs, d))
     tables.append(_running_products(ones, (), hs, d))
     rows = _rows_from_tables(tables, n, d, ones)
-    return [row for row in rows if row], _entry_bits(largest, d)
+    return [row for row in rows if row]
 
 
 def evaluation_matrix(pts, d):
@@ -365,23 +366,6 @@ def evaluation_matrix(pts, d):
     plain ints and the matrix is canonical.
     """
     return [list(row) for row in zip(*evaluation_columns(pts, d))]
-
-
-def _entry_bits(largest, d):
-    """Bit length of ``largest**d``, or None when that is 2^63 or more.
-
-    With ``largest`` a bound on the size of every factor of a product of
-    d values, such as the largest coordinate size of a point set for its
-    degree-d monomials, every product is below 2^bits in size.  For the
-    monomials the pure powers reach the bound, so it is one more entry
-    of the size the evaluation already holds.
-    """
-    bits = (largest**d).bit_length()
-    return bits if bits < 64 else None
-
-
-def _largest_coordinate(pts):
-    return max((max(map(abs, vector)) for vector in pts.vectors), default=0)
 
 
 @dataclass(frozen=True)
@@ -412,19 +396,19 @@ def conditions_report(pts, d):
     """Rank bookkeeping for the degree-d evaluation of a point set.
 
     After the checks of :func:`evaluation_columns`, a set of at most
-    d + 1 points has rank delta by the separator theorem, with no
-    matrix.  Otherwise the rows of :func:`_newton_rows` go straight to
-    :func:`nodalic.linalg.rank_int_rows`, with their entry bound: they
-    are fresh ints, so they are not validated, copied or scanned again,
-    and on a complete grid they are in echelon form.
+    d + 1 points has rank delta by the separator theorem, and a set on
+    the projective line has rank min(delta, d + 1), both with no matrix.
+    Otherwise the rows of :func:`_newton_rows` go straight to
+    :func:`nodalic.linalg.rank_int_rows`: they are fresh ints, so they
+    are not validated or copied again, and on a complete grid they are
+    in echelon form.
     """
     _check_request(pts, d, "conditions_report")
     width = comb(pts.ambient_dim + d, d)
-    if d >= pts.delta - 1:
-        rank = pts.delta
+    if d >= pts.delta - 1 or pts.ambient_dim == 1:
+        rank = min(pts.delta, d + 1)
     else:
-        rows, bits = _newton_rows(pts, d)
-        rank = linalg.rank_int_rows(rows, pts.delta, bits)
+        rank = linalg.rank_int_rows(_newton_rows(pts, d), pts.delta)
     return ConditionsReport(
         delta=pts.delta,
         degree=d,
@@ -471,8 +455,7 @@ def normal_crossing_check(pts):
     """
     if not isinstance(pts, ProjectivePointSet):
         raise InputError("normal_crossing_check expects a ProjectivePointSet")
-    bits = _entry_bits(_largest_coordinate(pts), 1)
-    rank = linalg.rank_int_rows(pts.coordinate_matrix(), pts.ambient_dim + 1, bits)
+    rank = linalg.rank_int_rows(pts.coordinate_matrix(), pts.ambient_dim + 1)
     return NormalCrossingCheck(
         independent_branches=rank == pts.delta,
         tangent_intersection_dim=pts.ambient_dim - rank,

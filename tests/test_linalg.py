@@ -135,12 +135,6 @@ def kernel_rank(rows, ncols):
     return len(linalg.reduce_int_rows([list(row) for row in rows], ncols, False))
 
 
-def packed_rank(rows, ncols):
-    """Rank by the packed pass, whatever the row count."""
-    bits = max((abs(x) for row in rows for x in row), default=0).bit_length()
-    return linalg._packed_rank([list(row) for row in rows], ncols, bits)
-
-
 def low_rank(rng, rows, cols, rank, bound):
     """Product of random rows x rank and rank x cols matrices."""
     if rank == 0:
@@ -165,11 +159,13 @@ def kernel_calls(monkeypatch):
 
 
 class TestPackedRank:
+    """Ranks on the shapes and the word-edge entries a packed forward pass
+    was once tuned for; ``rank`` now takes the one path of every matrix."""
+
     def test_matches_list_kernel_on_seeded_shapes(self):
         rng = random.Random(717)
-        cutoff = linalg.PACKED_MIN_ROWS
         for trial in range(120):
-            short = rng.randint(cutoff - 3, cutoff + 12)
+            short = rng.randint(5, 20)
             long = short + rng.randint(0, 30)
             # wide, tall and square
             rows, cols = [(short, long), (long, short), (short, short)][trial % 3]
@@ -180,9 +176,7 @@ class TestPackedRank:
                 matrix = [
                     [rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)
                 ]
-            expected = kernel_rank(matrix, cols)
-            assert linalg.rank(matrix, cols) == expected
-            assert packed_rank(matrix, cols) == expected
+            assert linalg.rank(matrix, cols) == kernel_rank(matrix, cols)
 
     def test_edge_shapes(self):
         rng = random.Random(718)
@@ -199,84 +193,36 @@ class TestPackedRank:
         for row in matrix:
             row[2] = row[7] = row[13] = 0
         cases.append((matrix, 14, kernel_rank(matrix, 14)))
+        # a rational grid's evaluation
+        values = [Fraction(p, q) for p, q in ((1, 1), (-5, 2), (7, 3), (-8, 3), (9, 1))]
+        grid = points.evaluation_matrix(points.grid_nodes(3, 6, [values] * 3), 5)
+        cases.append((grid, 56, kernel_rank(grid, 56)))
+        # unit rows above rows of small heads and odd words from ``column`` on
+        for column in (0, 4, 9):
+            words = random.Random(720 + column)
+            units = min(column, 7)
+            matrix = [[int(i == j) for j in range(10)] for i in range(units)]
+            while len(matrix) < 9:
+                head = [words.randint(-9, 9) for _ in range(units)] + [0] * (column - units)
+                tail = [words.randint(WORD // 2, WORD - 1) | 1 for _ in range(10 - column)]
+                matrix.append(head + tail)
+            cases.append((matrix, 10, kernel_rank(matrix, 10)))
         for matrix, ncols, expected in cases:
-            assert packed_rank(matrix, ncols) == expected
             assert linalg.rank(matrix, ncols) == expected
 
-    def test_word_edges_pick_the_path(self, monkeypatch):
-        calls = []
-        packed = linalg._packed_rank
-
-        def counted(rows, ncols, bits):
-            calls.append(bits)
-            return packed(rows, ncols, bits)
-
-        monkeypatch.setattr(linalg, "_packed_rank", counted)
+    def test_word_edges_pick_the_path(self):
         rng = random.Random(719)
-        for extremes, fits in (
-            ((WORD - 1, -WORD), True),
-            ((-(WORD - 1),), True),
-            ((WORD,), False),
-            ((-WORD - 1,), False),
-        ):
+        for extremes in ((WORD - 1, -WORD), (-(WORD - 1),), (WORD,), (-WORD - 1,)):
             matrix = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(9)]
             for i, x in enumerate(extremes):
                 matrix[3 + i][5 + i] = x
-            calls.clear()
             assert linalg.rank(matrix) == kernel_rank(matrix, 12)
-            assert len(calls) == int(fits)
-            if fits:
-                assert calls == [64 if -WORD in extremes else 63]
-
-    @pytest.mark.parametrize("column", [0, 4, 9])
-    def test_growth_hands_over_at_the_column(self, kernel_calls, column):
-        rng = random.Random(720 + column)
-        ncols, nrows = 10, 9
-        # unit rows are the first pivots and clear the small heads of the
-        # rows below, which hold odd words from ``column`` on: their first
-        # update there needs about 126 bits a slot
-        units = min(column, nrows - 2)
-        matrix = [[int(i == j) for j in range(ncols)] for i in range(units)]
-        while len(matrix) < nrows:
-            head = [rng.randint(-9, 9) for _ in range(units)] + [0] * (column - units)
-            tail = [rng.randint(WORD // 2, WORD - 1) | 1 for _ in range(ncols - column)]
-            matrix.append(head + tail)
-        expected = kernel_rank(matrix, ncols)
-        kernel_calls.clear()
-        assert linalg.rank(matrix, ncols) == expected
-        assert kernel_calls == [(nrows - units, ncols - column)]
-
-    def test_grid_matrix_stays_packed(self, kernel_calls):
-        values = [Fraction(p, q) for p, q in ((1, 1), (-5, 2), (7, 3), (-8, 3), (9, 1))]
-        grid = points.grid_nodes(3, 6, [values] * 3)
-        matrix = points.evaluation_matrix(grid, 5)
-        assert len(matrix) == 125 and len(matrix[0]) == 56
-        expected = kernel_rank(matrix, 56)
-        kernel_calls.clear()
-        assert linalg.rank(matrix, 56) == expected
-        assert kernel_calls == []
 
     def test_dense_growth_reaches_the_list_kernel(self, kernel_calls):
         rng = random.Random(721)
         matrix = [[rng.randint(-2**30, 2**30) for _ in range(24)] for _ in range(20)]
         assert linalg.rank(matrix) == 20
         assert len(kernel_calls) == 1
-
-    def test_slot_width_and_unpack(self):
-        rng = random.Random(722)
-        for _ in range(40):
-            ncols = rng.randint(1, 12)
-            bits = rng.randint(0, 63)
-            # a row that is zero before ``start``, as the rows handed over are
-            start = rng.randint(0, ncols - 1)
-            row = [0] * start
-            row += [rng.randint(-(2**bits), 2**bits - 1) for _ in range(ncols - start)]
-            packed, ones = linalg._pack([row], ncols)
-            width = linalg._slot_width(packed[0], 64, ones)
-            assert all(-(2**width) <= x < 2**width for x in row)
-            narrower = width - 1
-            assert width == 0 or not all(-(2**narrower) <= x < 2**narrower for x in row)
-            assert linalg._unpack(packed[0], ncols, start) == row[start:]
 
 
 class TestColumnSpace:
@@ -424,17 +370,11 @@ class TestRankCore:
         for rows, cols in ((40, 9), (9, 40), (9, 8), (8, 9), (12, 12), (5, 30), (30, 5)):
             matrix = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
             expected = kernel_rank(matrix, cols)
-            for bits in (2, None):
-                kernel_calls.clear()
-                work = [list(row) for row in matrix]
-                assert linalg.rank_int_rows(work, cols, bits) == expected
-                short = min(rows, cols)
-                packed = bits is not None and short >= linalg.PACKED_MIN_ROWS
-                assert kernel_calls == ([] if packed else [(short, max(rows, cols))])
+            kernel_calls.clear()
+            assert linalg.rank_int_rows([list(row) for row in matrix], cols) == expected
+            assert kernel_calls == [(min(rows, cols), max(rows, cols))]
 
-    def test_rows_with_distinct_leads_rank_with_no_elimination(self, kernel_calls, monkeypatch):
-        packed_calls = []
-        monkeypatch.setattr(linalg, "_packed_rank", lambda *args: packed_calls.append(args))
+    def test_rows_with_distinct_leads_rank_with_no_elimination(self, kernel_calls):
         rng = random.Random(1903)
         for _ in range(40):
             cols = rng.randint(1, 30)
@@ -450,9 +390,9 @@ class TestRankCore:
             expected = kernel_rank(matrix, cols)
             assert expected == len(leads)
             kernel_calls.clear()
-            assert linalg.rank_int_rows([list(row) for row in matrix], cols, None) == expected
+            assert linalg.rank_int_rows([list(row) for row in matrix], cols) == expected
             assert linalg.rank(matrix, cols) == expected
-            assert kernel_calls == [] and packed_calls == []
+            assert kernel_calls == []
 
     def test_colliding_leads_always_reach_the_kernel(self, kernel_calls):
         rng = random.Random(1904)
@@ -473,12 +413,12 @@ class TestRankCore:
             matrix.insert(rng.randint(0, len(matrix)), twin)
             expected = kernel_rank(matrix, cols)
             kernel_calls.clear()
-            assert linalg.rank_int_rows([list(row) for row in matrix], cols, None) == expected
+            assert linalg.rank_int_rows([list(row) for row in matrix], cols) == expected
             assert len(kernel_calls) == 1
             assert trial % 2 == 0 or expected < len(matrix)
-        assert linalg.rank_int_rows([[0, 2, 4], [0, 0, 0], [0, 1, 2]], 3, 3) == 1
+        assert linalg.rank_int_rows([[0, 2, 4], [0, 0, 0], [0, 1, 2]], 3) == 1
 
     def test_zero_width_and_no_rows(self):
-        assert linalg.rank_int_rows([[] for _ in range(10)], 0, 0) == 0
-        assert linalg.rank_int_rows([], 7, 0) == 0
+        assert linalg.rank_int_rows([[] for _ in range(10)], 0) == 0
+        assert linalg.rank_int_rows([], 7) == 0
         assert linalg.rank([[] for _ in range(10)], 0) == 0

@@ -552,39 +552,19 @@ class TestEvaluationColumns:
             shapes["tall" if delta > width else "wide" if delta < width else "square"] += 1
         assert min(shapes.values()) >= 3
 
-    # base**fits < 2^63 <= base**(fits + 1)
+    # base**fits < 2^63 <= base**(fits + 1): the entries fit a signed
+    # 64-bit word at d = fits and pass it at fits + 1
     @pytest.mark.parametrize("base, fits", [(2**21 - 1, 3), (55108, 4)])
-    def test_word_edge_takes_both_paths(self, monkeypatch, base, fits):
+    def test_word_edge_takes_both_paths(self, base, fits):
         assert base**fits < 2**63 <= base ** (fits + 1)
-        calls = []
-        packed = linalg._packed_rank
-
-        def counted(rows, ncols, bits):
-            calls.append(bits)
-            return packed(rows, ncols, bits)
-
-        monkeypatch.setattr(linalg, "_packed_rank", counted)
         # no ratio x/z or y/z repeats, so the Newton rows are the monomial
         # ones, and 12 points are more than the separator theorem covers
         xs = (-base, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, base)
         pts = point_set(2, [(x, y, 1) for x, y in zip(xs, xs[3:] + xs[:3])])
-        for d, bits in ((fits, (base**fits).bit_length()), (fits + 1, None)):
-            assert points._newton_rows(pts, d) == (points.evaluation_columns(pts, d), bits)
-            calls.clear()
+        for d in (fits, fits + 1):
+            assert points._newton_rows(pts, d) == points.evaluation_columns(pts, d)
             report = points.conditions_report(pts, d)
             assert report.rank == kernel_rank(monomial_rows(pts, d), comb(d + 2, 2))
-            assert calls == ([] if bits is None else [bits])
-
-    def test_entry_bits_is_the_largest_power_size(self):
-        assert points._entry_bits(2, 62) == 63
-        assert points._entry_bits(2, 63) is None
-        assert points._entry_bits(3, 39) == 62
-        assert points._entry_bits(3, 40) is None
-        assert points._entry_bits(2**63 - 1, 1) == 63
-        assert points._entry_bits(2**63, 1) is None
-        assert points._entry_bits(0, 0) == 1
-        assert points._entry_bits(0, 5) == 0
-        assert points._entry_bits(1, 10**12) == 1
 
     def test_reports_validate_nothing_again(self, monkeypatch):
         calls = []
@@ -634,14 +614,7 @@ def hilbert_count(sizes, d):
 
 
 def newton_rank_agrees(pts, d):
-    """The report's rank against the list kernel on the monomial rows.
-
-    Where the report ranks Newton rows, also checks the entry bound
-    they pass to the rank core.
-    """
-    if pts.delta > d + 1:
-        rows, bits = points._newton_rows(pts, d)
-        assert bits is None or all(abs(x) < 2**bits for row in rows for x in row)
+    """The report's rank against the list kernel on the monomial rows."""
     report = points.conditions_report(pts, d)
     assert report.rank == kernel_rank(monomial_rows(pts, d), comb(pts.ambient_dim + d, d))
     return report.rank
@@ -723,12 +696,11 @@ class TestNewtonRank:
         ):
             assert newton_rank_agrees(point_set(2, coords), d) == rank
 
-    @pytest.mark.parametrize("n, k, d", [(2, 4, 2), (2, 5, 3), (2, 5, 5), (3, 4, 2), (3, 6, 6), (4, 4, 4), (4, 5, 3)])
+    @pytest.mark.parametrize("n, k, d", [(1, 6, 3), (2, 4, 2), (2, 5, 3), (2, 5, 5), (3, 4, 2), (3, 6, 6), (4, 4, 4), (4, 5, 3)])
     def test_complete_grids_rank_with_no_elimination(self, monkeypatch, n, k, d):
         def refuse(*args):
             raise AssertionError("a complete grid reached the elimination")
 
-        monkeypatch.setattr(linalg, "_packed_rank", refuse)
         monkeypatch.setattr(linalg, "reduce_int_rows", refuse)
         count = hilbert_count([k - 1] * n, d)
         values = [Fraction(p, q) for p, q in ((7, 3), (-5, 2), (9, 1), (-8, 3), (5, 2))]
@@ -738,7 +710,7 @@ class TestNewtonRank:
             assert grid.delta > d + 1
             assert points.conditions_report(grid, d).rank == count
             # the running products stop at zero, so no zero row is built
-            assert len(points._newton_rows(grid, d)[0]) == count
+            assert len(points._newton_rows(grid, d)) == count
 
     def test_newton_rows_without_repeats_are_the_monomial_rows(self):
         rng = random.Random(2005)
@@ -752,11 +724,7 @@ class TestNewtonRank:
                 for i in range(12)
             ]
             pts = point_set(n, coords)
-            largest = max(max(map(abs, v)) for v in pts.vectors)
-            assert points._newton_rows(pts, d) == (
-                points.evaluation_columns(pts, d),
-                points._entry_bits(largest, d),
-            )
+            assert points._newton_rows(pts, d) == points.evaluation_columns(pts, d)
 
 
 class TestSeparatorTheorem:
@@ -792,3 +760,33 @@ class TestSeparatorTheorem:
                 line = point_set(n, [[1, t] + [0] * (n - 1) for t in range(delta)])
                 for d in range(max(0, delta - 3), delta + 2):
                     assert newton_rank_agrees(line, d) == min(delta, d + 1)
+
+
+class TestProjectiveLine:
+    def test_closed_form_agrees_with_the_kernel(self):
+        rng = random.Random(2201)
+        for delta in range(1, 13):
+            for bound in (3, 2**40):
+                pts = random_point_set(rng, 1, delta, bound)
+                for d in range(0, delta + 2):
+                    expected = kernel_rank(monomial_rows(pts, d), d + 1)
+                    assert expected == min(delta, d + 1)
+                    assert points.conditions_report(pts, d).rank == expected
+
+    def test_many_points_need_no_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a matrix")
+
+        pts = point_set(1, [(t, 1) for t in range(400)])
+        monkeypatch.setattr(points, "_newton_rows", refuse)
+        monkeypatch.setattr(linalg, "rank_int_rows", refuse)
+        start = time.perf_counter()
+        report = points.conditions_report(pts, 150)
+        assert time.perf_counter() - start < 0.5
+        assert (report.rank, report.h0_ambient, report.h1_ideal) == (151, 151, 249)
+        assert not report.independent
+        with pytest.raises(PreconditionError) as err:
+            points.conditions_report(pts, points.MAX_MONOMIALS)
+        assert str(err.value) == points.FAIL_MONOMIALS
+        with pytest.raises(InputError, match="d must be"):
+            points.conditions_report(pts, True)

@@ -129,13 +129,12 @@ def test_rank_matches_in_every_orientation():
             assert expected <= rank
 
 
-def test_packed_ranks_with_word_entries_match():
-    # entries up to the 64-bit edges: the packed pass, its handover to the
-    # list kernel, and matrices past the edge that never pack
+def test_ranks_with_word_entries_match():
+    # entries up to the 64-bit edges and past them, dense and of low rank
     rng = random.Random(1205)
     word = 2**63
     for i in range(24):
-        rows = rng.randint(linalg.PACKED_MIN_ROWS - 1, 13)
+        rows = rng.randint(7, 13)
         cols = rng.randint(rows, 18)
         bound = (9, 2**31, word - 1, word)[i % 4]
         if i % 3:
@@ -149,3 +148,28 @@ def test_packed_ranks_with_word_entries_match():
         expected = sympy.Matrix(matrix).rank()
         assert linalg.rank(matrix) == expected
         assert linalg.rank([list(c) for c in zip(*matrix)], rows) == expected
+
+
+def off_grid_points(rng, n, delta, height, denominator):
+    """``delta`` distinct points (p/q, ..., 1), |p| <= height, q <= denominator."""
+    coords = set()
+    while len(coords) < delta:
+        coords.add(tuple(
+            Fraction(rng.randint(-height, height), rng.randint(1, denominator))
+            for _ in range(n)
+        ))
+    return points.ProjectivePointSet.from_coordinates(n, [[*c, 1] for c in sorted(coords)])
+
+
+@pytest.mark.parametrize("n, delta, d", [(2, 30, 6), (3, 60, 4), (4, 40, 3)])
+def test_off_grid_conditions_match(n, delta, d):
+    # more points than monomials, so h1 > 0: small coordinates repeat
+    # ratios and go through the Newton rows, large ones pass a word;
+    # sympy ranks through its domain matrices, as Matrix.rank is slow here
+    rng = random.Random(1206 + n)
+    for height, denominator in ((9, 4), (10**4, 100)):
+        pts = off_grid_points(rng, n, delta, height, denominator)
+        expected = sympy.Matrix(points.evaluation_matrix(pts, d)).to_DM().rank()
+        report = points.conditions_report(pts, d)
+        assert report.rank == expected
+        assert report.h1_ideal > 0
