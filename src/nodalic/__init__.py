@@ -3,8 +3,8 @@
 Four engines and a command line, all over arbitrary-precision rationals
 with no floating point anywhere:
 
-- :mod:`nodalic.linalg`: dense exact matrices; rref, rank, kernel and
-  column-space bases on top of one fraction-free integer elimination
+- :mod:`nodalic.linalg`: dense exact matrices and their rank, through
+  an echelon certificate or one fraction-free forward elimination
   kernel that keeps its rows primitive.
 - :mod:`nodalic.monodromy`: rank-one monodromy logarithms from
   vanishing cycles, the complex of their products, and the stalk

@@ -2,15 +2,14 @@
 
 Matrices are lists of rows, rows are lists of :class:`fractions.Fraction`
 (plain ints are accepted anywhere; floats and bools are rejected because
-they silently break exactness).  Every reduction validates its input
-once, through :func:`_int_rows`: rows of plain ints are taken as they
-are, and a row holding a Fraction is scaled by the lcm of its
-denominators, which keeps the row space.  The integer rows then go to
-the one elimination kernel, :func:`reduce_int_rows`.  :func:`rank` is
-that validation followed by :func:`rank_int_rows`, the rank core, which
-a caller holding int rows it has just built (the evaluation rows of
-:mod:`nodalic.points`) calls directly, so nothing is checked or copied
-again.
+they silently break exactness).  :func:`rank` validates its input once,
+through :func:`_int_rows`: rows of plain ints are taken as they are,
+and a row holding a Fraction is scaled by the lcm of its denominators,
+which keeps the row space.  It hands the integer rows to
+:func:`rank_int_rows`, the rank core, which a caller holding int rows
+it has just built (the evaluation rows of :mod:`nodalic.points`) calls
+directly, so nothing is checked or copied again.  The core ends in the
+one elimination kernel, :func:`reduce_int_rows`.
 
 The rank core takes one path: the echelon certificate, then the
 orientation, then the kernel.  It first drops zero rows and reads each
@@ -21,8 +20,8 @@ certificate is how the Newton rows of a complete grid rank
 (:mod:`nodalic.points`).  The first repeated lead column ends the scan,
 and the rows go on to elimination as below.
 
-The kernel is fraction-free elimination over Python big integers that
-keeps every row primitive (content 1).  The forward pass clears column
+The kernel is fraction-free forward elimination over Python big
+integers that keeps every row primitive (content 1).  It clears column
 ``c`` below the pivot ``piv`` by ``row = (piv/g) * row - (f/g) * piv_row``
 with ``g = gcd(piv, f)`` and then divides the row by the gcd of its
 entries.  Each row is therefore the primitive integer multiple of the
@@ -30,11 +29,9 @@ row that plain Gaussian elimination would hold, so its entries are
 never larger than those of the Bareiss row (a minor of the input); on
 matrices whose rows share content, such as monomial evaluations at
 rational points, they stay close to the input size instead of growing
-with the elimination depth.  The optional backward pass clears entries
-above the pivots the same way, leaving each row an integer multiple of
-the corresponding row of the canonical reduced echelon form.  The pivot
-is the first nonzero entry of the column among the rows not yet used,
-so every result here is a deterministic function of the input alone.
+with the elimination depth.  The pivot is the first nonzero entry of
+the column among the rows not yet used, so the rank and the pivot
+columns are a deterministic function of the input alone.
 
 Each pivot updates every nonzero row below it, so the work grows with
 the row count, and :func:`rank_int_rows` reduces a matrix with more rows
@@ -43,11 +40,9 @@ updates are made instead of r * rows.  The tall 625x210 evaluation
 matrix of the grid n=4, k=6 ranks in 0.14 s instead of 0.50 s, 1024x252
 in 0.21 s instead of 0.95 s (CPython 3.11, shared 2-vCPU VM).  Wide
 matrices keep their orientation: random 8x20 ints ranked as 20x8 run at
-about half the speed.  :func:`rref`, :func:`column_space_basis` and
-:func:`kernel_basis` keep it too, since they report pivot columns of
-the input.  The forward pass slices the pivot row's tail once per pivot
-and skips the multiplication when ``piv/g`` is 1, which changes no
-entry.
+about half the speed.  The kernel slices the pivot row's tail once per
+pivot and skips the multiplication when ``piv/g`` is 1, which changes
+no entry.
 """
 
 import re
@@ -193,14 +188,13 @@ def _eliminate(row, piv_tail, start, piv, f):
     row[start:] = tail
 
 
-def reduce_int_rows(rows, ncols, reduced=True):
-    """Row-reduce ``rows`` (lists of ints, length ``ncols``) in place.
+def reduce_int_rows(rows, ncols):
+    """Forward-eliminate ``rows`` (lists of ints, length ``ncols``) in place.
 
-    Returns the list of pivot columns.  After the call, row ``i`` for
-    ``i < len(pivots)`` equals ``rows[i][pivots[i]]`` times the canonical
-    reduced-echelon row when ``reduced`` is true; remaining rows are zero.
-    With ``reduced=False`` only the forward pass runs (enough for rank
-    and pivot columns).  Every nonzero row leaves with content 1.
+    Returns the list of pivot columns, whose length is the rank.  After
+    the call the first ``len(pivots)`` rows are in echelon form, row
+    ``i`` with its lead entry in column ``pivots[i]`` and content 1; the
+    remaining rows are zero.
     """
     nrows = len(rows)
     pivots = []
@@ -231,39 +225,7 @@ def reduce_int_rows(rows, ncols, reduced=True):
                 _eliminate(row, piv_tail, c, piv, f)
         pivots.append(c)
         r += 1
-
-    if reduced:
-        for k in range(len(pivots) - 1, 0, -1):
-            c = pivots[k]
-            piv_row = rows[k]
-            piv = piv_row[c]
-            for i in range(k):
-                row = rows[i]
-                f = row[c]
-                if f:
-                    start = pivots[i]
-                    _eliminate(row, piv_row[start:], start, piv, f)
     return pivots
-
-
-def rref(matrix, ncols=None):
-    """Reduced row echelon form.
-
-    Returns ``(reduced, rank, pivot_columns)`` where ``reduced`` has the
-    same shape as the input.  The reduced form is the canonical one
-    (pivots equal to 1, zeros above and below), so equal row spaces give
-    equal output.
-    """
-    work, width = _int_rows(matrix, ncols)
-    pivots = reduce_int_rows(work, width, True)
-    reduced = []
-    for i, c in enumerate(pivots):
-        piv = work[i][c]
-        reduced.append([Fraction(v, piv) for v in work[i]])
-    zero = [Fraction(0)] * width
-    for _ in range(len(work) - len(pivots)):
-        reduced.append(list(zero))
-    return reduced, len(pivots), pivots
 
 
 def rank_int_rows(rows, ncols):
@@ -274,7 +236,7 @@ def rank_int_rows(rows, ncols):
     dropped, and nonzero rows with distinct lead columns are their own
     rank (the echelon certificate of the module docstring).  Otherwise a
     matrix with more rows than columns is reduced as its transpose, and
-    the forward pass of :func:`reduce_int_rows` gives the rank.
+    :func:`reduce_int_rows` gives the rank.
     """
     rows = [row for row in rows if any(row)]
     leads = set()
@@ -288,7 +250,7 @@ def rank_int_rows(rows, ncols):
         return len(rows)
     if len(rows) > ncols:
         rows, ncols = [list(column) for column in zip(*rows)], len(rows)
-    return len(reduce_int_rows(rows, ncols, False))
+    return len(reduce_int_rows(rows, ncols))
 
 
 def rank(matrix, ncols=None):
@@ -298,38 +260,6 @@ def rank(matrix, ncols=None):
     hands them to :func:`rank_int_rows`.
     """
     return rank_int_rows(*_int_rows(matrix, ncols))
-
-
-def kernel_basis(matrix, ncols=None):
-    """Null space basis as a matrix, one basis vector per column.
-
-    One vector per free column, ordered by that column's index and
-    normalized so the free coordinate is 1; together with the canonical
-    reduced form this makes the basis deterministic.  Shape is
-    cols x (cols - rank); a full-rank matrix gives a matrix with zero
-    columns.
-    """
-    work, width = _int_rows(matrix, ncols)
-    pivots = reduce_int_rows(work, width, True)
-    pivot_set = set(pivots)
-    free = [c for c in range(width) if c not in pivot_set]
-    basis = [[Fraction(0)] * len(free) for _ in range(width)]
-    for k, c in enumerate(free):
-        basis[c][k] = Fraction(1)
-        for row, p in zip(work, pivots):
-            basis[p][k] = Fraction(-row[c], row[p])
-    return basis
-
-
-def column_space_basis(matrix, ncols=None):
-    """Matrix whose columns are the pivot columns of the input.
-
-    The selected columns are linearly independent, span the column
-    space, and keep their input order, so the choice is deterministic.
-    """
-    work, width = _int_rows(matrix, ncols)
-    pivots = reduce_int_rows(work, width, False)
-    return [[as_rational(row[c]) for c in pivots] for row in matrix]
 
 
 def matmul(a, b):

@@ -361,7 +361,7 @@ def build_stalk_complex(data, sign=-1):
     # 0, and a zero product has no nonzero extension, so each degree
     # grows from the nonzero products of the one before.  The basis of a
     # product is its column at the lead (first nonzero) entry of f_last,
-    # as column_space_basis picks it (tests compare the explicit matrices).
+    # as column_space_basis in tests/helpers.py picks it from the product.
     leads = [next((x for x in f if x), 0) for f in fs]
     level = {(i,): sign * ws[i] for i in range(delta) if leads[i]}
     summands = [(((), _freeze(linalg.identity(m))),)]

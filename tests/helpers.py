@@ -1,4 +1,4 @@
-"""Shared builders for the test suite: symplectic forms and random data.
+"""Shared builders for the test suite: symplectic forms, random data, oracles.
 
 Randomness always flows through a caller-supplied ``random.Random`` so
 every test is reproducible from its seed.
@@ -49,9 +49,7 @@ def random_monodromy_data(rng, max_half_dim=5, max_delta=6):
         [list(column) for column in zip(*change)],
         linalg.matmul(standard_symplectic(m), change),
     )
-    # P is invertible, so the reduced form of [P | I] is [I | P^-1]
-    augmented = [row + unit for row, unit in zip(change, linalg.identity(m))]
-    inverse = [row[m:] for row in linalg.rref(augmented)[0]]
+    inverse = solve(change, linalg.identity(m))
     cycles = []
     for _ in range(rng.randint(0, max_delta)):
         while True:
@@ -69,6 +67,61 @@ def random_monodromy_data(rng, max_half_dim=5, max_delta=6):
     return MonodromyData.from_rationals(
         dim=m, pairing=pairing, cycles=cycles, h_ambient=rng.randint(0, 5)
     )
+
+
+def rref(matrix, ncols=None):
+    """``(reduced, rank, pivots)`` by textbook Gauss-Jordan over Fractions.
+
+    An oracle sharing no code with :mod:`nodalic.linalg`.  ``reduced`` is
+    the canonical form, of the input's shape: pivots 1, zeros above and
+    below.  ``ncols`` is needed only when ``matrix`` has no rows.
+    """
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    for c in range(len(rows[0]) if rows else ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        pivot_row = [x / rows[r][c] for x in rows[r]]
+        rows[r] = pivot_row
+        for i, row in enumerate(rows):
+            f = row[c]
+            if f and i != r:
+                rows[i] = [x - f * y for x, y in zip(row, pivot_row)]
+        pivots.append(c)
+    return rows, len(pivots), pivots
+
+
+def kernel_basis(matrix, ncols=None):
+    """Null space basis, shape cols x (cols - rank): column k is 1 at the
+    k-th free column, 0 at the other free columns."""
+    reduced, _, pivots = rref(matrix, ncols)
+    width = len(reduced[0]) if reduced else ncols
+    free = [c for c in range(width) if c not in pivots]
+    basis = [[Fraction(0)] * len(free) for _ in range(width)]
+    for k, c in enumerate(free):
+        basis[c][k] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            basis[p][k] = -row[c]
+    return basis
+
+
+def column_space_basis(matrix):
+    """The input's pivot columns, in their order, as a matrix of Fractions."""
+    pivots = rref(matrix)[2]
+    return [[Fraction(row[c]) for c in pivots] for row in matrix]
+
+
+def solve(a, b):
+    """X with a @ X = b for square a, read off the reduced form [I | X]
+    of [a | b]; None when a is singular."""
+    n = len(a)
+    reduced, _, pivots = rref([list(x) + list(y) for x, y in zip(a, b)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in reduced[:n]]
 
 
 def log_matrix(pairing, cycle, sign):

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import nodalic
 from nodalic import bott, cli, points
 from nodalic.errors import MAX_REPORTED_BITS
 from nodalic.points import ProjectivePointSet
@@ -414,3 +418,20 @@ class TestRenderBackstop:
         monkeypatch.setattr(points, "node_count_quadrics", broken)
         with pytest.raises(ValueError, match="not a digit limit"):
             cli.run(["eagon-northcott", "--n", "3", "--quadrics", "2"])
+
+
+def test_requests_load_no_test_dependency(tmp_path):
+    # sympy, hypothesis and pytest serve the tests only, never a request
+    path = write_doc(tmp_path, "grid.json", points.grid_nodes(2, 5).to_json())
+    script = (
+        "import sys\nfrom nodalic import cli\n"
+        "codes = [cli.run(['paper-examples', '--max-n', '3', '--max-k', '5', '--max-h', '3']),"
+        " cli.run(['points', '--input', sys.argv[1], '--degree', '5', '--json'])]\n"
+        "test_only = {'sympy', 'hypothesis', 'pytest', '_pytest', 'helpers'}\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] in test_only))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nodalic.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", script, path], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert done.stdout.endswith("\n[0, 0] []\n") and done.stderr == ""

@@ -8,6 +8,8 @@ import pytest
 from nodalic import linalg, points
 from nodalic.errors import InputError
 
+from helpers import column_space_basis, kernel_basis, rref, solve
+
 
 def frac_matrix(rows):
     return [[Fraction(x) for x in row] for row in rows]
@@ -15,20 +17,20 @@ def frac_matrix(rows):
 
 class TestRref:
     def test_identity(self):
-        reduced, rank, pivots = linalg.rref(linalg.identity(2))
+        reduced, rank, pivots = rref(linalg.identity(2))
         assert reduced == linalg.identity(2)
         assert rank == 2
         assert pivots == [0, 1]
 
     def test_zero_matrix(self):
         matrix = [[0] * 4 for _ in range(3)]
-        reduced, rank, pivots = linalg.rref(matrix)
+        reduced, rank, pivots = rref(matrix)
         assert rank == 0
         assert pivots == []
         assert reduced == frac_matrix([[0] * 4] * 3)
 
     def test_proportional_rows(self):
-        _, rank, _ = linalg.rref([[1, 2], [2, 4]])
+        _, rank, _ = rref([[1, 2], [2, 4]])
         assert rank == 1
 
     def test_idempotent(self):
@@ -40,8 +42,8 @@ class TestRref:
                 [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
                 for _ in range(rows)
             ]
-            once, rank1, piv1 = linalg.rref(matrix)
-            twice, rank2, piv2 = linalg.rref(once)
+            once, rank1, piv1 = rref(matrix)
+            twice, rank2, piv2 = rref(once)
             assert once == twice
             assert (rank1, piv1) == (rank2, piv2)
 
@@ -61,32 +63,32 @@ class TestRref:
                 scaled.append([factor * x for x in row])
             rng.shuffle(scaled)
             assert linalg.rank(scaled, cols) == base
-            assert linalg.rref(scaled, cols)[0] == linalg.rref(matrix, cols)[0]
+            assert rref(scaled, cols)[0] == rref(matrix, cols)[0]
 
     def test_rank_at_most_min_dim(self):
         matrix = [[1, 2, 3], [4, 5, 6]]
-        _, rank, _ = linalg.rref(matrix)
+        _, rank, _ = rref(matrix)
         assert rank <= 2
 
     def test_deterministic_repeats(self):
         matrix = [[3, 1, 4], [1, 5, 9], [2, 6, 5], [3, 5, 8]]
-        first = linalg.rref(matrix)
+        first = rref(matrix)
         for _ in range(3):
-            assert linalg.rref(matrix) == first
+            assert rref(matrix) == first
 
 
 class TestKernel:
     def test_identity_kernel_empty(self):
-        basis = linalg.kernel_basis(linalg.identity(3))
+        basis = kernel_basis(linalg.identity(3))
         assert basis == [[], [], []]
 
     def test_zero_matrix_kernel_full(self):
-        basis = linalg.kernel_basis([[0, 0, 0], [0, 0, 0]])
+        basis = kernel_basis([[0, 0, 0], [0, 0, 0]])
         assert basis == linalg.identity(3)
 
     def test_single_row(self):
         matrix = [[1, 1, 0]]
-        basis = linalg.kernel_basis(matrix)
+        basis = kernel_basis(matrix)
         assert len(basis[0]) == 2
         for col in range(2):
             vec = [[basis[r][col]] for r in range(3)]
@@ -102,7 +104,7 @@ class TestKernel:
                 for _ in range(rows)
             ]
             rank = linalg.rank(matrix, cols)
-            basis = linalg.kernel_basis(matrix, cols)
+            basis = kernel_basis(matrix, cols)
             nullity = len(basis[0]) if basis else cols
             assert rank + nullity == cols
             if nullity:
@@ -121,7 +123,7 @@ class TestEliminationKernel:
             for _ in range(nrows):
                 factor = rng.choice([1, 2, 6])
                 rows.append([factor * rng.randint(-9, 9) for _ in range(ncols)])
-            pivots = linalg.reduce_int_rows(rows, ncols, False)
+            pivots = linalg.reduce_int_rows(rows, ncols)
             for row in rows[: len(pivots)]:
                 assert gcd(*row) == 1
             assert all(x == 0 for row in rows[len(pivots):] for x in row)
@@ -130,9 +132,9 @@ class TestEliminationKernel:
 WORD = 2**63
 
 
-def kernel_rank(rows, ncols):
-    """Rank by the list kernel, on a copy."""
-    return len(linalg.reduce_int_rows([list(row) for row in rows], ncols, False))
+def oracle_rank(rows, ncols):
+    """Rank by the Fraction oracle, which shares no code with the kernel."""
+    return rref(rows, ncols)[1]
 
 
 def low_rank(rng, rows, cols, rank, bound):
@@ -150,19 +152,19 @@ def kernel_calls(monkeypatch):
     calls = []
     kernel = linalg.reduce_int_rows
 
-    def counted(rows, ncols, reduced=True):
+    def counted(rows, ncols):
         calls.append((len(rows), ncols))
-        return kernel(rows, ncols, reduced)
+        return kernel(rows, ncols)
 
     monkeypatch.setattr(linalg, "reduce_int_rows", counted)
     return calls
 
 
-class TestPackedRank:
-    """Ranks on the shapes and the word-edge entries a packed forward pass
-    was once tuned for; ``rank`` now takes the one path of every matrix."""
+class TestRankAgainstOracle:
+    """Ranks of wide, tall and square matrices, edge shapes and entries
+    at the 64-bit word edges, against the Fraction oracle."""
 
-    def test_matches_list_kernel_on_seeded_shapes(self):
+    def test_matches_oracle_on_seeded_shapes(self):
         rng = random.Random(717)
         for trial in range(120):
             short = rng.randint(5, 20)
@@ -176,7 +178,7 @@ class TestPackedRank:
                 matrix = [
                     [rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)
                 ]
-            assert linalg.rank(matrix, cols) == kernel_rank(matrix, cols)
+            assert linalg.rank(matrix, cols) == oracle_rank(matrix, cols)
 
     def test_edge_shapes(self):
         rng = random.Random(718)
@@ -192,11 +194,11 @@ class TestPackedRank:
             row[:] = [0] * 14
         for row in matrix:
             row[2] = row[7] = row[13] = 0
-        cases.append((matrix, 14, kernel_rank(matrix, 14)))
+        cases.append((matrix, 14, oracle_rank(matrix, 14)))
         # a rational grid's evaluation
         values = [Fraction(p, q) for p, q in ((1, 1), (-5, 2), (7, 3), (-8, 3), (9, 1))]
         grid = points.evaluation_matrix(points.grid_nodes(3, 6, [values] * 3), 5)
-        cases.append((grid, 56, kernel_rank(grid, 56)))
+        cases.append((grid, 56, oracle_rank(grid, 56)))
         # unit rows above rows of small heads and odd words from ``column`` on
         for column in (0, 4, 9):
             words = random.Random(720 + column)
@@ -206,17 +208,17 @@ class TestPackedRank:
                 head = [words.randint(-9, 9) for _ in range(units)] + [0] * (column - units)
                 tail = [words.randint(WORD // 2, WORD - 1) | 1 for _ in range(10 - column)]
                 matrix.append(head + tail)
-            cases.append((matrix, 10, kernel_rank(matrix, 10)))
+            cases.append((matrix, 10, oracle_rank(matrix, 10)))
         for matrix, ncols, expected in cases:
             assert linalg.rank(matrix, ncols) == expected
 
-    def test_word_edges_pick_the_path(self):
+    def test_word_edge_entries(self):
         rng = random.Random(719)
         for extremes in ((WORD - 1, -WORD), (-(WORD - 1),), (WORD,), (-WORD - 1,)):
             matrix = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(9)]
             for i, x in enumerate(extremes):
                 matrix[3 + i][5 + i] = x
-            assert linalg.rank(matrix) == kernel_rank(matrix, 12)
+            assert linalg.rank(matrix) == oracle_rank(matrix, 12)
 
     def test_dense_growth_reaches_the_list_kernel(self, kernel_calls):
         rng = random.Random(721)
@@ -227,11 +229,11 @@ class TestPackedRank:
 
 class TestColumnSpace:
     def test_proportional_rows_single_column(self):
-        basis = linalg.column_space_basis([[1, 2], [2, 4]])
+        basis = column_space_basis([[1, 2], [2, 4]])
         assert basis == frac_matrix([[1], [2]])
 
     def test_identity_returns_itself(self):
-        assert linalg.column_space_basis(linalg.identity(3)) == linalg.identity(3)
+        assert column_space_basis(linalg.identity(3)) == linalg.identity(3)
 
     def test_rank_three_product(self):
         rng = random.Random(404)
@@ -241,7 +243,7 @@ class TestColumnSpace:
             left = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(4)]
             right = [[Fraction(rng.randint(-3, 3)) for _ in range(6)] for _ in range(3)]
         product = linalg.matmul(left, right)
-        basis = linalg.column_space_basis(product)
+        basis = column_space_basis(product)
         assert len(basis[0]) == 3
 
 
@@ -271,17 +273,8 @@ class TestMatmul:
             linalg.matmul([[1, 2]], [[1, 2]])
 
 
-def solve(a, b):
-    """X with a @ X = b, read off the reduced form [I | X] of [a | b]."""
-    n = len(a)
-    reduced, _, pivots = linalg.rref([list(x) + list(y) for x, y in zip(a, b)])
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in reduced[:n]]
-
-
 class TestSolveExact:
-    """Solving square systems through rref, as the test helpers invert."""
+    """Solving square systems through the rref oracle, as the helpers invert."""
 
     def test_diagonal(self):
         solution = solve([[2, 0], [0, 4]], linalg.identity(2))
@@ -337,7 +330,7 @@ class TestScalars:
 class TestShapeValidation:
     def test_ragged_rejected(self):
         with pytest.raises(InputError):
-            linalg.rref([[1, 2], [3]])
+            linalg.rank([[1, 2], [3]])
 
     def test_empty_needs_width(self):
         with pytest.raises(InputError):
@@ -351,7 +344,7 @@ class TestRankCore:
         for rows, cols in ((12, 5), (30, 9), (9, 8), (3, 0)):
             matrix = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
             before = [list(row) for row in matrix]
-            assert linalg.rank(matrix, cols) == kernel_rank(matrix, cols)
+            assert linalg.rank(matrix, cols) == oracle_rank(matrix, cols)
             assert matrix == before
         assert linalg.rank([[Fraction(1, 2), 3], [1, 1], [2, 2]]) == 2
 
@@ -369,7 +362,7 @@ class TestRankCore:
         rng = random.Random(1902)
         for rows, cols in ((40, 9), (9, 40), (9, 8), (8, 9), (12, 12), (5, 30), (30, 5)):
             matrix = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-            expected = kernel_rank(matrix, cols)
+            expected = oracle_rank(matrix, cols)
             kernel_calls.clear()
             assert linalg.rank_int_rows([list(row) for row in matrix], cols) == expected
             assert kernel_calls == [(min(rows, cols), max(rows, cols))]
@@ -387,7 +380,7 @@ class TestRankCore:
             # zero rows are dropped before the leads are read
             for _ in range(rng.randint(0, 3)):
                 matrix.insert(rng.randint(0, len(matrix)), [0] * cols)
-            expected = kernel_rank(matrix, cols)
+            expected = oracle_rank(matrix, cols)
             assert expected == len(leads)
             kernel_calls.clear()
             assert linalg.rank_int_rows([list(row) for row in matrix], cols) == expected
@@ -411,7 +404,7 @@ class TestRankCore:
             if trial % 2:
                 twin = [2 * x for x in other]
             matrix.insert(rng.randint(0, len(matrix)), twin)
-            expected = kernel_rank(matrix, cols)
+            expected = oracle_rank(matrix, cols)
             kernel_calls.clear()
             assert linalg.rank_int_rows([list(row) for row in matrix], cols) == expected
             assert len(kernel_calls) == 1

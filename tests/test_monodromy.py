@@ -17,8 +17,11 @@ from nodalic.monodromy import (
 
 from helpers import (
     basis_vector,
+    column_space_basis,
+    kernel_basis,
     log_matrix,
     random_monodromy_data,
+    rref,
     standard_symplectic,
     transvection,
 )
@@ -403,7 +406,7 @@ class TestStalkComplex:
                         product = linalg.identity(data.dim)
                         for i in idx:
                             product = linalg.matmul(product, logs[i])
-                        expected = linalg.column_space_basis(product)
+                        expected = column_space_basis(product)
                         assert [list(r) for r in basis] == expected
 
     def test_differential_composition_vanishes(self):
@@ -455,7 +458,7 @@ class TestComplexCohomology:
             if not d0:
                 kernel_cols = linalg.identity(data.dim)
             else:
-                kernel_cols = linalg.kernel_basis(d0, data.dim)
+                kernel_cols = kernel_basis(d0, data.dim)
             width = len(kernel_cols[0]) if kernel_cols else 0
             pairing = [list(r) for r in data.pairing]
             for col in range(width):
@@ -649,7 +652,7 @@ def reference_differential(complex_, logs, p):
                     continue
                 image = linalg.matmul(logs[idx[l]], [list(r) for r in source])
                 aug = [list(b) + list(i) for b, i in zip(basis, image)]
-                reduced, rank, _ = linalg.rref(aug)
+                reduced, rank, _ = rref(aug)
                 assert rank == 1
                 for j, x in enumerate(reduced[0][1:]):
                     row[offsets[k] + j] = (-1) ** l * x

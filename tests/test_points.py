@@ -494,7 +494,7 @@ def monomial_rows(pts, d):
 def kernel_rank(rows, ncols):
     if len(rows) > ncols:
         rows, ncols = list(zip(*rows)), len(rows)
-    return len(linalg.reduce_int_rows([list(row) for row in rows], ncols, False))
+    return len(linalg.reduce_int_rows([list(row) for row in rows], ncols))
 
 
 def random_point_set(rng, n, delta, bound):
