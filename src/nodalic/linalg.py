@@ -273,10 +273,3 @@ def matmul(a, b):
         [sum(x * y for x, y in zip(row, col)) for col in bt]
         for row in arows
     ]
-
-
-def identity(n):
-    # Fractions are immutable, so every entry can share these two
-    zero, one = Fraction(0), Fraction(1)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
-

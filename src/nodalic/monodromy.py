@@ -24,12 +24,14 @@ only the products that are nonzero: a product grows by prepending a
 logarithm only when that logarithm does not kill it, so orthogonal
 cycles give the identity and the delta single logarithms rather than
 2^delta summands, and degree >= 2 still comes out of the computation.
-Summand bases and differentials stay exact Fractions; every summand of
-degree >= 1 has a one-column basis, so each block of a differential is
-the ratio of two proportional columns, and no reduced echelon form is
-computed.  With CPython 3.11 on a shared 2-vCPU machine, ``ic_stalk``
-takes about 1.4 ms at m = 10, delta = 6 and 7 ms at m = 16, delta = 14,
-where enumerating all 2^delta index tuples over Fractions took 47 ms and
+The complex is built on the integer operators sign * outer(v_i, f_i),
+each a positive multiple of a logarithm, which rescales the summands
+and changes no rank.  Every summand of degree >= 1 has the one int
+column v_first of its first factor as its basis, every differential
+entry is an int, and no reduced echelon form is computed.  With
+CPython 3.11 on a shared 2-vCPU machine, ``ic_stalk`` takes about
+1.4 ms at m = 10, delta = 6 and 7 ms at m = 16, delta = 14, where
+enumerating all 2^delta index tuples over Fractions took 47 ms and
 2.1 s.
 """
 
@@ -49,10 +51,6 @@ FAIL_ORTHOGONALITY = "vanishing cycles not pairwise orthogonal"
 FAIL_COMMUTING = "monodromy logarithms do not commute"
 
 
-def _freeze(rows):
-    return tuple(tuple(row) for row in rows)
-
-
 @dataclass(frozen=True)
 class MonodromyData:
     """Vanishing-cycle presentation of a nodal degeneration, on integers.
@@ -65,8 +63,9 @@ class MonodromyData:
     and cycle i, one per node, is ``int_cycles[i] / cycle_scales[i]``.
     Each scale is the least that clears its denominators, so equal
     rationals give equal data however they are written.
-    ``functionals`` holds the rows ``int_pairing @ v`` and ``weights``
-    the w_i with N_i = sign * w_i * outer(v_i, f_i) on those ints.
+    ``functionals`` holds the rows ``int_pairing @ v``; the logarithm of
+    node i is sign * outer(v_i, f_i) on those ints times the positive
+    weight 1 / (scale * cycle_scales[i]**2).
     Build it with :meth:`from_json` or :meth:`from_rationals`, which
     check shapes; the semantic invariants are the business of
     :func:`validate`.
@@ -78,7 +77,6 @@ class MonodromyData:
     int_cycles: tuple
     cycle_scales: tuple
     functionals: tuple
-    weights: tuple
     h_ambient: int
     fiber_dim: int | None = None
 
@@ -181,9 +179,7 @@ class MonodromyData:
             scale=scale,
             int_cycles=int_cycles,
             cycle_scales=tuple(c for c, _ in cleared),
-            functionals=_freeze(_functional(int_pairing, v) for v in int_cycles),
-            # v_i = int_cycles[i] / c_i and f_i = functionals[i] / (scale * c_i)
-            weights=tuple(Fraction(1, scale * c * c) for c, _ in cleared),
+            functionals=tuple(_functional(int_pairing, v) for v in int_cycles),
             h_ambient=h_ambient,
             fiber_dim=fiber_dim,
         )
@@ -205,7 +201,7 @@ def _least_scale(pairs):
 
 def _functional(pairing, cycle):
     # row vector of <., cycle>: entry i is (pairing @ cycle)[i]
-    return [_dot(row, cycle) for row in pairing]
+    return tuple(_dot(row, cycle) for row in pairing)
 
 
 def _dot(x, y):
@@ -308,11 +304,12 @@ class StalkComplex:
     Degree p collects one summand per strictly increasing index tuple of
     length p whose product is nonzero, in lexicographic order; products
     that vanish span nothing and are not stored, but all delta + 1
-    degrees are, empty ones included.  A summand's basis matrix (columns
-    spanning the image of its product) fixes the coordinates in which
-    the differential blocks are written.  ``differentials[p]`` maps
-    degree p to degree p+1; ``dims[p]`` is the total dimension of
-    degree p.
+    degrees are, empty ones included.  A summand's basis matrix (int
+    columns spanning the image of its product: the identity in degree
+    0, the one column ``int_cycles[idx[0]]`` above it) fixes the
+    coordinates in which the differential blocks are written.
+    ``differentials[p]`` maps degree p to degree p+1, with int entries;
+    ``dims[p]`` is the total dimension of degree p.
     """
 
     dim: int
@@ -326,14 +323,14 @@ class StalkComplex:
 
 
 def _ratio(image, basis):
-    """The scalar c with ``image == c * basis``, for a nonzero ``basis`` column.
+    """The int c with ``image == c * basis``, for a nonzero int ``basis`` column.
 
     An image off the line of the basis column means the complex's
     summands were assembled from non-commuting operators.
     """
     lead = next(k for k, x in enumerate(basis) if x)
-    c = image[lead] / basis[lead]
-    if any(y != c * x for x, y in zip(basis, image)):
+    c, remainder = divmod(image[lead], basis[lead])
+    if remainder or any(y != c * x for x, y in zip(basis, image)):
         raise PreconditionError(FAIL_COMMUTING)
     return c
 
@@ -351,50 +348,44 @@ def build_stalk_complex(data, sign=-1):
         raise InputError(f"sign must be +1 or -1, got {sign!r}")
     m = data.dim
     delta = data.delta
-    vs, fs, ws = data.int_cycles, data.functionals, data.weights
+    vs, fs = data.int_cycles, data.functionals
     if not _rank_one_products_commute(vs, fs):
         raise PreconditionError(FAIL_COMMUTING)
 
-    # On the integer forms N_i = sign * w_i * outer(v_i, f_i), so the
-    # product over idx is coef * outer(v_first, f_last) for one Fraction
-    # coef.  Prepending i keeps it nonzero exactly when f_i . v_first !=
-    # 0, and a zero product has no nonzero extension, so each degree
-    # grows from the nonzero products of the one before.  The basis of a
-    # product is its column at the lead (first nonzero) entry of f_last,
-    # as column_space_basis in tests/helpers.py picks it from the product.
-    leads = [next((x for x in f if x), 0) for f in fs]
-    level = {(i,): sign * ws[i] for i in range(delta) if leads[i]}
-    summands = [(((), _freeze(linalg.identity(m))),)]
+    # The logarithm of node i is a positive multiple of the integer
+    # operator M_i = sign * outer(v_i, f_i), and rescaling each logarithm
+    # by a positive constant is a diagonal change of basis of the
+    # complex, so the complex is built on the M_i.  The product over idx
+    # is an int times outer(v_first, f_last); prepending i keeps it
+    # nonzero exactly when f_i . v_first != 0, and a zero product has no
+    # nonzero extension, so each degree grows from the nonzero products
+    # of the one before.  The basis of a product is the column v_first.
+    level = [(i,) for i in range(delta) if any(fs[i])]
+    identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+    summands = [(((), identity),)]
     for _ in range(delta):
-        degree = []
-        for idx, coef in sorted(level.items()):
-            scale = coef * leads[idx[-1]]
-            num, den = scale.numerator, scale.denominator
-            degree.append(
-                (idx, _freeze([Fraction(num * x, den)] for x in vs[idx[0]]))
-            )
-        summands.append(tuple(degree))
-        level = {
-            (i,) + rest: sign * ws[i] * dot * coef
-            for rest, coef in level.items()
+        summands.append(tuple((idx, tuple((x,) for x in vs[idx[0]])) for idx in level))
+        level = sorted(
+            (i,) + rest
+            for rest in level
             for i in range(rest[0])
-            if (dot := _dot(fs[i], vs[rest[0]]))
-        }
+            if _dot(fs[i], vs[rest[0]])
+        )
     dims = [m] + [len(summand) for summand in summands[1:]]
 
     differentials = []
     for p in range(delta):
         sources = {idx: k for k, (idx, _) in enumerate(summands[p])}
-        d = [[Fraction(0)] * dims[p] for _ in range(dims[p + 1])]
-        for row, (idx, basis) in zip(d, summands[p + 1]):
+        d = []
+        for idx, _ in summands[p + 1]:
+            first = idx[0]
             if p == 0:
-                # N_i e_k is f_i[k] / lead(f_i) times the basis column of (i,)
-                row[:] = [Fraction(x, leads[idx[0]]) for x in fs[idx[0]]]
+                # M_i e_k is sign * f_i[k] times v_i
+                d.append(tuple(sign * x for x in fs[first]))
                 continue
-            # N_idx[0] carries the basis column of idx[1:] onto this one:
-            # coef(idx) is defined as that image's coefficient
-            if idx[1:] in sources:
-                row[sources[idx[1:]]] = Fraction(1)
+            row = [0] * dims[p]
+            # M_first carries the column v_idx[1] onto a multiple of v_first
+            row[sources[idx[1:]]] = sign * _dot(fs[first], vs[idx[1]])
             # dropping a later factor happens only with non-skew pairings:
             # under a skew one, commuting logs have f_i . v_j = 0
             for l in range(1, len(idx)):
@@ -402,11 +393,11 @@ def build_stalk_complex(data, sign=-1):
                 if col is None:
                     continue
                 dropped = idx[l]
-                source = [x for (x,) in summands[p][col][1]]
-                scale = sign * ws[dropped] * _dot(fs[dropped], source)
+                scale = sign * _dot(fs[dropped], vs[first])
                 image = [scale * x for x in vs[dropped]]
-                row[col] = (-1) ** l * _ratio(image, [x for (x,) in basis])
-        differentials.append(_freeze(d))
+                row[col] = (-1) ** l * _ratio(image, vs[first])
+            d.append(tuple(row))
+        differentials.append(tuple(d))
 
     return StalkComplex(
         dim=m,
@@ -422,13 +413,12 @@ def complex_cohomology(complex_):
         raise InputError("complex_cohomology expects a StalkComplex")
     dims = complex_.dims
     top = len(dims) - 1
-    ranks = []
-    for p, diff in enumerate(complex_.differentials):
-        rows = [list(r) for r in diff]
-        ranks.append(linalg.rank(rows, dims[p]) if rows else 0)
+    ranks = [
+        linalg.rank(diff, dims[p]) if diff else 0
+        for p, diff in enumerate(complex_.differentials)
+    ]
     for p in range(len(complex_.differentials) - 1):
-        a = [list(r) for r in complex_.differentials[p + 1]]
-        b = [list(r) for r in complex_.differentials[p]]
+        a, b = complex_.differentials[p + 1], complex_.differentials[p]
         if not a or not b:
             continue
         product = linalg.matmul(a, b)

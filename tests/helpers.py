@@ -5,6 +5,7 @@ every test is reproducible from its seed.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from nodalic import linalg, points
 from nodalic.errors import check_int
@@ -24,6 +25,12 @@ def basis_vector(m, i):
     vec = [Fraction(0)] * m
     vec[i] = Fraction(1)
     return vec
+
+
+def identity(n):
+    """The n x n identity matrix, as rows of Fractions."""
+    zero, one = Fraction(0), Fraction(1)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
 def random_invertible(rng, m, lo=-3, hi=3):
@@ -49,7 +56,7 @@ def random_monodromy_data(rng, max_half_dim=5, max_delta=6):
         [list(column) for column in zip(*change)],
         linalg.matmul(standard_symplectic(m), change),
     )
-    inverse = solve(change, linalg.identity(m))
+    inverse = solve(change, identity(m))
     cycles = []
     for _ in range(rng.randint(0, max_delta)):
         while True:
@@ -128,6 +135,68 @@ def log_matrix(pairing, cycle, sign):
     """Explicit monodromy logarithm x -> sign * <x, v> * v, for any pairing."""
     functional = [sum(p * c for p, c in zip(row, cycle)) for row in pairing]
     return [[sign * a * f for f in functional] for a in cycle]
+
+
+def textbook_stalk_complex(pairing, cycles, sign):
+    """``(index_sets, dims, cohomology)`` of the complex of log products.
+
+    A reference for the stalk complex that shares no code with
+    :mod:`nodalic.monodromy`: the logarithms are explicit matrices over
+    Fractions, the nonzero products are found by multiplying out every
+    increasing index tuple, each summand's basis is its product's
+    :func:`column_space_basis`, each block holds (-1)^l times the
+    :func:`rref` coordinates of N_idx[l] applied to the source basis,
+    and the cohomology comes from :func:`rref` ranks.  The number of
+    products is 2^len(cycles), so keep the cycles few.
+    """
+    m = len(pairing)
+    logs = [log_matrix(pairing, cycle, sign) for cycle in cycles]
+    levels = []
+    for p in range(len(cycles) + 1):
+        level = []
+        for idx in combinations(range(len(cycles)), p):
+            product = identity(m)
+            for i in idx:
+                product = _product(product, logs[i])
+            if any(any(row) for row in product):
+                level.append((idx, column_space_basis(product)))
+        levels.append(level)
+    dims = [sum(len(basis[0]) for _, basis in level) for level in levels]
+    ranks = []
+    for p in range(len(cycles)):
+        d = [[Fraction(0)] * dims[p] for _ in range(dims[p + 1])]
+        row_offset = 0
+        for idx, basis in levels[p + 1]:
+            width = len(basis[0])
+            col_offset = 0
+            for jdx, source in levels[p]:
+                for l in range(len(idx)):
+                    if idx[:l] + idx[l + 1 :] != jdx:
+                        continue
+                    image = _product(logs[idx[l]], source)
+                    aug = [list(b) + list(y) for b, y in zip(basis, image)]
+                    reduced, _, pivots = rref(aug)
+                    assert pivots == list(range(width)), "image leaves the summand"
+                    for a in range(width):
+                        for b in range(len(source[0])):
+                            d[row_offset + a][col_offset + b] = (
+                                (-1) ** l * reduced[a][width + b]
+                            )
+                col_offset += len(source[0])
+            row_offset += width
+        ranks.append(rref(d, dims[p])[1] if d else 0)
+    cohomology = [
+        dims[p]
+        - (ranks[p] if p < len(ranks) else 0)
+        - (ranks[p - 1] if p else 0)
+        for p in range(len(dims))
+    ]
+    index_sets = [[idx for idx, _ in level] for level in levels]
+    return index_sets, dims, cohomology
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def transvection(pairing, cycle, sign):

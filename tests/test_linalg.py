@@ -8,7 +8,7 @@ import pytest
 from nodalic import linalg, points
 from nodalic.errors import InputError
 
-from helpers import column_space_basis, kernel_basis, rref, solve
+from helpers import column_space_basis, identity, kernel_basis, rref, solve
 
 
 def frac_matrix(rows):
@@ -17,8 +17,8 @@ def frac_matrix(rows):
 
 class TestRref:
     def test_identity(self):
-        reduced, rank, pivots = rref(linalg.identity(2))
-        assert reduced == linalg.identity(2)
+        reduced, rank, pivots = rref(identity(2))
+        assert reduced == identity(2)
         assert rank == 2
         assert pivots == [0, 1]
 
@@ -79,12 +79,12 @@ class TestRref:
 
 class TestKernel:
     def test_identity_kernel_empty(self):
-        basis = kernel_basis(linalg.identity(3))
+        basis = kernel_basis(identity(3))
         assert basis == [[], [], []]
 
     def test_zero_matrix_kernel_full(self):
         basis = kernel_basis([[0, 0, 0], [0, 0, 0]])
-        assert basis == linalg.identity(3)
+        assert basis == identity(3)
 
     def test_single_row(self):
         matrix = [[1, 1, 0]]
@@ -233,7 +233,7 @@ class TestColumnSpace:
         assert basis == frac_matrix([[1], [2]])
 
     def test_identity_returns_itself(self):
-        assert column_space_basis(linalg.identity(3)) == linalg.identity(3)
+        assert column_space_basis(identity(3)) == identity(3)
 
     def test_rank_three_product(self):
         rng = random.Random(404)
@@ -250,7 +250,7 @@ class TestColumnSpace:
 class TestMatmul:
     def test_identity_neutral(self):
         matrix = frac_matrix([[1, 2], [3, 4], [5, 6]])
-        assert linalg.matmul(linalg.identity(3), matrix) == matrix
+        assert linalg.matmul(identity(3), matrix) == matrix
 
     def test_zero_annihilates(self):
         matrix = [[1, 2], [3, 4]]
@@ -277,7 +277,7 @@ class TestSolveExact:
     """Solving square systems through the rref oracle, as the helpers invert."""
 
     def test_diagonal(self):
-        solution = solve([[2, 0], [0, 4]], linalg.identity(2))
+        solution = solve([[2, 0], [0, 4]], identity(2))
         assert solution == [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(1, 4)]]
 
     def test_inverse_roundtrip(self):
@@ -289,12 +289,12 @@ class TestSolveExact:
             ]
             if linalg.rank(matrix, m) < m:
                 continue
-            inverse = solve(matrix, linalg.identity(m))
-            assert linalg.matmul(matrix, inverse) == linalg.identity(m)
+            inverse = solve(matrix, identity(m))
+            assert linalg.matmul(matrix, inverse) == identity(m)
 
     def test_singular_rejected(self):
         # the left block of [a | I] has rank 1, so no pivot lands in column 1
-        assert solve([[1, 2], [2, 4]], linalg.identity(2)) is None
+        assert solve([[1, 2], [2, 4]], identity(2)) is None
 
 
 class TestScalars:

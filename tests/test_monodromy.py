@@ -1,10 +1,11 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from nodalic import linalg, monodromy
+from nodalic import cli, linalg, monodromy
 from nodalic.errors import InputError, PreconditionError
 from nodalic.monodromy import (
     FAIL_COMMUTING,
@@ -18,11 +19,13 @@ from nodalic.monodromy import (
 from helpers import (
     basis_vector,
     column_space_basis,
+    identity,
     kernel_basis,
     log_matrix,
     random_monodromy_data,
     rref,
     standard_symplectic,
+    textbook_stalk_complex,
     transvection,
 )
 
@@ -101,7 +104,7 @@ class TestPlOperator:
             assert image == [-value * v for v in cycle]
 
     def test_symmetric_pairing_rejected(self):
-        data = data_for(2, [(1, 0)], pairing=linalg.identity(2))
+        data = data_for(2, [(1, 0)], pairing=identity(2))
         with pytest.raises(PreconditionError, match=FAIL_SKEW):
             monodromy.ic_stalk(data)
 
@@ -118,7 +121,7 @@ class TestPlOperator:
 
 class TestTransvection:
     def test_zero_log_gives_identity(self):
-        assert transvection(standard_symplectic(2), (0, 0), -1) == linalg.identity(2)
+        assert transvection(standard_symplectic(2), (0, 0), -1) == identity(2)
 
     def test_determinant_one(self):
         rng = random.Random(13)
@@ -134,7 +137,7 @@ class TestTransvection:
             transvection(standard_symplectic(m), cycle, 1),
             transvection(standard_symplectic(m), cycle, -1),
         )
-        assert product == linalg.identity(m)
+        assert product == identity(m)
 
     def test_shifted_diagonal(self):
         t = transvection(standard_symplectic(2), (1, 0), -1)
@@ -156,7 +159,7 @@ class TestValidate:
         assert FAIL_ORTHOGONALITY in diagnostics.failures
 
     def test_symmetric_pairing_fails_skew(self):
-        data = data_for(2, [basis_vector(2, 0)], pairing=linalg.identity(2))
+        data = data_for(2, [basis_vector(2, 0)], pairing=identity(2))
         diagnostics = monodromy.validate(data)
         assert not diagnostics.skew
         assert FAIL_SKEW in diagnostics.failures
@@ -176,7 +179,7 @@ class TestValidate:
         assert FAIL_ZERO_CYCLE in diagnostics.failures
 
     def test_never_raises(self):
-        data = data_for(2, [(0, 0), (1, 0), (0, 1)], pairing=linalg.identity(2))
+        data = data_for(2, [(0, 0), (1, 0), (0, 1)], pairing=identity(2))
         diagnostics = monodromy.validate(data)
         assert not diagnostics.passed
         assert len(diagnostics.failures) >= 2
@@ -376,7 +379,7 @@ class TestStalkComplex:
         complex_ = monodromy.build_stalk_complex(data_for(2, [(1, 0)]))
         level0 = complex_.summands[0]
         assert len(level0) == 1
-        assert [list(r) for r in level0[0][1]] == linalg.identity(2)
+        assert [list(r) for r in level0[0][1]] == identity(2)
 
     def test_orthogonal_pair_kills_degree_two(self):
         data = data_for(4, [basis_vector(4, 0), basis_vector(4, 2)])
@@ -403,11 +406,15 @@ class TestStalkComplex:
                 logs = [log_matrix(pairing, c, sign) for c in data.cycles]
                 for p in range(1, data.delta + 1):
                     for idx, basis in complex_.summands[p]:
-                        product = linalg.identity(data.dim)
+                        product = identity(data.dim)
                         for i in idx:
                             product = linalg.matmul(product, logs[i])
+                        assert basis == tuple((x,) for x in data.int_cycles[idx[0]])
+                        # one column, on the line of the product's image
                         expected = column_space_basis(product)
-                        assert [list(r) for r in basis] == expected
+                        assert len(expected[0]) == 1
+                        aug = [list(e) + list(b) for e, b in zip(expected, basis)]
+                        assert rref(aug)[1] == 1
 
     def test_differential_composition_vanishes(self):
         rng = random.Random(15)
@@ -456,7 +463,7 @@ class TestComplexCohomology:
             complex_ = monodromy.build_stalk_complex(data)
             d0 = [list(r) for r in complex_.differentials[0]]
             if not d0:
-                kernel_cols = linalg.identity(data.dim)
+                kernel_cols = identity(data.dim)
             else:
                 kernel_cols = kernel_basis(d0, data.dim)
             width = len(kernel_cols[0]) if kernel_cols else 0
@@ -684,7 +691,7 @@ class TestDroppedFactorBlocks:
             complex_ = monodromy.build_stalk_complex(data, sign)
             assert complex_.dims == (3, 3, 3, 1)
             assert dropped_factor_blocks(complex_, 1)
-            logs = [log_matrix(self.PAIRING, c, sign) for c in self.CYCLES]
+            logs = [log_matrix(data.int_pairing, v, sign) for v in data.int_cycles]
             for p, diff in enumerate(complex_.differentials):
                 assert [list(r) for r in diff] == reference_differential(
                     complex_, logs, p
@@ -713,3 +720,95 @@ class TestDroppedFactorBlocks:
         )
         with pytest.raises(PreconditionError, match=FAIL_COMMUTING):
             monodromy.build_stalk_complex(data)
+
+
+def random_non_skew_data(rng):
+    """Random pairing, skew or not, and proportional rational cycles.
+
+    All the logs are multiples of one rank-one operator, so they
+    commute, and every product of nonzero ones is nonzero exactly when
+    the common direction u has <u, u> != 0; a zero multiple makes a zero
+    cycle, whose products vanish.
+    """
+    m = rng.randint(2, 4)
+    pairing = [
+        [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
+        for _ in range(m)
+    ]
+    direction = [0] * m
+    while not any(direction):
+        direction = [rng.randint(-2, 2) for _ in range(m)]
+    cycles = []
+    for _ in range(rng.randint(1, 5)):
+        factor = Fraction(rng.choice((-3, -2, -1, 0, 1, 2)), rng.choice((1, 2, 3)))
+        cycles.append([factor * x for x in direction])
+    return data_for(m, cycles, pairing=pairing)
+
+
+class TestTextbookComplex:
+    def check(self, data, sign):
+        complex_ = monodromy.build_stalk_complex(data, sign)
+        index_sets, dims, cohomology = textbook_stalk_complex(
+            [list(r) for r in data.pairing], data.cycles, sign
+        )
+        assert list(complex_.dims) == dims
+        assert [[idx for idx, _ in level] for level in complex_.summands] == index_sets
+        assert monodromy.complex_cohomology(complex_) == cohomology
+        entries = [
+            x
+            for level in complex_.summands
+            for _, basis in level
+            for row in basis
+            for x in row
+        ]
+        entries += [x for diff in complex_.differentials for row in diff for x in row]
+        assert all(type(x) is int for x in entries)
+        return complex_
+
+    def test_valid_random_data(self):
+        rng = random.Random(24)
+        for _ in range(15):
+            data = random_monodromy_data(rng, max_half_dim=3, max_delta=5)
+            for sign in (1, -1):
+                self.check(data, sign)
+
+    def test_non_skew_proportional_cycles(self):
+        rng = random.Random(25)
+        deep = 0
+        for _ in range(30):
+            data = random_non_skew_data(rng)
+            for sign in (1, -1):
+                complex_ = self.check(data, sign)
+                deep += any(complex_.dims[2:])
+        # the draws must reach products of two or more logs
+        assert deep >= 10
+
+
+class TestIntegerPath:
+    def test_ic_stalk_builds_no_fraction(self, monkeypatch, tmp_path, capsys):
+        rng = random.Random(26)
+        docs = []
+        for _ in range(20):
+            data = random_monodromy_data(rng, max_half_dim=5, max_delta=6)
+            docs.append({
+                "dim": data.dim,
+                "pairing": [[linalg.rational_to_json(x) for x in r] for r in data.pairing],
+                "cycles": [[linalg.rational_to_json(x) for x in c] for c in data.cycles],
+                "h_ambient": data.h_ambient,
+            })
+        assert any(isinstance(x, str) for doc in docs for c in doc["cycles"] for x in c)
+        path = tmp_path / "monodromy.json"
+        path.write_text(json.dumps(docs[0]), encoding="utf-8")
+
+        class NoFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                raise AssertionError("a Fraction was built on the ic-stalk path")
+
+        monkeypatch.setattr(monodromy, "Fraction", NoFraction)
+        monkeypatch.setattr(linalg, "Fraction", NoFraction)
+        for doc in docs:
+            data = MonodromyData.from_json(doc)
+            for sign in (1, -1):
+                monodromy.ic_stalk(data, sign)
+        assert cli.run(["ic-stalk", "--input", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["h0"] >= 0
