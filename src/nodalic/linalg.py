@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows, rows are lists of :class:`fractions.Fraction`
-(plain ints are accepted anywhere; floats and bools are rejected because
-they silently break exactness).  :func:`rank` validates its input once,
+Matrices are lists of rows of ints or :class:`fractions.Fraction`;
+floats and bools are rejected because they silently break exactness.
+:func:`rank` validates its input once,
 through :func:`_int_rows`: rows of plain ints are taken as they are,
 and a row holding a Fraction is scaled by the lcm of its denominators,
 which keeps the row space.  It hands the integer rows to
@@ -33,16 +33,17 @@ with the elimination depth.  The pivot is the first nonzero entry of
 the column among the rows not yet used, so the rank and the pivot
 columns are a deterministic function of the input alone.
 
-Each pivot updates every nonzero row below it, so the work grows with
-the row count, and :func:`rank_int_rows` reduces a matrix with more rows
-than columns as its transpose.  The rank is the same, and about r * cols row
-updates are made instead of r * rows.  The tall 625x210 evaluation
-matrix of the grid n=4, k=6 ranks in 0.14 s instead of 0.50 s, 1024x252
-in 0.21 s instead of 0.95 s (CPython 3.11, shared 2-vCPU VM).  Wide
-matrices keep their orientation: random 8x20 ints ranked as 20x8 run at
-about half the speed.  The kernel slices the pivot row's tail once per
-pivot and skips the multiplication when ``piv/g`` is 1, which changes
-no entry.
+The kernel gets what the certificate cannot rank: the coordinate
+matrices of :func:`nodalic.points.normal_crossing_check`, point sets
+off the grids and the ranks of :mod:`nodalic.monodromy`.  Each pivot
+updates every nonzero row below it, so :func:`rank_int_rows` reduces a
+matrix with more rows than columns as its transpose: the same rank in
+about r * cols row updates instead of r * rows.  The 256x5 coordinate
+matrix of the grid n=4, k=5 ranks in 0.23 ms instead of 2.3 ms, the
+1296x5 one of k=7 in 1.1 ms instead of 12.8 ms (best of seven, CPython
+3.11, shared 2-vCPU VM).  Wide matrices keep their orientation.  The
+kernel slices the pivot row's tail once per pivot and skips the
+multiplication when ``piv/g`` is 1, which changes no entry.
 """
 
 import re
@@ -139,13 +140,19 @@ def _check_shape(matrix, ncols):
 
 
 def check_matrix(matrix, ncols=None):
-    """Validate shape, return (fraction_rows, ncols).
+    """Validate shape and entry types, return (rows, ncols) unconverted.
 
+    Every entry must be an int or a Fraction, as for :func:`as_rational`,
+    but none is converted, so a product of int matrices stays in ints.
     ``ncols`` must be supplied when ``matrix`` has no rows and is checked
     against the row length otherwise.
     """
     rows, width = _check_shape(matrix, ncols)
-    return [[as_rational(x) for x in row] for row in rows], width
+    for row in rows:
+        for x in row:
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                as_rational(x)  # raises, naming the type
+    return rows, width
 
 
 def _int_rows(matrix, ncols=None):
@@ -169,11 +176,11 @@ def _eliminate(row, piv_tail, start, piv, f):
     """Primitive form of ``(piv/g) * row - (f/g) * piv_row`` from ``start`` on.
 
     ``piv_tail`` is ``piv_row[start:]``; entries before ``start`` are
-    zero in both rows and are left alone.  ``piv/g`` is 1 in half the
-    updates on the benchmark's grid matrices (39% on small-mixed), and
-    leaving out that multiplication raised grid-points from 30.5 to 33.0
-    reports/s (medians of ten alternating 50 s pairs, 9 wins; quartiles
-    29.8 and 32.1 without it).
+    zero in both rows and are left alone.  ``piv/g`` is 1 in all 4
+    updates of the 256x5 grid coordinate matrix of the module docstring
+    but in 1-3% of those of off-grid evaluations (5 of 190 for 20 random
+    plane points at d = 6) and of a dense 200x400 cycle matrix (50 of
+    18633); without the skip, those off-grid ranks take the same time.
     """
     g = gcd(piv, f)
     a = piv // g

@@ -15,15 +15,16 @@ A document is parsed once, each literal to one (numerator, denominator)
 pair, and denominators are cleared once, at ingest: the pairing is
 scaled by the least common multiple that makes all its entries ints,
 each cycle by the least of its own (which also gives its weight), and
-each cycle's functional <., v> is computed once on those integers.
-:class:`MonodromyData` holds only these integer forms; the pairing and
-the cycles as Fractions are built when asked for.
+each cycle's functional <., v> and the cycles' Gram matrix are computed
+once on those integers.  :class:`MonodromyData` holds only these integer
+forms; the pairing and the cycles as Fractions are built when asked for.
 Positive rescalings change no rank, skewness, orthogonality or
-commutation, so every check runs on plain ints.  The complex stores
-only the products that are nonzero: a product grows by prepending a
-logarithm only when that logarithm does not kill it, so orthogonal
-cycles give the identity and the delta single logarithms rather than
-2^delta summands, and degree >= 2 still comes out of the computation.
+commutation, so every check runs on plain ints, and every pairwise one
+reads the Gram matrix.  The complex stores only the products that are
+nonzero: a product grows by prepending a logarithm only when that
+logarithm does not kill it, so orthogonal cycles give the identity and
+the delta single logarithms rather than 2^delta summands, and degree
+>= 2 still comes out of the computation.
 The complex is built on the integer operators sign * outer(v_i, f_i),
 each a positive multiple of a logarithm, which rescales the summands
 and changes no rank.  Every summand of degree >= 1 has the one int
@@ -65,7 +66,12 @@ class MonodromyData:
     rationals give equal data however they are written.
     ``functionals`` holds the rows ``int_pairing @ v``; the logarithm of
     node i is sign * outer(v_i, f_i) on those ints times the positive
-    weight 1 / (scale * cycle_scales[i]**2).
+    weight 1 / (scale * cycle_scales[i]**2).  ``gram`` is the Gram
+    matrix of the cycles on those ints: ``gram[i][j]`` is
+    ``functionals[i] . int_cycles[j]``, which is <v_j, v_i> times the
+    positive scale * cycle_scales[i] * cycle_scales[j].  Every pairwise
+    check reads it; no dot product of length ``dim`` is taken after
+    ingest.
     Build it with :meth:`from_json` or :meth:`from_rationals`, which
     check shapes; the semantic invariants are the business of
     :func:`validate`.
@@ -77,6 +83,7 @@ class MonodromyData:
     int_cycles: tuple
     cycle_scales: tuple
     functionals: tuple
+    gram: tuple
     h_ambient: int
     fiber_dim: int | None = None
 
@@ -173,13 +180,15 @@ class MonodromyData:
         int_pairing = tuple(tuple(flat[k * dim:(k + 1) * dim]) for k in range(dim))
         cleared = [_least_scale(cycle) for cycle in cycles]
         int_cycles = tuple(tuple(v) for _, v in cleared)
+        functionals = tuple(_functional(int_pairing, v) for v in int_cycles)
         return cls(
             dim=dim,
             int_pairing=int_pairing,
             scale=scale,
             int_cycles=int_cycles,
             cycle_scales=tuple(c for c, _ in cleared),
-            functionals=tuple(_functional(int_pairing, v) for v in int_cycles),
+            functionals=functionals,
+            gram=tuple(tuple(_dot(f, v) for v in int_cycles) for f in functionals),
             h_ambient=h_ambient,
             fiber_dim=fiber_dim,
         )
@@ -208,18 +217,19 @@ def _dot(x, y):
     return sum(map(mul, x, y))
 
 
-def _rank_one_products_commute(vs, fs):
+def _rank_one_products_commute(gram, vs, fs):
     """Pairwise commutativity of the operators outer(v_i, f_i).
 
     Each product of two is again scalar times an outer product, so the
     matrix identity N_i N_j = N_j N_i reduces to comparing
     (f_i.v_j) v_i f_j^T with (f_j.v_i) v_j f_i^T entry by entry.  The
     logs are sign * w_i * outer(v_i, f_i) with w_i > 0, and the common
-    factor sign^2 * w_i * w_j of both products drops out.
+    factor sign^2 * w_i * w_j of both products drops out.  The scalars
+    are ``gram[i][j]`` and ``gram[j][i]``; only a pair with one of them
+    nonzero, which valid data never has, compares entries.
     """
     for i, j in combinations(range(len(vs)), 2):
-        a = _dot(fs[i], vs[j])
-        b = _dot(fs[j], vs[i])
+        a, b = gram[i][j], gram[j][i]
         if a == 0 and b == 0:
             continue
         for x in range(len(vs[i])):
@@ -265,17 +275,15 @@ def validate(data):
     """Check every invariant and report diagnostics; never raises."""
     if not isinstance(data, MonodromyData):
         raise InputError("validate expects MonodromyData")
-    vs, fs = data.int_cycles, data.functionals
+    vs, gram = data.int_cycles, data.gram
     skew = _is_skew(data.int_pairing)
     nondegenerate = (
         data.dim == 0 or linalg.rank(data.int_pairing, data.dim) == data.dim
     )
     cycles_nonzero = all(any(v) for v in vs)
-    # <v_a, v_b> = v_a . f_b
-    orthogonal = all(
-        _dot(vs[a], fs[b]) == 0 for a, b in combinations(range(len(vs)), 2)
-    )
-    commute = _rank_one_products_commute(vs, fs)
+    # <v_a, v_b> is a positive multiple of gram[b][a]
+    orthogonal = all(gram[b][a] == 0 for a, b in combinations(range(len(vs)), 2))
+    commute = _rank_one_products_commute(gram, vs, data.functionals)
     failures = []
     if not skew:
         failures.append(FAIL_SKEW)
@@ -348,8 +356,8 @@ def build_stalk_complex(data, sign=-1):
         raise InputError(f"sign must be +1 or -1, got {sign!r}")
     m = data.dim
     delta = data.delta
-    vs, fs = data.int_cycles, data.functionals
-    if not _rank_one_products_commute(vs, fs):
+    vs, fs, gram = data.int_cycles, data.functionals, data.gram
+    if not _rank_one_products_commute(gram, vs, fs):
         raise PreconditionError(FAIL_COMMUTING)
 
     # The logarithm of node i is a positive multiple of the integer
@@ -357,7 +365,7 @@ def build_stalk_complex(data, sign=-1):
     # by a positive constant is a diagonal change of basis of the
     # complex, so the complex is built on the M_i.  The product over idx
     # is an int times outer(v_first, f_last); prepending i keeps it
-    # nonzero exactly when f_i . v_first != 0, and a zero product has no
+    # nonzero exactly when gram[i][first] != 0, and a zero product has no
     # nonzero extension, so each degree grows from the nonzero products
     # of the one before.  The basis of a product is the column v_first.
     level = [(i,) for i in range(delta) if any(fs[i])]
@@ -369,7 +377,7 @@ def build_stalk_complex(data, sign=-1):
             (i,) + rest
             for rest in level
             for i in range(rest[0])
-            if _dot(fs[i], vs[rest[0]])
+            if gram[i][rest[0]]
         )
     dims = [m] + [len(summand) for summand in summands[1:]]
 
@@ -385,15 +393,15 @@ def build_stalk_complex(data, sign=-1):
                 continue
             row = [0] * dims[p]
             # M_first carries the column v_idx[1] onto a multiple of v_first
-            row[sources[idx[1:]]] = sign * _dot(fs[first], vs[idx[1]])
+            row[sources[idx[1:]]] = sign * gram[first][idx[1]]
             # dropping a later factor happens only with non-skew pairings:
-            # under a skew one, commuting logs have f_i . v_j = 0
+            # under a skew one, commuting logs have gram[i][j] = 0
             for l in range(1, len(idx)):
                 col = sources.get(idx[:l] + idx[l + 1 :])
                 if col is None:
                     continue
                 dropped = idx[l]
-                scale = sign * _dot(fs[dropped], vs[first])
+                scale = sign * gram[dropped][first]
                 image = [scale * x for x in vs[dropped]]
                 row[col] = (-1) ** l * _ratio(image, vs[first])
             d.append(tuple(row))

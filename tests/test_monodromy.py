@@ -716,7 +716,7 @@ class TestDroppedFactorBlocks:
             monodromy.build_stalk_complex(data)
         # the block itself checks the line too, not only the pairwise test
         monkeypatch.setattr(
-            monodromy, "_rank_one_products_commute", lambda vs, fs: True
+            monodromy, "_rank_one_products_commute", lambda gram, vs, fs: True
         )
         with pytest.raises(PreconditionError, match=FAIL_COMMUTING):
             monodromy.build_stalk_complex(data)
@@ -784,25 +784,31 @@ class TestTextbookComplex:
         assert deep >= 10
 
 
+def document(data):
+    """The JSON document of ``data``."""
+    return {
+        "dim": data.dim,
+        "pairing": [[linalg.rational_to_json(x) for x in r] for r in data.pairing],
+        "cycles": [[linalg.rational_to_json(x) for x in c] for c in data.cycles],
+        "h_ambient": data.h_ambient,
+    }
+
+
+class NoFraction(Fraction):
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built on the ic-stalk path")
+
+
 class TestIntegerPath:
     def test_ic_stalk_builds_no_fraction(self, monkeypatch, tmp_path, capsys):
         rng = random.Random(26)
-        docs = []
-        for _ in range(20):
-            data = random_monodromy_data(rng, max_half_dim=5, max_delta=6)
-            docs.append({
-                "dim": data.dim,
-                "pairing": [[linalg.rational_to_json(x) for x in r] for r in data.pairing],
-                "cycles": [[linalg.rational_to_json(x) for x in c] for c in data.cycles],
-                "h_ambient": data.h_ambient,
-            })
+        docs = [
+            document(random_monodromy_data(rng, max_half_dim=5, max_delta=6))
+            for _ in range(20)
+        ]
         assert any(isinstance(x, str) for doc in docs for c in doc["cycles"] for x in c)
         path = tmp_path / "monodromy.json"
         path.write_text(json.dumps(docs[0]), encoding="utf-8")
-
-        class NoFraction(Fraction):
-            def __new__(cls, *args, **kwargs):
-                raise AssertionError("a Fraction was built on the ic-stalk path")
 
         monkeypatch.setattr(monodromy, "Fraction", NoFraction)
         monkeypatch.setattr(linalg, "Fraction", NoFraction)
@@ -812,3 +818,207 @@ class TestIntegerPath:
                 monodromy.ic_stalk(data, sign)
         assert cli.run(["ic-stalk", "--input", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["h0"] >= 0
+
+    def test_cohomology_of_deep_complex_builds_no_fraction(self, monkeypatch):
+        # the d∘d check multiplies the differentials of degrees 1 -> 2 -> 3
+        data = data_for(
+            3, TestDroppedFactorBlocks.CYCLES, pairing=TestDroppedFactorBlocks.PAIRING
+        )
+        monkeypatch.setattr(monodromy, "Fraction", NoFraction)
+        monkeypatch.setattr(linalg, "Fraction", NoFraction)
+        for sign in (1, -1):
+            complex_ = monodromy.build_stalk_complex(data, sign)
+            assert complex_.dims == (3, 3, 3, 1)
+            assert monodromy.complex_cohomology(complex_) == [2, 0, 0, 0]
+
+
+def random_unconstrained_data(rng):
+    """Random pairing and cycles with no invariant imposed.
+
+    Most draws fail several checks at once, commutation included.
+    """
+    m = rng.randint(1, 3)
+    pairing = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
+    cycles = [
+        [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(m)]
+        for _ in range(rng.randint(1, 3))
+    ]
+    return data_for(m, cycles, pairing=pairing)
+
+
+def reference_diagnostics(data):
+    """Diagnostics from the Fraction pairing and explicit logarithm matrices."""
+    pairing = [list(r) for r in data.pairing]
+    cycles = data.cycles
+    m = data.dim
+    skew = all(pairing[i][j] == -pairing[j][i] for i in range(m) for j in range(m))
+    nondegenerate = rref(pairing, m)[1] == m
+    cycles_nonzero = all(any(v) for v in cycles)
+    orthogonal = all(
+        pair(pairing, cycles[a], cycles[b]) == 0
+        for a, b in combinations(range(len(cycles)), 2)
+    )
+    logs = [log_matrix(pairing, v, -1) for v in cycles]
+    commute = all(
+        linalg.matmul(a, b) == linalg.matmul(b, a) for a, b in combinations(logs, 2)
+    )
+    checks = (
+        (skew, FAIL_SKEW),
+        (nondegenerate, FAIL_DEGENERATE),
+        (cycles_nonzero, FAIL_ZERO_CYCLE),
+        (orthogonal, FAIL_ORTHOGONALITY),
+        (commute, FAIL_COMMUTING),
+    )
+    return monodromy.Diagnostics(
+        skew=skew,
+        nondegenerate=nondegenerate,
+        cycles_nonzero=cycles_nonzero,
+        pairwise_orthogonal=orthogonal,
+        logs_commute=commute,
+        failures=tuple(name for passed, name in checks if not passed),
+    )
+
+
+class TestGram:
+    def draws(self):
+        rng = random.Random(27)
+        for _ in range(15):
+            yield random_monodromy_data(rng, max_half_dim=4, max_delta=6)
+            yield random_non_skew_data(rng)
+            yield random_unconstrained_data(rng)
+        yield data_for(2, [(1, 0), (1, 1)], pairing=identity(2))
+
+    def test_entries_are_scaled_intersection_numbers(self):
+        for data in self.draws():
+            pairing = [list(r) for r in data.pairing]
+            cycles, scales = data.cycles, data.cycle_scales
+            assert len(data.gram) == data.delta
+            for i, row in enumerate(data.gram):
+                assert len(row) == data.delta
+                for j, g in enumerate(row):
+                    assert type(g) is int
+                    # gram[i][j] is <v_j, v_i> up to a positive factor
+                    assert g == (
+                        pair(pairing, cycles[j], cycles[i])
+                        * data.scale * scales[i] * scales[j]
+                    )
+
+    def test_diagnostics_match_explicit_products(self):
+        failed = set()
+        for data in self.draws():
+            diagnostics = monodromy.validate(data)
+            assert diagnostics == reference_diagnostics(data)
+            failed.update(diagnostics.failures)
+        # the draws must reach every failure, non-commuting logs included
+        assert failed == {
+            FAIL_SKEW, FAIL_DEGENERATE, FAIL_ZERO_CYCLE, FAIL_ORTHOGONALITY,
+            FAIL_COMMUTING,
+        }
+
+    def test_no_dot_product_after_ingest(self, monkeypatch):
+        rng = random.Random(28)
+        valid = [
+            MonodromyData.from_json(
+                document(random_monodromy_data(rng, max_half_dim=4, max_delta=6))
+            )
+            for _ in range(10)
+        ]
+        deep = MonodromyData.from_json(
+            document(
+                data_for(
+                    3,
+                    TestDroppedFactorBlocks.CYCLES,
+                    pairing=TestDroppedFactorBlocks.PAIRING,
+                )
+            )
+        )
+
+        def no_dot(x, y):
+            raise AssertionError("a dot product was taken after ingest")
+
+        monkeypatch.setattr(monodromy, "_dot", no_dot)
+        for data in valid:
+            assert monodromy.validate(data).passed
+            for sign in (1, -1):
+                monodromy.build_stalk_complex(data, sign)
+                monodromy.ic_stalk(data, sign)
+        assert monodromy.validate(deep) == reference_diagnostics(deep)
+        for sign in (1, -1):
+            # a non-skew pairing keeps products of every length
+            assert monodromy.build_stalk_complex(deep, sign).dims == (3, 3, 3, 1)
+            with pytest.raises(PreconditionError, match=FAIL_SKEW):
+                monodromy.ic_stalk(deep, sign)
+
+
+def sweep_document(delta, cycles):
+    """Standard symplectic document of dimension 2 * delta."""
+    m = 2 * delta
+    return {
+        "dim": m,
+        "pairing": [[int(x) for x in r] for r in standard_symplectic(m)],
+        "cycles": cycles,
+        "h_ambient": 1,
+    }
+
+
+def two_entry_cycles(rng, delta, s):
+    """``delta`` cycles e_2a - e_2b spanning dimension ``s``.
+
+    All lie on the even coordinates, which the standard symplectic form
+    pairs to zero.  The first ``s`` are e_2k - e_2(k+1), independent
+    and spanning the sum-zero vectors on the coordinates 0, 2, ..., 2s;
+    the rest pick two of those coordinates at random.
+    """
+    m = 2 * delta
+    pairs = [(k, k + 1) for k in range(s)]
+    pairs += [tuple(rng.sample(range(s + 1), 2)) for _ in range(delta - s)]
+    rng.shuffle(pairs)
+    cycles = []
+    for a, b in pairs:
+        v = [0] * m
+        v[2 * a], v[2 * b] = 1, -1
+        cycles.append(v)
+    return cycles
+
+
+def dense_cycles(rng, delta, s):
+    """``delta`` dense cycles on the first ``s`` even coordinates, span ``s``.
+
+    The first ``s`` are the rows of a strictly diagonally dominant
+    matrix (off-diagonal entries in [-1, 1], diagonal s), which is
+    invertible; the rest are sums and differences of two of them.
+    """
+    m = 2 * delta
+    basis = []
+    for k in range(s):
+        v = [0] * m
+        for j in range(s):
+            v[2 * j] = s if j == k else rng.randint(-1, 1)
+        basis.append(v)
+    cycles = list(basis)
+    for _ in range(delta - s):
+        a, b = rng.sample(basis, 2)
+        c = rng.choice((-1, 1))
+        cycles.append([x + c * y for x, y in zip(a, b)])
+    rng.shuffle(cycles)
+    return cycles
+
+
+class TestDeltaSweep:
+    @pytest.mark.parametrize(
+        "delta, s, dense",
+        [(50, 49, False), (100, 60, False), (200, 199, False), (50, 30, True)],
+    )
+    def test_isotropic_cycles(self, delta, s, dense):
+        rng = random.Random(delta + s)
+        cycles = (dense_cycles if dense else two_entry_cycles)(rng, delta, s)
+        data = MonodromyData.from_json(sweep_document(delta, cycles))
+        m = 2 * delta
+        for sign in (1, -1):
+            report = monodromy.ic_stalk(data, sign)
+            assert (report.h0, report.h1) == (m - s, delta - s)
+            assert report.span_dim == report.excision_rank == s
+            assert report.higher == (0,) * (delta - 1)
+        complex_ = monodromy.build_stalk_complex(data)
+        assert complex_.dims[1] == delta
+        assert not any(complex_.summands[2:])
