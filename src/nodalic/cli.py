@@ -20,14 +20,35 @@ _EXPECTED_EN_MAX_H = 2
 _SEVERI_SAMPLES = ((3, 1), (4, 0), (4, 4), (5, 2), (7, 3), (9, 4))
 
 
+# the (key, header) columns of each paper-examples table: a cell holds
+# the keys, and the text table shows them under the headers, in order
+_CI_COLUMNS = (
+    ("n", "n"), ("k", "k"), ("delta", "delta"),
+    ("chase_vanishes", "chase_vanishes"), ("exact_h1", "exact_h1"),
+    ("grid_h1", "grid_h1"), ("consistent", "consistent"),
+    ("expected_vanishes", "expected"), ("matches", "matches"),
+)
+_EN_COLUMNS = (
+    ("n", "n"), ("h", "h"), ("node_count", "node_count"),
+    ("chase_vanishes", "chase_vanishes"), ("expected_vanishes", "expected"),
+    ("matches", "matches"),
+)
+_SEVERI_COLUMNS = (("N", "N"), ("delta", "delta"), ("expected_dim", "expected_dim"))
+
+
 def _expected_ci(n, k):
     return k in bott.ci_threshold(n).admissible_k
+
+
+def _cell(columns, *values):
+    return dict(zip([key for key, _ in columns], values, strict=True))
 
 
 @dataclass(frozen=True)
 class PaperExamplesReport:
     """Verdict tables for both node configurations plus sample dimensions.
 
+    Each table is a tuple of cells, dicts keyed as its columns.
     ``all_match`` is the self-check: every chase verdict equals the
     asserted one and every computed grid column is consistent with its
     chase column.
@@ -40,9 +61,9 @@ class PaperExamplesReport:
 
     def to_json(self):
         return {
-            "ci_table": [dict(cell) for cell in self.ci_table],
-            "en_table": [dict(cell) for cell in self.en_table],
-            "severi_samples": [dict(cell) for cell in self.severi_samples],
+            "ci_table": list(self.ci_table),
+            "en_table": list(self.en_table),
+            "severi_samples": list(self.severi_samples),
             "all_match": self.all_match,
         }
 
@@ -80,16 +101,9 @@ def paper_examples(max_n=6, max_k=8, max_h=6, grid_cap=1000):
             matches = verdict.vanishes == expected and consistent is not False
             all_match = all_match and matches
             ci_table.append(
-                (
-                    ("n", n),
-                    ("k", k),
-                    ("delta", delta),
-                    ("chase_vanishes", verdict.vanishes),
-                    ("exact_h1", verdict.exact_h1),
-                    ("grid_h1", grid_h1),
-                    ("consistent", consistent),
-                    ("expected_vanishes", expected),
-                    ("matches", matches),
+                _cell(
+                    _CI_COLUMNS, n, k, delta, verdict.vanishes, verdict.exact_h1,
+                    grid_h1, consistent, expected, matches,
                 )
             )
 
@@ -103,22 +117,14 @@ def paper_examples(max_n=6, max_k=8, max_h=6, grid_cap=1000):
             matches = verdict.vanishes == expected
             all_match = all_match and matches
             en_table.append(
-                (
-                    ("n", n),
-                    ("h", h),
-                    ("node_count", points.node_count_quadrics(n, h)),
-                    ("chase_vanishes", verdict.vanishes),
-                    ("expected_vanishes", expected),
-                    ("matches", matches),
+                _cell(
+                    _EN_COLUMNS, n, h, points.node_count_quadrics(n, h),
+                    verdict.vanishes, expected, matches,
                 )
             )
 
     severi = tuple(
-        (
-            ("N", big_n),
-            ("delta", r),
-            ("expected_dim", points.severi_expected_dim(big_n, r)),
-        )
+        _cell(_SEVERI_COLUMNS, big_n, r, points.severi_expected_dim(big_n, r))
         for big_n, r in _SEVERI_SAMPLES
     )
     return PaperExamplesReport(
@@ -282,9 +288,13 @@ def _resolution_lines(res):
     return lines
 
 
-def _table_lines(headers, rows):
-    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(line[i]) for line in cells) for i in range(len(headers))]
+def _table_lines(columns, cells):
+    # a missing value (None) shows as "-"
+    cells = [[header for _, header in columns]] + [
+        ["-" if cell[key] is None else str(cell[key]) for key, _ in columns]
+        for cell in cells
+    ]
+    widths = [max(len(line[i]) for line in cells) for i in range(len(columns))]
     out = []
     for line in cells:
         out.append("  ".join(text.ljust(w) for text, w in zip(line, widths)).rstrip())
@@ -383,42 +393,14 @@ def _run_paper_examples(args):
         max_h=args.max_h,
         grid_cap=args.grid_cap,
     )
-    headers = [
-        "n", "k", "delta", "chase_vanishes", "exact_h1",
-        "grid_h1", "consistent", "expected", "matches",
-    ]
-
-    def show(value):
-        return "-" if value is None else value
-
-    ci_rows = [
-        [show(dict(cell)[key]) for key in (
-            "n", "k", "delta", "chase_vanishes", "exact_h1",
-            "grid_h1", "consistent", "expected_vanishes", "matches",
-        )]
-        for cell in report.ci_table
-    ]
-    en_rows = [
-        [dict(cell)[key] for key in (
-            "n", "h", "node_count", "chase_vanishes",
-            "expected_vanishes", "matches",
-        )]
-        for cell in report.en_table
-    ]
-    severi_rows = [
-        [dict(cell)[key] for key in ("N", "delta", "expected_dim")]
-        for cell in report.severi_samples
-    ]
     lines = ["complete intersection nodes, chase at twist k"]
-    lines += _table_lines(headers, ci_rows)
+    lines += _table_lines(_CI_COLUMNS, report.ci_table)
     lines.append("")
     lines.append("quadric degeneracy nodes, chase at twist 2")
-    lines += _table_lines(
-        ["n", "h", "node_count", "chase_vanishes", "expected", "matches"], en_rows
-    )
+    lines += _table_lines(_EN_COLUMNS, report.en_table)
     lines.append("")
     lines.append("expected nodal-locus dimensions")
-    lines += _table_lines(["N", "delta", "expected_dim"], severi_rows)
+    lines += _table_lines(_SEVERI_COLUMNS, report.severi_samples)
     lines.append("")
     lines.append(f"all asserted verdicts match: {str(report.all_match).lower()}")
     return report.to_json(), lines, 0 if report.all_match else 2

@@ -42,8 +42,7 @@ about r * cols row updates instead of r * rows.  The 256x5 coordinate
 matrix of the grid n=4, k=5 ranks in 0.23 ms instead of 2.3 ms, the
 1296x5 one of k=7 in 1.1 ms instead of 12.8 ms (best of seven, CPython
 3.11, shared 2-vCPU VM).  Wide matrices keep their orientation.  The
-kernel slices the pivot row's tail once per pivot and skips the
-multiplication when ``piv/g`` is 1, which changes no entry.
+kernel slices the pivot row's tail once per pivot.
 """
 
 import re
@@ -172,29 +171,6 @@ def _int_rows(matrix, ncols=None):
     return out, width
 
 
-def _eliminate(row, piv_tail, start, piv, f):
-    """Primitive form of ``(piv/g) * row - (f/g) * piv_row`` from ``start`` on.
-
-    ``piv_tail`` is ``piv_row[start:]``; entries before ``start`` are
-    zero in both rows and are left alone.  ``piv/g`` is 1 in all 4
-    updates of the 256x5 grid coordinate matrix of the module docstring
-    but in 1-3% of those of off-grid evaluations (5 of 190 for 20 random
-    plane points at d = 6) and of a dense 200x400 cycle matrix (50 of
-    18633); without the skip, those off-grid ranks take the same time.
-    """
-    g = gcd(piv, f)
-    a = piv // g
-    b = f // g
-    if a == 1:
-        tail = [x - b * y for x, y in zip(row[start:], piv_tail)]
-    else:
-        tail = [a * x - b * y for x, y in zip(row[start:], piv_tail)]
-    content = gcd(*tail)
-    if content > 1:
-        tail = [x // content for x in tail]
-    row[start:] = tail
-
-
 def reduce_int_rows(rows, ncols):
     """Forward-eliminate ``rows`` (lists of ints, length ``ncols``) in place.
 
@@ -228,8 +204,17 @@ def reduce_int_rows(rows, ncols):
         for i in range(r + 1, nrows):
             row = rows[i]
             f = row[c]
-            if f:
-                _eliminate(row, piv_tail, c, piv, f)
+            if not f:
+                continue
+            # the primitive form of (piv/g) * row - (f/g) * piv_row; the
+            # entries before column c are zero in both rows
+            g = gcd(piv, f)
+            a, b = piv // g, f // g
+            tail = [a * x - b * y for x, y in zip(row[c:], piv_tail)]
+            content = gcd(*tail)
+            if content > 1:
+                tail = [x // content for x in tail]
+            row[c:] = tail
         pivots.append(c)
         r += 1
     return pivots

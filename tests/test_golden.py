@@ -246,7 +246,3 @@ def test_outputs_match_recorded_digests(tmp_path, monkeypatch):
     changed = [name for name in computed if computed[name] != recorded[name]]
     assert not changed, f"{len(changed)} runs changed output, first: {changed[:5]}"
 
-
-def test_corpus_reaches_every_exit_code():
-    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert {v["exit"] for v in recorded.values()} == {_sha(str(c)) for c in (0, 1, 2)}

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from nodalic import cli, linalg, monodromy
+from nodalic import bott, cli, linalg, monodromy, points
 from nodalic.errors import InputError, PreconditionError
 from nodalic.monodromy import (
     FAIL_COMMUTING,
@@ -707,19 +707,39 @@ class TestDroppedFactorBlocks:
                 product = linalg.matmul([list(r) for r in a], [list(r) for r in b])
                 assert all(x == 0 for row in product for x in row)
 
-    def test_image_off_the_line_rejected(self, monkeypatch):
+    def test_image_off_the_line_rejected(self):
         # <v_1, v_0> = 1 under the identity pairing, and N_1 carries v_0
         # onto v_1, which is not a multiple of v_0
         pairing = [[1, 0], [0, 1]]
         data = data_for(2, [(1, 0), (1, 1)], pairing=pairing)
         with pytest.raises(PreconditionError, match=FAIL_COMMUTING):
             monodromy.build_stalk_complex(data)
-        # the block itself checks the line too, not only the pairwise test
-        monkeypatch.setattr(
-            monodromy, "_rank_one_products_commute", lambda gram, vs, fs: True
-        )
-        with pytest.raises(PreconditionError, match=FAIL_COMMUTING):
-            monodromy.build_stalk_complex(data)
+
+    def test_random_blocks_are_signed_gram_entries(self):
+        rng = random.Random(28)
+        deep = 0
+        for _ in range(200):
+            data = random_non_skew_data(rng)
+            gram = data.gram
+            for sign in (1, -1):
+                complex_ = monodromy.build_stalk_complex(data, sign)
+                logs = [log_matrix(data.int_pairing, v, sign) for v in data.int_cycles]
+                for p, diff in enumerate(complex_.differentials):
+                    assert [list(r) for r in diff] == reference_differential(
+                        complex_, logs, p
+                    )
+                    if p == 0:
+                        continue
+                    for (idx, _), row in zip(complex_.summands[p + 1], diff):
+                        allowed = {0, sign * gram[idx[0]][idx[1]]}
+                        allowed.update(
+                            (-1) ** l * sign * gram[d][d]
+                            for l, d in enumerate(idx) if l
+                        )
+                        assert set(row) <= allowed
+            deep += any(complex_.dims[2:])
+        # the draws must reach products of two or more logs
+        assert deep >= 50
 
 
 def random_non_skew_data(rng):
@@ -796,7 +816,7 @@ def document(data):
 
 class NoFraction(Fraction):
     def __new__(cls, *args, **kwargs):
-        raise AssertionError("a Fraction was built on the ic-stalk path")
+        raise AssertionError("a Fraction was built on an integer path")
 
 
 class TestIntegerPath:
@@ -830,6 +850,44 @@ class TestIntegerPath:
             complex_ = monodromy.build_stalk_complex(data, sign)
             assert complex_.dims == (3, 3, 3, 1)
             assert monodromy.complex_cohomology(complex_) == [2, 0, 0, 0]
+
+    def test_points_and_chase_commands_build_no_fraction(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """``points`` on a rational grid and the chase commands build no Fraction.
+
+        ``grid`` and ``paper-examples`` are left out: ``points.grid_nodes``
+        still builds its grid coordinates as Fractions.
+        """
+        axis = ["1/2", -3, "5/3"]
+        grid = {
+            "ambient_dim": 2,
+            "points": [[x, y, 1] for x in axis for y in ["-7/2", 2, 0]],
+        }
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid), encoding="utf-8")
+        resolution = {
+            "ambient_dim": 2,
+            "resolved_twist": 0,
+            "terms": [[{"mult": 2, "twist": -2}], [{"mult": 1, "twist": -4}]],
+        }
+        resolution_path = tmp_path / "resolution.json"
+        resolution_path.write_text(json.dumps(resolution), encoding="utf-8")
+        commands = [
+            ["points", "--input", str(grid_path), "--degree", str(d)] for d in (1, 2, 3)
+        ]
+        commands += [
+            ["koszul", "--n", "2", "--degrees", "2,2", "--twist", "3"],
+            ["eagon-northcott", "--n", "3", "--quadrics", "2", "--twist", "2"],
+            ["chase", "--input", str(resolution_path), "--twist", "2"],
+        ]
+        for module in (linalg, points, bott, monodromy):
+            monkeypatch.setattr(module, "Fraction", NoFraction)
+        for argv in commands:
+            assert cli.run(argv) == 0
+            assert capsys.readouterr().out
+            assert cli.run(argv + ["--json"]) == 0
+            assert json.loads(capsys.readouterr().out)
 
 
 def random_unconstrained_data(rng):
