@@ -191,6 +191,15 @@ def corpus(directory):
         for m, delta, s in SMALL_MIXED_SHAPES:
             stalks[f"stalk-{draw}-{m}-{delta}-{s}"] = stalk_document(rng, m, delta, s)
     stalks["stalk-forty-nodes"] = stalk_document(rng, 8, 40, 4)
+    # delta = 0: the complex is the identity summand alone
+    stalks["stalk-no-cycles"] = {
+        "dim": 4,
+        "pairing": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+        "cycles": [],
+        "h_ambient": 1,
+    }
+    # its own generator, so the draws above and below stay as recorded
+    stalks["stalk-dense-40"] = stalk_document(random.Random(1601), 40, 20, 12)
     stalks.update((f"fail-{k}", doc) for k, doc in FAILING_DOCUMENTS.items())
     stalks.update((f"malformed-{k}", doc) for k, doc in MALFORMED_DOCUMENTS.items())
     stalks["malformed-json"] = '{"dim": 2, "pairing": '
