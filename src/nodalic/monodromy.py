@@ -18,26 +18,16 @@ each cycle by the least of its own (which also gives its weight), and
 each cycle's functional <., v> and the cycles' Gram matrix are computed
 once on those integers.  :class:`MonodromyData` holds only these integer
 forms; the pairing and the cycles as Fractions are built when asked for.
-Positive rescalings change no rank, skewness, orthogonality or
-commutation, so every check runs on plain ints, and every pairwise one
-reads the Gram matrix.  The complex stores only the products that are
-nonzero: a product grows by prepending a logarithm only when that
-logarithm does not kill it, so orthogonal cycles give the identity and
-the delta single logarithms rather than 2^delta summands, and degree
->= 2 still comes out of the computation.
-The complex is built on the integer operators M_i = sign * outer(v_i, f_i),
-positive multiples of the logarithms, which rescales the summands and
-changes no rank.  Each summand of degree >= 1 has the int column
-v_first of its first factor as its basis, d0 has the rows sign * f_i,
-and every entry of higher degree is 0 or a signed Gram entry:
-prepending i gives sign * gram[i][first], and dropping a later factor d
-gives sign * gram[d][d] when gram[d][first] != 0, else 0.  Commuting
-M_d, M_first (the pretest) make gram[d][first] v_d f_first^T equal
-gram[first][d] v_first f_d^T, so then v_d = lambda * v_first, and
-lambda * gram[d][first] = f_d . v_d = gram[d][d].  With CPython 3.11
-on a shared 2-vCPU machine, ``ic_stalk`` takes about 1.4 ms at m = 10,
-delta = 6 and 7 ms at m = 16, delta = 14, where enumerating all
-2^delta index tuples over Fractions took 47 ms and 2.1 s.
+Positive rescalings change no rank, skewness or orthogonality, so
+every check runs on plain ints, and every pairwise one reads the Gram
+matrix.  The complex is built on the integer operators
+M_i = sign * outer(v_i, f_i), positive multiples of the logarithms,
+which rescales the summands and changes no rank.  M_i M_j is
+sign^2 * gram[i][j] * outer(v_i, f_j), so the builder reads the Gram
+matrix off its diagonal to see that every product of two or more
+vanishes; the complex is then the identity in degree 0, the column v_i
+of each node with f_i != 0 in degree 1, and one differential, whose rows
+are sign * f_i.
 """
 
 from dataclasses import dataclass
@@ -53,7 +43,6 @@ FAIL_SKEW = "pairing not skew"
 FAIL_DEGENERATE = "pairing degenerate"
 FAIL_ZERO_CYCLE = "zero vanishing cycle unsupported"
 FAIL_ORTHOGONALITY = "vanishing cycles not pairwise orthogonal"
-FAIL_COMMUTING = "monodromy logarithms do not commute"
 
 
 @dataclass(frozen=True)
@@ -221,28 +210,6 @@ def _dot(x, y):
     return sum(map(mul, x, y))
 
 
-def _rank_one_products_commute(gram, vs, fs):
-    """Pairwise commutativity of the operators outer(v_i, f_i).
-
-    Each product of two is again scalar times an outer product, so the
-    matrix identity N_i N_j = N_j N_i reduces to comparing
-    (f_i.v_j) v_i f_j^T with (f_j.v_i) v_j f_i^T entry by entry.  The
-    logs are sign * w_i * outer(v_i, f_i) with w_i > 0, and the common
-    factor sign^2 * w_i * w_j of both products drops out.  The scalars
-    are ``gram[i][j]`` and ``gram[j][i]``; only a pair with one of them
-    nonzero, which valid data never has, compares entries.
-    """
-    for i, j in combinations(range(len(vs)), 2):
-        a, b = gram[i][j], gram[j][i]
-        if a == 0 and b == 0:
-            continue
-        for x in range(len(vs[i])):
-            for y in range(len(fs[j])):
-                if a * vs[i][x] * fs[j][y] != b * vs[j][x] * fs[i][y]:
-                    return False
-    return True
-
-
 def _is_skew(pairing):
     m = len(pairing)
     return all(pairing[i][j] == -pairing[j][i] for i in range(m) for j in range(i, m))
@@ -256,7 +223,6 @@ class Diagnostics:
     nondegenerate: bool
     cycles_nonzero: bool
     pairwise_orthogonal: bool
-    logs_commute: bool
     failures: tuple
 
     @property
@@ -269,14 +235,18 @@ class Diagnostics:
             "nondegenerate": self.nondegenerate,
             "cycles_nonzero": self.cycles_nonzero,
             "pairwise_orthogonal": self.pairwise_orthogonal,
-            "logs_commute": self.logs_commute,
             "passed": self.passed,
             "failures": list(self.failures),
         }
 
 
 def validate(data):
-    """Check every invariant and report diagnostics; never raises."""
+    """Check every invariant and report diagnostics; never raises.
+
+    A skew pairing makes the Gram matrix skew, so orthogonal cycles
+    leave it zero off the diagonal, and the logarithms then multiply to
+    zero pairwise; no separate commutation test is needed.
+    """
     if not isinstance(data, MonodromyData):
         raise InputError("validate expects MonodromyData")
     vs, gram = data.int_cycles, data.gram
@@ -287,7 +257,6 @@ def validate(data):
     cycles_nonzero = all(any(v) for v in vs)
     # <v_a, v_b> is a positive multiple of gram[b][a]
     orthogonal = all(gram[b][a] == 0 for a, b in combinations(range(len(vs)), 2))
-    commute = _rank_one_products_commute(gram, vs, data.functionals)
     failures = []
     if not skew:
         failures.append(FAIL_SKEW)
@@ -297,14 +266,11 @@ def validate(data):
         failures.append(FAIL_ZERO_CYCLE)
     if not orthogonal:
         failures.append(FAIL_ORTHOGONALITY)
-    if not commute:
-        failures.append(FAIL_COMMUTING)
     return Diagnostics(
         skew=skew,
         nondegenerate=nondegenerate,
         cycles_nonzero=cycles_nonzero,
         pairwise_orthogonal=orthogonal,
-        logs_commute=commute,
         failures=tuple(failures),
     )
 
@@ -314,19 +280,15 @@ class StalkComplex:
     """Complex of images of products of the monodromy logarithms.
 
     Degree p collects one summand per strictly increasing index tuple of
-    length p whose product is nonzero, in lexicographic order; products
-    that vanish span nothing and are not stored, but all delta + 1
-    degrees are, empty ones included.  A summand's basis matrix (int
-    columns spanning the image of its product: the identity in degree
-    0, the one column ``int_cycles[idx[0]]`` above it) fixes the
-    coordinates in which the differential blocks are written.
+    length p whose product is nonzero; products that vanish span nothing
+    and are not stored, but all delta + 1 degrees are, empty ones
+    included.  A summand's basis matrix (int columns spanning the image
+    of its product: the identity in degree 0, the column
+    ``int_cycles[i]`` for the summand ``(i,)`` of degree 1) fixes the
+    coordinates in which the differentials are written.
     ``differentials[p]`` maps degree p to degree p+1, with int entries;
     ``dims[p]`` is the total dimension of degree p.  The rows of
-    ``differentials[0]`` are sign * f_i; above it, the block prepending
-    ``first`` is sign * gram[first][idx[1]] and the one dropping
-    d = idx[l] is (-1)**l * sign * gram[d][d], or 0 when gram[d][first]
-    is 0: commuting logs with gram[d][first] != 0 have v_d = lambda *
-    v_first, and lambda * gram[d][first] = gram[d][d].
+    ``differentials[0]`` are sign * f_i.
     """
 
     dim: int
@@ -342,75 +304,38 @@ class StalkComplex:
 def build_stalk_complex(data, sign=-1):
     """Assemble the complex from the data's monodromy logarithms.
 
-    Requires the logarithms to commute pairwise (orthogonal cycles
-    guarantee it); nothing else is assumed, so the vanishing of all
-    degrees >= 2 comes out of the computation instead of being wired in.
+    The product of the logarithms of nodes i and j is a multiple of
+    ``gram[i][j]``, so a Gram matrix that is zero off its diagonal
+    leaves degrees >= 2 empty; that is checked here rather than
+    assumed, and data failing it raises ``FAIL_ORTHOGONALITY``.
     """
     if not isinstance(data, MonodromyData):
         raise InputError("build_stalk_complex expects MonodromyData")
     if sign not in (1, -1):
         raise InputError(f"sign must be +1 or -1, got {sign!r}")
-    m = data.dim
-    delta = data.delta
+    m, delta = data.dim, data.delta
     vs, fs, gram = data.int_cycles, data.functionals, data.gram
-    if not _rank_one_products_commute(gram, vs, fs):
-        raise PreconditionError(FAIL_COMMUTING)
+    if any(g for i, row in enumerate(gram) for j, g in enumerate(row) if i != j):
+        raise PreconditionError(FAIL_ORTHOGONALITY)
 
-    # The logarithm of node i is a positive multiple of the integer
-    # operator M_i = sign * outer(v_i, f_i), and rescaling each logarithm
-    # by a positive constant is a diagonal change of basis of the
-    # complex, so the complex is built on the M_i.  The product over idx
-    # is an int times outer(v_first, f_last); prepending i keeps it
-    # nonzero exactly when gram[i][first] != 0, and a zero product has no
-    # nonzero extension, so each degree grows from the nonzero products
-    # of the one before.  The basis of a product is the column v_first.
-    # Every block is a signed Gram entry.  A later factor d carries
-    # v_first onto sign * gram[d][first] * v_d; when gram[d][first] != 0,
-    # the pretest's identity gram[d][first] v_d f_first^T =
-    # gram[first][d] v_first f_d^T (both f nonzero: both indices sit in
-    # a stored product) gives v_d = lambda * v_first, and
-    # lambda * gram[d][first] = f_d . v_d = gram[d][d].
-    level = [(i,) for i in range(delta) if any(fs[i])]
+    # The logarithm of node i is a positive multiple of M_i, and rescaling
+    # each logarithm by a positive constant is a diagonal change of basis
+    # of the complex.  M_i is nonzero exactly when f_i is, its image is
+    # the line of v_i, and M_i e_k is sign * f_i[k] times v_i.
+    nodes = [i for i in range(delta) if any(fs[i])]
     identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-    summands = [(((), identity),)]
-    for _ in range(delta):
-        summands.append(tuple((idx, tuple((x,) for x in vs[idx[0]])) for idx in level))
-        level = sorted(
-            (i,) + rest
-            for rest in level
-            for i in range(rest[0])
-            if gram[i][rest[0]]
-        )
-    dims = [m] + [len(summand) for summand in summands[1:]]
-
-    differentials = []
-    for p in range(delta):
-        sources = {idx: k for k, (idx, _) in enumerate(summands[p])}
-        d = []
-        for idx, _ in summands[p + 1]:
-            first = idx[0]
-            if p == 0:
-                # M_i e_k is sign * f_i[k] times v_i
-                d.append(tuple(sign * x for x in fs[first]))
-                continue
-            row = [0] * dims[p]
-            # M_first carries the column v_idx[1] onto a multiple of v_first
-            row[sources[idx[1:]]] = sign * gram[first][idx[1]]
-            # dropping a later factor happens only with non-skew pairings:
-            # under a skew one, commuting logs have gram[i][j] = 0
-            for l in range(1, len(idx)):
-                col = sources.get(idx[:l] + idx[l + 1 :])
-                dropped = idx[l]
-                if col is not None and gram[dropped][first]:
-                    row[col] = (-1) ** l * sign * gram[dropped][dropped]
-            d.append(tuple(row))
-        differentials.append(tuple(d))
-
+    # degrees 2 to delta are empty; with no cycles only degree 0 is kept
+    empty = ((),) * (delta - 1)
+    summands = (
+        (((), identity),),
+        tuple(((i,), tuple((x,) for x in vs[i])) for i in nodes),
+    ) + empty
+    d0 = tuple(tuple(sign * x for x in fs[i]) for i in nodes)
     return StalkComplex(
         dim=m,
-        summands=tuple(summands),
-        differentials=tuple(differentials),
-        dims=tuple(dims),
+        summands=summands[: delta + 1],
+        differentials=((d0,) + empty)[:delta],
+        dims=((m, len(nodes)) + (0,) * (delta - 1))[: delta + 1],
     )
 
 

@@ -471,8 +471,9 @@ def severi_expected_dim(big_n, r):
 
 
 def _grid_parameters(n, k, parameters):
+    # each axis as (numerator, denominator) pairs, reduced
     if parameters is None:
-        return [[Fraction(j) for j in range(1, k)] for _ in range(n)]
+        return [[(j, 1) for j in range(1, k)]] * n
     if not isinstance(parameters, (list, tuple)) or not parameters:
         raise InputError("parameters must be a list")
     # a flat list of scalars is shared by every coordinate axis
@@ -484,7 +485,7 @@ def _grid_parameters(n, k, parameters):
     for i, axis in enumerate(parameters):
         if not isinstance(axis, (list, tuple)) or len(axis) != k - 1:
             raise InputError(f"coordinate {i} needs exactly {k - 1} parameters")
-        values = [linalg.as_rational(x) for x in axis]
+        values = linalg.rational_pairs(axis)
         if len(set(values)) != len(values):
             raise InputError(f"coordinate {i} has repeated parameters")
         out.append(values)
@@ -522,10 +523,8 @@ def grid_nodes(n, k, parameters=None):
     check_int(k, "k", minimum=2)
     _check_grid_size(n, k)
     axes = _grid_parameters(n, k, parameters)
-    coordinates = [
-        list(choice) + [Fraction(1)] for choice in product(*axes)
-    ]
-    return ProjectivePointSet.from_coordinates(n, coordinates)
+    coordinates = [list(choice) + [(1, 1)] for choice in product(*axes)]
+    return ProjectivePointSet._from_pairs(n, coordinates)
 
 
 def node_count_ci(n, k):

@@ -12,6 +12,13 @@ from nodalic.errors import check_int
 from nodalic.monodromy import MonodromyData
 
 
+class NoFraction(Fraction):
+    """Patched in for ``Fraction`` to show that a path builds none."""
+
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built on an integer path")
+
+
 def standard_symplectic(m):
     """Block-diagonal pairing with (0 1 / -1 0) blocks; m must be even."""
     pairing = [[Fraction(0)] * m for _ in range(m)]

@@ -99,7 +99,8 @@ SMALL_MIXED_SHAPES = (
 )
 
 # each aimed at one FAIL_* name; ic-stalk reports the first failure
-# validate finds, which for the commuting one is the skewness test
+# validate finds.  "commuting" has logs that do not commute under a
+# symmetric pairing, and reports the skewness failure.
 FAILING_DOCUMENTS = {
     "skew": {"dim": 2, "pairing": [[1, 0], [0, 1]], "cycles": [[1, 0]], "h_ambient": 0},
     "degenerate": {"dim": 2, "pairing": [[0, 0], [0, 0]], "cycles": [[1, 0]], "h_ambient": 1},

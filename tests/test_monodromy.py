@@ -8,7 +8,6 @@ import pytest
 from nodalic import bott, cli, linalg, monodromy, points
 from nodalic.errors import InputError, PreconditionError
 from nodalic.monodromy import (
-    FAIL_COMMUTING,
     FAIL_DEGENERATE,
     FAIL_ORTHOGONALITY,
     FAIL_SKEW,
@@ -17,6 +16,7 @@ from nodalic.monodromy import (
 )
 
 from helpers import (
+    NoFraction,
     basis_vector,
     column_space_basis,
     identity,
@@ -392,8 +392,9 @@ class TestStalkComplex:
         assert complex_.differentials == ()
 
     def test_non_commuting_rejected(self):
+        # <v_0, v_1> != 0, so the product of the two logs is nonzero
         data = data_for(2, [(1, 0), (0, 1)])
-        with pytest.raises(PreconditionError, match=FAIL_COMMUTING):
+        with pytest.raises(PreconditionError, match=FAIL_ORTHOGONALITY):
             monodromy.build_stalk_complex(data)
 
     def test_summand_bases_match_explicit_products(self):
@@ -630,14 +631,6 @@ class TestSparseComplex:
         assert report.higher == (0,) * 39
         assert report.excision_rank == s
 
-    def test_non_skew_pairing_keeps_longer_products(self):
-        # equal cycles under a symmetric pairing: every product is nonzero
-        pairing = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-        data = data_for(2, [(1, 0), (Fraction(1, 2), 0), (3, 0)], pairing=pairing)
-        complex_ = monodromy.build_stalk_complex(data)
-        assert [len(level) for level in complex_.summands] == [1, 3, 3, 1]
-        assert complex_.dims == (2, 3, 3, 1)
-
 
 def reference_differential(complex_, logs, p):
     """Degree-p differential with every block solved by rref.
@@ -667,79 +660,42 @@ def reference_differential(complex_, logs, p):
     return rows
 
 
-def dropped_factor_blocks(complex_, p):
-    """(row, column) of each degree-p block that drops a later factor."""
-    sources = {jdx: k for k, (jdx, _) in enumerate(complex_.summands[p])}
-    return [
-        (r, sources[idx[:l] + idx[l + 1 :]])
-        for r, (idx, _) in enumerate(complex_.summands[p + 1])
-        for l in range(1, len(idx))
-        if idx[:l] + idx[l + 1 :] in sources
-    ]
-
-
 class TestDroppedFactorBlocks:
-    # a non-symmetric pairing and proportional cycles with <v, v> != 0:
-    # the logs commute and every product of them is nonzero, so dropping
-    # a later factor gives a nonzero block
-    PAIRING = [[2, 1, 0], [0, 1, -1], [1, 0, 3]]
-    CYCLES = [(1, -1, 2), (Fraction(1, 2), Fraction(-1, 2), 1), (-3, 3, -6)]
+    """On data the builder accepts, no block prepends or drops a factor.
 
-    def test_differentials_match_rref_coordinates(self):
-        data = data_for(3, self.CYCLES, pairing=self.PAIRING)
-        for sign in (1, -1):
-            complex_ = monodromy.build_stalk_complex(data, sign)
-            assert complex_.dims == (3, 3, 3, 1)
-            assert dropped_factor_blocks(complex_, 1)
-            logs = [log_matrix(data.int_pairing, v, sign) for v in data.int_cycles]
-            for p, diff in enumerate(complex_.differentials):
-                assert [list(r) for r in diff] == reference_differential(
-                    complex_, logs, p
-                )
-                for r, c in dropped_factor_blocks(complex_, p):
-                    assert diff[r][c] != 0
-
-    def test_differentials_compose_to_zero(self):
-        data = data_for(3, self.CYCLES, pairing=self.PAIRING)
-        for sign in (1, -1):
-            complex_ = monodromy.build_stalk_complex(data, sign)
-            for a, b in zip(complex_.differentials[1:], complex_.differentials):
-                product = linalg.matmul([list(r) for r in a], [list(r) for r in b])
-                assert all(x == 0 for row in product for x in row)
+    Every differential past d0 is empty, and d0 holds the rref
+    coordinates of each log applied to the identity summand.
+    """
 
     def test_image_off_the_line_rejected(self):
-        # <v_1, v_0> = 1 under the identity pairing, and N_1 carries v_0
-        # onto v_1, which is not a multiple of v_0
+        # <v_1, v_0> = 1 under the identity pairing: N_1 carries v_0 onto
+        # v_1, which is not a multiple of v_0, and N_1 N_0 is nonzero
         pairing = [[1, 0], [0, 1]]
         data = data_for(2, [(1, 0), (1, 1)], pairing=pairing)
-        with pytest.raises(PreconditionError, match=FAIL_COMMUTING):
+        with pytest.raises(PreconditionError, match=FAIL_ORTHOGONALITY):
             monodromy.build_stalk_complex(data)
 
     def test_random_blocks_are_signed_gram_entries(self):
         rng = random.Random(28)
-        deep = 0
-        for _ in range(200):
-            data = random_non_skew_data(rng)
-            gram = data.gram
+        reached = 0
+        for _ in range(40):
+            data = random_monodromy_data(rng, max_half_dim=4, max_delta=6)
             for sign in (1, -1):
                 complex_ = monodromy.build_stalk_complex(data, sign)
                 logs = [log_matrix(data.int_pairing, v, sign) for v in data.int_cycles]
-                for p, diff in enumerate(complex_.differentials):
-                    assert [list(r) for r in diff] == reference_differential(
-                        complex_, logs, p
+                assert not any(complex_.differentials[1:])
+                if data.delta:
+                    assert [list(r) for r in complex_.differentials[0]] == (
+                        reference_differential(complex_, logs, 0)
                     )
-                    if p == 0:
-                        continue
-                    for (idx, _), row in zip(complex_.summands[p + 1], diff):
-                        allowed = {0, sign * gram[idx[0]][idx[1]]}
-                        allowed.update(
-                            (-1) ** l * sign * gram[d][d]
-                            for l, d in enumerate(idx) if l
-                        )
-                        assert set(row) <= allowed
-            deep += any(complex_.dims[2:])
-        # the draws must reach products of two or more logs
-        assert deep >= 50
+                    reached += 1
+        assert reached >= 40
+
+
+# a non-symmetric pairing and proportional cycles with <v, v> != 0: the
+# logs commute, but every product of them is nonzero
+DEEP_PAIRING = [[2, 1, 0], [0, 1, -1], [1, 0, 3]]
+DEEP_CYCLES = [(1, -1, 2), (Fraction(1, 2), Fraction(-1, 2), 1), (-3, 3, -6)]
 
 
 def random_non_skew_data(rng):
@@ -793,15 +749,23 @@ class TestTextbookComplex:
                 self.check(data, sign)
 
     def test_non_skew_proportional_cycles(self):
+        # the builder refuses every draw with a nonzero product of two logs
         rng = random.Random(25)
-        deep = 0
+        refused = matched = 0
         for _ in range(30):
             data = random_non_skew_data(rng)
-            for sign in (1, -1):
-                complex_ = self.check(data, sign)
-                deep += any(complex_.dims[2:])
-        # the draws must reach products of two or more logs
-        assert deep >= 10
+            gram = data.gram
+            if any(g for i, row in enumerate(gram) for j, g in enumerate(row) if i != j):
+                for sign in (1, -1):
+                    with pytest.raises(PreconditionError, match=FAIL_ORTHOGONALITY):
+                        monodromy.build_stalk_complex(data, sign)
+                refused += 1
+            else:
+                for sign in (1, -1):
+                    self.check(data, sign)
+                matched += 1
+        # the draws must reach both cases
+        assert refused >= 5 and matched >= 5
 
 
 def document(data):
@@ -812,11 +776,6 @@ def document(data):
         "cycles": [[linalg.rational_to_json(x) for x in c] for c in data.cycles],
         "h_ambient": data.h_ambient,
     }
-
-
-class NoFraction(Fraction):
-    def __new__(cls, *args, **kwargs):
-        raise AssertionError("a Fraction was built on an integer path")
 
 
 class TestIntegerPath:
@@ -840,24 +799,32 @@ class TestIntegerPath:
         assert json.loads(capsys.readouterr().out)["h0"] >= 0
 
     def test_cohomology_of_deep_complex_builds_no_fraction(self, monkeypatch):
-        # the d∘d check multiplies the differentials of degrees 1 -> 2 -> 3
-        data = data_for(
-            3, TestDroppedFactorBlocks.CYCLES, pairing=TestDroppedFactorBlocks.PAIRING
+        data = data_for(3, DEEP_CYCLES, pairing=DEEP_PAIRING)
+        # a hand-built complex with two nonempty differentials, so the
+        # d∘d check multiplies them
+        deep = monodromy.StalkComplex(
+            dim=2,
+            summands=((), (), ()),
+            differentials=(((1, 0),), ((0,),)),
+            dims=(2, 1, 1),
         )
         monkeypatch.setattr(monodromy, "Fraction", NoFraction)
         monkeypatch.setattr(linalg, "Fraction", NoFraction)
         for sign in (1, -1):
-            complex_ = monodromy.build_stalk_complex(data, sign)
-            assert complex_.dims == (3, 3, 3, 1)
-            assert monodromy.complex_cohomology(complex_) == [2, 0, 0, 0]
+            with pytest.raises(PreconditionError, match=FAIL_ORTHOGONALITY):
+                monodromy.build_stalk_complex(data, sign)
+        assert monodromy.complex_cohomology(deep) == [1, 0, 1]
 
     def test_points_and_chase_commands_build_no_fraction(
         self, monkeypatch, tmp_path, capsys
     ):
         """``points`` on a rational grid and the chase commands build no Fraction.
 
-        ``grid`` and ``paper-examples`` are left out: ``points.grid_nodes``
-        still builds its grid coordinates as Fractions.
+        ``grid`` and ``paper-examples`` are left out, though
+        ``points.grid_nodes`` builds none: ``ProjectivePointSet.points``
+        builds the lead-1 Fractions that ``grid`` prints, and
+        ``bott.ci_threshold``, which ``paper-examples`` calls, builds its
+        bound as a Fraction.
         """
         axis = ["1/2", -3, "5/3"]
         grid = {
@@ -893,7 +860,7 @@ class TestIntegerPath:
 def random_unconstrained_data(rng):
     """Random pairing and cycles with no invariant imposed.
 
-    Most draws fail several checks at once, commutation included.
+    Most draws fail several checks at once.
     """
     m = rng.randint(1, 3)
     pairing = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(m)]
@@ -905,7 +872,8 @@ def random_unconstrained_data(rng):
 
 
 def reference_diagnostics(data):
-    """Diagnostics from the Fraction pairing and explicit logarithm matrices."""
+    """Diagnostics from the Fraction pairing, and whether the explicit
+    logarithm matrices commute pairwise."""
     pairing = [list(r) for r in data.pairing]
     cycles = data.cycles
     m = data.dim
@@ -925,16 +893,15 @@ def reference_diagnostics(data):
         (nondegenerate, FAIL_DEGENERATE),
         (cycles_nonzero, FAIL_ZERO_CYCLE),
         (orthogonal, FAIL_ORTHOGONALITY),
-        (commute, FAIL_COMMUTING),
     )
-    return monodromy.Diagnostics(
+    diagnostics = monodromy.Diagnostics(
         skew=skew,
         nondegenerate=nondegenerate,
         cycles_nonzero=cycles_nonzero,
         pairwise_orthogonal=orthogonal,
-        logs_commute=commute,
         failures=tuple(name for passed, name in checks if not passed),
     )
+    return diagnostics, commute
 
 
 class TestGram:
@@ -963,15 +930,22 @@ class TestGram:
 
     def test_diagnostics_match_explicit_products(self):
         failed = set()
+        non_commuting = 0
         for data in self.draws():
             diagnostics = monodromy.validate(data)
-            assert diagnostics == reference_diagnostics(data)
+            expected, commute = reference_diagnostics(data)
+            assert diagnostics == expected
             failed.update(diagnostics.failures)
-        # the draws must reach every failure, non-commuting logs included
+            # no commutation test is needed: skew data with orthogonal
+            # cycles has logs that commute
+            if not commute:
+                assert {FAIL_SKEW, FAIL_ORTHOGONALITY} & set(diagnostics.failures)
+                non_commuting += 1
+        # the draws must reach every failure, and logs that do not commute
         assert failed == {
             FAIL_SKEW, FAIL_DEGENERATE, FAIL_ZERO_CYCLE, FAIL_ORTHOGONALITY,
-            FAIL_COMMUTING,
         }
+        assert non_commuting
 
     def test_no_dot_product_after_ingest(self, monkeypatch):
         rng = random.Random(28)
@@ -982,13 +956,7 @@ class TestGram:
             for _ in range(10)
         ]
         deep = MonodromyData.from_json(
-            document(
-                data_for(
-                    3,
-                    TestDroppedFactorBlocks.CYCLES,
-                    pairing=TestDroppedFactorBlocks.PAIRING,
-                )
-            )
+            document(data_for(3, DEEP_CYCLES, pairing=DEEP_PAIRING))
         )
 
         def no_dot(x, y):
@@ -1000,10 +968,11 @@ class TestGram:
             for sign in (1, -1):
                 monodromy.build_stalk_complex(data, sign)
                 monodromy.ic_stalk(data, sign)
-        assert monodromy.validate(deep) == reference_diagnostics(deep)
+        assert monodromy.validate(deep) == reference_diagnostics(deep)[0]
         for sign in (1, -1):
-            # a non-skew pairing keeps products of every length
-            assert monodromy.build_stalk_complex(deep, sign).dims == (3, 3, 3, 1)
+            # a non-skew pairing keeps products of two logs nonzero
+            with pytest.raises(PreconditionError, match=FAIL_ORTHOGONALITY):
+                monodromy.build_stalk_complex(deep, sign)
             with pytest.raises(PreconditionError, match=FAIL_SKEW):
                 monodromy.ic_stalk(deep, sign)
 

@@ -2,7 +2,7 @@
 
 Scaling the pairing by one nonzero rational, each cycle by its own, or
 moving the cycles by a symplectic map of the pairing changes no rank,
-skewness, orthogonality or commutation, so the diagnostics, the report
+skewness or orthogonality, so the diagnostics, the report
 (or the precondition it fails) and the shape of the complex must all be
 unchanged.  Examples are derandomised, so every run checks the same
 cases.

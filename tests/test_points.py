@@ -9,7 +9,7 @@ import pytest
 from nodalic import linalg, points
 from nodalic.errors import InputError, PreconditionError
 
-from helpers import monomial_basis, random_invertible
+from helpers import NoFraction, monomial_basis, random_invertible
 
 COLLINEAR = [(1, 0, 0), (1, 1, 0), (1, 2, 0)]
 
@@ -402,6 +402,24 @@ class TestGridNodes:
     def test_repeated_parameters_rejected(self):
         with pytest.raises(InputError, match="repeated"):
             points.grid_nodes(2, 3, [1, 1])
+
+    def test_default_grid_builds_no_fraction(self, monkeypatch):
+        shapes = [(1, 2), (1, 5), (2, 4), (3, 3), (4, 4)]
+        expected = {
+            (n, k): points.ProjectivePointSet.from_coordinates(
+                n,
+                [list(c) + [1] for c in product(range(1, k), repeat=n)],
+            ).vectors
+            for n, k in shapes
+        }
+        with monkeypatch.context() as patch:
+            for module in (points, linalg):
+                patch.setattr(module, "Fraction", NoFraction)
+            for n, k in shapes:
+                assert points.grid_nodes(n, k).vectors == expected[n, k]
+        # parameters are compared as rationals, however they are written
+        with pytest.raises(InputError, match="repeated"):
+            points.grid_nodes(1, 3, [Fraction(1, 2), Fraction(2, 4)])
 
     def test_wrong_parameter_count_rejected(self):
         with pytest.raises(InputError):
