@@ -124,7 +124,12 @@ def _grid(axes):
 
 
 def point_documents(rng):
-    """Point sets: complete, partial and off-grid, at infinity and on the line."""
+    """Point sets: complete, partial and off-grid, at infinity and on the line.
+
+    The complete grids include ones with 0 as an axis value, with points
+    at infinity mixed in, with more values per axis than the degree and
+    in four dimensions.
+    """
     complete = _grid([[Fraction(1, 2), -3, Fraction(5, 3)], [2, Fraction(-7, 2), 0]])
     partial = _grid([[1, 2, Fraction(-1, 3)], [0, 4, -1], [Fraction(3, 2), 5, -2]])
     rng.shuffle(partial)
@@ -135,6 +140,19 @@ def point_documents(rng):
             off_grid.append(point)
     infinity = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, -2, 0], ["1/2", 3, 1], [2, 2, 1]]
     line = [[1, 0], [0, 1], [1, 1], [-2, 3], ["5/2", 1], [7, -1]]
+    # the edges of the Newton support, drawn from their own generator so
+    # that the draws above stay as recorded: zero axis values, points at
+    # infinity, more values per axis than the degree, four dimensions,
+    # and a partial grid whose Newton rows share lead columns
+    edges = random.Random(1701)
+    zero_axis = _grid([[0, 2, Fraction(-1, 2)], [Fraction(3, 4), 0, -5]])
+    mixed_infinity = _grid([[1, Fraction(-2, 3), 4], [0, 3, Fraction(1, 2)]])
+    mixed_infinity += [[1, 0, 0], [0, 1, 0], [1, 1, 0], [2, -1, 0], ["-3/2", 1, 0]]
+    edges.shuffle(mixed_infinity)
+    wide = _grid([[Fraction(j, 2) for j in (-5, -3, -1, 1, 3, 5)], [-2, 0, 1, 3, 7, Fraction(9, 4)]])
+    four_dim = _grid([[0, 1, Fraction(-1, 2)], [2, -3], [Fraction(1, 3), 1], [-1, 0, 4]])
+    colliding = _grid([[1, Fraction(-2, 3), 3, 0], [Fraction(5, 2), -1, 2, 4]])
+    edges.shuffle(colliding)
     return {
         "complete-grid": ({"ambient_dim": 2, "points": complete}, (1, 2, 3)),
         "partial-grid": ({"ambient_dim": 3, "points": partial[:20]}, (2, 3)),
@@ -145,6 +163,11 @@ def point_documents(rng):
         "infinity": ({"ambient_dim": 2, "points": infinity}, (1, 2)),
         "line": ({"ambient_dim": 1, "points": line}, (2, 6)),
         "too-many-monomials": ({"ambient_dim": 2, "points": infinity}, (400,)),
+        "zero-axis-grid": ({"ambient_dim": 2, "points": zero_axis}, (1, 2, 3)),
+        "grid-with-infinity": ({"ambient_dim": 2, "points": mixed_infinity}, (2, 3, 4)),
+        "wide-axis-grid": ({"ambient_dim": 2, "points": wide}, (2, 3, 4)),
+        "four-dimensional-grid": ({"ambient_dim": 4, "points": four_dim}, (1, 2, 3)),
+        "colliding-partial-grid": ({"ambient_dim": 2, "points": colliding[:11]}, (2, 3, 4)),
     }
 
 
