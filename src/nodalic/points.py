@@ -13,9 +13,10 @@ Two coordinate vectors give the same projective point exactly when
 these vectors are equal, and the evaluation and coordinate matrices are
 built from them on plain ints, so no Fraction is made between the JSON
 document and the elimination kernel.  Reading a 256-point grid document
-takes about 1.7 ms instead of 5.8 ms with Fractions; ``points``, the
-lead-1 Fraction form, is derived only when asked for (by ``to_json``
-and the ``grid`` command).
+takes about 1.7 ms instead of 5.8 ms with Fractions.  ``points``, the
+lead-1 Fraction form, is derived only when an API caller asks for it;
+``to_json``, which the ``grid`` command prints, writes the same lead-1
+coordinates from the ints.
 
 The evaluation is built basis-major: one row per basis form of degree
 d, one entry per point.  Each coordinate's factors are vectors across
@@ -37,11 +38,26 @@ is unchanged.  Element k vanishes at every point whose node index in
 some coordinate i is below k_i.  On a complete grid, sorted by node
 index tuples, each nonzero row k is therefore zero before the point with
 indices k and nonzero there, so the rows have distinct lead columns, and
-:func:`nodalic.linalg.rank_int_rows` certifies their number as the rank
-with no elimination; the count is the Hilbert function #{k : k_i < m_i,
-|k| <= d} of Alon's Combinatorial Nullstellensatz (1999).  A set with
-no repeated ratio has no nodes, and its rows are the monomial ones.  A
-set of at most d + 1 points needs no matrix at all: distinct points
+their number is the rank with no elimination (the echelon certificate
+of :mod:`nodalic.linalg`); the count is the Hilbert function #{k : k_i <
+m_i, |k| <= d} of Alon's Combinatorial Nullstellensatz (1999).
+
+That certificate needs only where each row is zero, and the zero
+pattern is combinatorial, so no row is built for it.  Factor
+``q*x_i - p*x_h`` is zero at a point exactly when x_h != 0 and x_i/x_h
+is the node p/q, or when x_h = x_i = 0; a factor ``x_i`` past the nodes
+exactly when x_i = 0; and ``x_h^(d-|k|)`` exactly when x_h = 0 and
+|k| < d.  Over the integers a product is zero exactly when a factor is,
+so a row's support is the intersection of its factors' supports: an
+``&`` of int bitmasks over the points, one bit per point in node-index
+order, where the row build has a ``mul`` of lists.  The mask is the
+row's exact nonzero pattern, and its lowest bit the row's lead column.
+When the nonzero masks have distinct lowest bits their count is the
+rank; at the first shared lead the rows are built and eliminated.  A
+set with no repeated ratio has no nodes, and its rows are the monomial
+ones.
+
+A set of at most d + 1 points needs no matrix at all: distinct points
 impose independent conditions in every degree d >= delta - 1, since
 for each point a product of delta - 1 linear forms, one through each
 other point and none through it, separates it.  Nor does a set on the
@@ -56,7 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product, repeat
 from math import comb, gcd
-from operator import mul
+from operator import and_, mul
 
 from . import linalg
 from .errors import InputError, PreconditionError, check_int, check_reportable
@@ -95,6 +111,11 @@ def _primitive_vector(pairs, index):
     if next(x for x in vec if x) < 0:
         content = -content
     return tuple(x // content for x in vec)
+
+
+def _quotient_json(x, lead):
+    g = gcd(x, lead)
+    return x // g if g == lead else f"{x // g}/{lead // g}"
 
 
 @dataclass(frozen=True)
@@ -158,16 +179,18 @@ class ProjectivePointSet:
     def delta(self):
         return len(self.vectors)
 
-    def coordinate_matrix(self):
-        return [list(v) for v in self.vectors]
-
     def to_json(self):
-        return {
-            "ambient_dim": self.ambient_dim,
-            "points": [
-                [linalg.rational_to_json(x) for x in p] for p in self.points
-            ],
-        }
+        """The points with first nonzero coordinate 1, written from the ints.
+
+        Each coordinate x/lead takes one gcd: a bare int when the lead
+        divides x, else ``"p/q"``, the form of
+        :func:`nodalic.linalg.rational_to_json` (the lead is positive).
+        """
+        out = []
+        for vector in self.vectors:
+            lead = next(x for x in vector if x)
+            out.append([_quotient_json(x, lead) for x in vector])
+        return {"ambient_dim": self.ambient_dim, "points": out}
 
     @classmethod
     def from_json(cls, obj):
@@ -254,22 +277,28 @@ def _prefix_plan(n, d):
     return levels
 
 
-def _rows_from_tables(tables, n, d, ones):
-    """One row per exponent vector of degree d, along :func:`_prefix_plan`.
+def _vector_product(a, b):
+    return list(map(mul, a, b))
 
-    ``tables[i][e]`` is coordinate i's row for exponent e, the last
-    table being the homogenising coordinate's.  Each row is its prefix's
-    row times one table row, so the interpreter takes one step per row
-    and one multiplication per value.  An empty table row stands for a
-    zero row: ``map`` stops at the shorter row, so every row built from
-    it is empty too, at no cost.
+
+def _products_from_tables(tables, n, d, one, times):
+    """One product per exponent vector of degree d, along :func:`_prefix_plan`.
+
+    ``tables[i][e]`` is coordinate i's factor for exponent e, the last
+    table being the homogenising coordinate's, and ``times`` multiplies
+    two factors: :func:`_vector_product` on rows of values, one per
+    point, and ``and_`` on support bitmasks.  Each product is its
+    prefix's product times one table entry, so the interpreter takes one
+    step per exponent vector.  An empty table row stands for a zero row:
+    ``map`` stops at the shorter row, so every row built from it is empty
+    too, at no cost.
     """
     x, y = tables[-2:]
-    tables[-2] = [list(map(mul, x[e], y[f - e])) for f in range(d + 1) for e in range(f + 1)]
-    rows = [ones]
+    tables[-2] = [times(x[e], y[f - e]) for f in range(d + 1) for e in range(f + 1)]
+    products = [one]
     for factors, (parents, exponents) in zip(tables, _prefix_plan(n, d)):
-        rows = [list(map(mul, rows[p], factors[e])) for p, e in zip(parents, exponents)]
-    return rows
+        products = [times(products[p], factors[e]) for p, e in zip(parents, exponents)]
+    return products
 
 
 def evaluation_columns(pts, d):
@@ -278,8 +307,8 @@ def evaluation_columns(pts, d):
     Row ``j`` holds the ``j``-th degree-d monomial, in lexicographic
     order of exponent vectors, evaluated at every stored integer vector,
     in point order.  The power tables are vectors across all points, one
-    per exponent, combined by :func:`_rows_from_tables`.  Every row is a
-    fresh list.
+    per exponent, combined by :func:`_products_from_tables`.  Every row
+    is a fresh list.
     """
     _check_request(pts, d, "evaluation_columns")
     ones = [1] * pts.delta
@@ -290,7 +319,7 @@ def evaluation_columns(pts, d):
         for _ in range(d):
             powers.append(list(map(mul, powers[-1], xs)))
         tables.append(powers)
-    return _rows_from_tables(tables, pts.ambient_dim, d, ones)
+    return _products_from_tables(tables, pts.ambient_dim, d, ones, _vector_product)
 
 
 def _ratio_keys(xs, hs):
@@ -316,44 +345,94 @@ def _running_products(ones, factors, rest, d):
     return table
 
 
-def _newton_rows(pts, d):
-    """Nonzero rows of the degree-d Newton basis at the points.
+def _node_labelling(pts, d):
+    """The Newton basis's nodes, and each point's place in them, sorted.
 
     With h the last coordinate, the nodes of coordinate i < n are its
     ratios x_i/x_h that occur at two or more points, at most d of them,
-    in the order they first occur.  Factor j of coordinate i is
-    ``q*x_i - p*x_h`` for node j = p/q and ``x_i`` once the nodes run
-    out, and basis element k is ``x_h^(d-|k|)`` times the first k_i
-    factors of each coordinate i.  The points are sorted by their tuple
+    in the order they first occur.  The points are sorted by their tuple
     of node indices (a ratio that is no node counts as one past the
-    last), which only permutes the columns.  With no nodes nothing moves,
-    and the rows are those of :func:`evaluation_columns` less any that
-    hold a power of a coordinate zero at every point.
+    last), which only permutes the columns; with no nodes nothing moves.
+    Returns ``(hs, coordinates, nodes, runs)``, the first two being the
+    coordinates h and i < n in that order, and ``runs[i][c]`` the number
+    of leading factors of coordinate i (see :func:`_newton_rows`) that
+    are nonzero at point c, at most d: the node index of its ratio
+    x_i/x_h; where that is no node, the node count if x_i = 0 != x_h
+    (the next factor is x_i), 0 if x_h = x_i = 0, and d otherwise.
     """
     n = pts.ambient_dim
     hs = [vector[n] for vector in pts.vectors]
     coordinates = [[vector[i] for vector in pts.vectors] for i in range(n)]
-    nodes, labels = [], []
+    nodes, labels, runs = [], [], []
     for xs in coordinates:
         keys = _ratio_keys(xs, hs)
         counts = Counter(keys)
-        counts.pop(None, None)
+        at_infinity = counts.pop(None, 0)
         axis = [key for key, count in counts.items() if count > 1][:d]
         index = {key: j for j, key in enumerate(axis)}
         labels.append(list(map(index.get, keys, repeat(len(axis)))))
+        # x_i = 0 with x_h != 0 is ratio 0/1: its node, or past the nodes
+        # the factor x_i itself, is its first zero factor
+        index.setdefault((0, 1), len(axis))
+        run = list(map(index.get, keys, repeat(d)))
+        if at_infinity:
+            # where x_h = 0 a factor q*x_i - p*x_h is q*x_i
+            run = [r if h or x else 0 for r, x, h in zip(run, xs, hs)]
+        runs.append(run)
         nodes.append(axis)
     if any(nodes):
         order = sorted(range(pts.delta), key=list(zip(*labels)).__getitem__)
         hs = [hs[j] for j in order]
         coordinates = [[xs[j] for j in order] for xs in coordinates]
+        runs = [[run[j] for j in order] for run in runs]
+    return hs, coordinates, nodes, runs
+
+
+def _newton_rows(pts, d, labelling=None):
+    """Nonzero rows of the degree-d Newton basis at the points.
+
+    The nodes and the column order are those of :func:`_node_labelling`,
+    computed here unless ``labelling`` is given.  Factor j of coordinate
+    i is ``q*x_i - p*x_h`` for node j = p/q and ``x_i`` once the nodes
+    run out, and basis element k is ``x_h^(d-|k|)`` times the first k_i
+    factors of each coordinate i.  With no nodes the rows are those of
+    :func:`evaluation_columns` less any that hold a power of a coordinate
+    zero at every point.
+    """
+    hs, coordinates, nodes, _ = labelling or _node_labelling(pts, d)
     ones = [1] * pts.delta
     tables = []
     for xs, axis in zip(coordinates, nodes):
         factors = [[q * x - p * h for x, h in zip(xs, hs)] for p, q in axis]
         tables.append(_running_products(ones, factors, xs, d))
     tables.append(_running_products(ones, (), hs, d))
-    rows = _rows_from_tables(tables, n, d, ones)
+    rows = _products_from_tables(tables, pts.ambient_dim, d, ones, _vector_product)
     return [row for row in rows if row]
+
+
+def _at_least(code, e):
+    """Bitmask of the points whose byte in ``code``, last point first, is >= e."""
+    return int(code.translate(b"0" * e + b"1" * (256 - e)), 2)
+
+
+def _support_masks(labelling, d):
+    """Each degree-d Newton row's support, as a bitmask over the points.
+
+    Bit c stands for point c of :func:`_node_labelling`, and the masks
+    come in the order of the rows of :func:`_newton_rows` before its zero
+    rows are dropped, zero masks included.  A product of ints is nonzero
+    exactly where each factor is, so each coordinate's table holds, per
+    exponent e, the points whose run is at least e (the first e factors
+    are nonzero), the homogenising coordinate's the points with x_h != 0
+    for e >= 1, and the rows' ``mul`` becomes ``and_``.  Runs are at most
+    d, and d <= 139 once n >= 2 (``MAX_MONOMIALS``), so each fits a byte.
+    """
+    hs, _, _, runs = labelling
+    codes = [bytes(reversed(run)) for run in runs]
+    tables = [[_at_least(code, e) for e in range(d + 1)] for code in codes]
+    everyone = tables[0][0]
+    tables.append([everyone] + [_at_least(bytes(map(bool, reversed(hs))), 1)] * d)
+    return _products_from_tables(tables, len(runs), d, everyone, and_)
 
 
 def evaluation_matrix(pts, d):
@@ -398,17 +477,34 @@ def conditions_report(pts, d):
     After the checks of :func:`evaluation_columns`, a set of at most
     d + 1 points has rank delta by the separator theorem, and a set on
     the projective line has rank min(delta, d + 1), both with no matrix.
-    Otherwise the rows of :func:`_newton_rows` go straight to
-    :func:`nodalic.linalg.rank_int_rows`: they are fresh ints, so they
-    are not validated or copied again, and on a complete grid they are
-    in echelon form.
+    Otherwise the rank is read from the support of each Newton row
+    (:func:`_support_masks`), which is exact: a factor ``q*x_i - p*x_h``
+    is zero at a point exactly when x_h != 0 and x_i/x_h is the node p/q,
+    or x_h = x_i = 0; a factor ``x_i`` exactly when x_i = 0; and
+    ``x_h^(d-|k|)`` exactly when x_h = 0 and |k| < d; and a product of
+    ints is zero exactly when a factor is.  A row's lead column is the
+    lowest bit of its mask, so when the nonzero masks have distinct
+    lowest bits the rows are in echelon form and their count is the rank
+    (the echelon certificate of :mod:`nodalic.linalg`), with no row
+    built.  The leads are always distinct on a complete grid with two or
+    more values on two or more axes: there every axis value occurs at
+    two or more points, so the first d values of each axis are its
+    nodes.  At the first shared lead the rows of :func:`_newton_rows`,
+    from the same labelling, go straight to
+    :func:`nodalic.linalg.rank_int_rows`: they are fresh
+    ints, so they are not validated or copied again.
     """
     _check_request(pts, d, "conditions_report")
     width = comb(pts.ambient_dim + d, d)
     if d >= pts.delta - 1 or pts.ambient_dim == 1:
         rank = min(pts.delta, d + 1)
     else:
-        rank = linalg.rank_int_rows(_newton_rows(pts, d), pts.delta)
+        labelling = _node_labelling(pts, d)
+        masks = [mask for mask in _support_masks(labelling, d) if mask]
+        if len({mask & -mask for mask in masks}) == len(masks):
+            rank = len(masks)
+        else:
+            rank = linalg.rank_int_rows(_newton_rows(pts, d, labelling), pts.delta)
     return ConditionsReport(
         delta=pts.delta,
         degree=d,
@@ -455,7 +551,10 @@ def normal_crossing_check(pts):
     """
     if not isinstance(pts, ProjectivePointSet):
         raise InputError("normal_crossing_check expects a ProjectivePointSet")
-    rank = linalg.rank_int_rows(pts.coordinate_matrix(), pts.ambient_dim + 1)
+    # the coordinate matrix, transposed: delta rows would be reduced as
+    # their transpose anyway, and this is its one copy
+    columns = [list(column) for column in zip(*pts.vectors)]
+    rank = linalg.rank_int_rows(columns, pts.delta)
     return NormalCrossingCheck(
         independent_branches=rank == pts.delta,
         tangent_intersection_dim=pts.ambient_dim - rank,

@@ -143,7 +143,8 @@ def point_documents(rng):
     # the edges of the Newton support, drawn from their own generator so
     # that the draws above stay as recorded: zero axis values, points at
     # infinity, more values per axis than the degree, four dimensions,
-    # and a partial grid whose Newton rows share lead columns
+    # and a partial grid whose Newton rows share lead columns at degree 4
+    # (at degrees 2 and 3 their leads are distinct)
     edges = random.Random(1701)
     zero_axis = _grid([[0, 2, Fraction(-1, 2)], [Fraction(3, 4), 0, -5]])
     mixed_infinity = _grid([[1, Fraction(-2, 3), 4], [0, 3, Fraction(1, 2)]])

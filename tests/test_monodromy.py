@@ -818,13 +818,10 @@ class TestIntegerPath:
     def test_points_and_chase_commands_build_no_fraction(
         self, monkeypatch, tmp_path, capsys
     ):
-        """``points`` on a rational grid and the chase commands build no Fraction.
+        """``points`` on a rational grid, ``grid`` and the chase commands build no Fraction.
 
-        ``grid`` and ``paper-examples`` are left out, though
-        ``points.grid_nodes`` builds none: ``ProjectivePointSet.points``
-        builds the lead-1 Fractions that ``grid`` prints, and
-        ``bott.ci_threshold``, which ``paper-examples`` calls, builds its
-        bound as a Fraction.
+        Only ``paper-examples`` is left out: ``bott.ci_threshold``, which
+        it calls, builds its bound as a Fraction.
         """
         axis = ["1/2", -3, "5/3"]
         grid = {
@@ -847,6 +844,7 @@ class TestIntegerPath:
             ["koszul", "--n", "2", "--degrees", "2,2", "--twist", "3"],
             ["eagon-northcott", "--n", "3", "--quadrics", "2", "--twist", "2"],
             ["chase", "--input", str(resolution_path), "--twist", "2"],
+            ["grid", "--n", "2", "--k", "4"],
         ]
         for module in (linalg, points, bott, monodromy):
             monkeypatch.setattr(module, "Fraction", NoFraction)

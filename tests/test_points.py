@@ -45,6 +45,24 @@ class TestPointSet:
         assert doc["points"][0] == [1, "1/2", 3]
         assert points.ProjectivePointSet.from_json(doc) == pts
 
+    def test_json_matches_the_fraction_form(self):
+        rng = random.Random(331)
+        values = [0, 0, 1, -1, 2, -6, Fraction(1, 2), Fraction(-3, 4), Fraction(10, 9)]
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            coords = {}
+            while len(coords) < rng.randint(1, 12):
+                vector = [rng.choice(values) for _ in range(n + 1)]
+                if any(vector):
+                    lead = next(x for x in vector if x)
+                    coords.setdefault(tuple(x / lead for x in vector), vector)
+            pts = point_set(n, list(coords.values()))
+            expected = [[linalg.rational_to_json(x) for x in p] for p in pts.points]
+            assert pts.to_json() == {"ambient_dim": n, "points": expected}
+        # a lead that is not the first coordinate, and entries it does not divide
+        pts = point_set(2, [(0, 6, -4), (0, 0, -3), (0, Fraction(-4, 3), 2)])
+        assert pts.to_json()["points"] == [[0, 1, "-2/3"], [0, 0, 1], [0, 1, "-3/2"]]
+
     def test_json_exact_keys(self):
         doc = point_set(1, [(1, 0)]).to_json()
         doc["note"] = "x"
@@ -726,7 +744,11 @@ class TestNewtonRank:
         shuffled = random.Random(n * k * d).sample(rational.vectors, rational.delta)
         for grid in (points.grid_nodes(n, k), rational, point_set(n, shuffled)):
             assert grid.delta > d + 1
-            assert points.conditions_report(grid, d).rank == count
+            # the support masks certify the rank: no row is built or ranked
+            with monkeypatch.context() as patch:
+                patch.setattr(points, "_newton_rows", refuse)
+                patch.setattr(linalg, "rank_int_rows", refuse)
+                assert points.conditions_report(grid, d).rank == count
             # the running products stop at zero, so no zero row is built
             assert len(points._newton_rows(grid, d)) == count
 
@@ -743,6 +765,102 @@ class TestNewtonRank:
             ]
             pts = point_set(n, coords)
             assert points._newton_rows(pts, d) == points.evaluation_columns(pts, d)
+
+
+def newton_values(pts, d, labelling):
+    """Each Newton basis element at each point, one product per entry.
+
+    The nodes and the point order are the labelling's; rows come in the
+    order of ``monomial_basis``, zero rows included.
+    """
+    hs, coordinates, nodes, _ = labelling
+    rows = []
+    for k in monomial_basis(pts.ambient_dim, d):
+        row = []
+        for c, h in enumerate(hs):
+            value = h ** k[-1]
+            for xs, axis, e in zip(coordinates, nodes, k):
+                for j in range(e):
+                    # past the nodes the factor is x_i itself
+                    p, q = axis[j] if j < len(axis) else (0, 1)
+                    value *= q * xs[c] - p * h
+            row.append(value)
+        rows.append(row)
+    return rows
+
+
+def degenerate_grid(rng, n):
+    """A product grid, complete, shuffled or partial, some with odd points.
+
+    The axes may hold 0; the odd points are points at infinity (x_h = 0,
+    some with x_i = 0 too), points with zero coordinates, and points
+    whose ratios repeat off the grid, so that nodes beyond the degree's
+    cut are repeated ratios that are no node.  Every point is rescaled
+    by a random nonzero rational.  Returns the set and whether it is a
+    complete grid whose axis values all repeat, that is one with two or
+    more values on two or more axes.
+    """
+    values = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)]
+    axes = [rng.sample(values, rng.randint(1, 4)) for _ in range(n)]
+    coords = [[*choice, 1] for choice in product(*axes)]
+    kind = rng.choice(("complete", "shuffled", "partial", "odd"))
+    if kind != "complete":
+        rng.shuffle(coords)
+    if kind == "partial":
+        coords = coords[:rng.randint(1, len(coords))]
+    if kind == "odd":
+        coords = coords[:rng.randint(1, len(coords))]
+        for _ in range(rng.randint(1, 6)):
+            point = [rng.choice((0, 0, 1, -2, Fraction(9, 2))) for _ in range(n + 1)]
+            point[-1] = rng.choice((0, 0, 1, 3))
+            coords.append(point)
+    distinct = {}
+    for c in coords:
+        if any(c):
+            lead = next(x for x in c if x)
+            scale = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+            distinct.setdefault(tuple(x / lead for x in c), [scale * x for x in c])
+    repeats = sum(len(axis) > 1 for axis in axes) >= 2
+    return point_set(n, list(distinct.values())), repeats and kind in ("complete", "shuffled")
+
+
+class TestSupportMasks:
+    def test_masks_are_the_nonzero_pattern_of_the_rows(self, monkeypatch):
+        rng = random.Random(2301)
+        built = []
+        newton_rows = points._newton_rows
+
+        def recorded(pts, d, labelling=None):
+            built.append((pts, d))
+            return newton_rows(pts, d, labelling)
+
+        monkeypatch.setattr(points, "_newton_rows", recorded)
+        outcomes = {"certified": 0, "fallback": 0}
+        for _ in range(400):
+            n = rng.randint(2, 3)
+            pts, complete = degenerate_grid(rng, n)
+            # below, at and above the node counts of the axes
+            d = rng.randint(0, 5)
+            labelling = points._node_labelling(pts, d)
+            masks = points._support_masks(labelling, d)
+            rows = newton_values(pts, d, labelling)
+            assert masks == [sum(1 << c for c, x in enumerate(row) if x) for row in rows]
+            built_rows = newton_rows(pts, d, labelling)
+            assert [r for r in built_rows if any(r)] == [r for r in rows if any(r)]
+            if pts.delta <= d + 1:
+                continue
+            nonzero = [mask for mask in masks if mask]
+            certified = len({mask & -mask for mask in nonzero}) == len(nonzero)
+            assert certified or not complete
+            expected = kernel_rank(monomial_rows(pts, d), comb(n + d, n))
+            if certified:
+                assert len(nonzero) == expected
+            built.clear()
+            assert points.conditions_report(pts, d).rank == expected
+            # the rows are built exactly when two masks share a lead
+            assert built == ([] if certified else [(pts, d)])
+            outcomes["certified" if certified else "fallback"] += 1
+        assert min(outcomes.values()) >= 20
 
 
 class TestSeparatorTheorem:
