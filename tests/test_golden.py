@@ -172,6 +172,69 @@ def point_documents(rng):
     }
 
 
+def _spelling(value, rng):
+    """One literal for ``value``: a bare int, its string, or an unreduced fraction."""
+    value = Fraction(value)
+    m = rng.choice((1, 2, 3, 7))
+    spellings = [f"{value.numerator * m}/{value.denominator * m}"]
+    if value.denominator == 1:
+        spellings += [value.numerator, str(value.numerator)]
+    return rng.choice(spellings)
+
+
+def ingest_documents():
+    """Point sets that exercise reading a document, and its error order.
+
+    Drawn from their own generator, so that the documents above stay as
+    recorded: literals written unreduced ("2/4", "-6/3") or as both 1
+    and "1", every point rescaled so that leads are negative or zero,
+    points at infinity, an empty set, literals near the interpreter's
+    digit limit, and one document per pair of point errors whose order
+    is fixed (a zero vector, a short point, a repeated point, a point
+    that is not an array and a bad literal).
+    """
+    rng = random.Random(1801)
+    factors = (-3, -1, Fraction(-1, 2), Fraction(1, 3), 1, 2)
+
+    def rescaled(point):
+        factor = rng.choice(factors)
+        return [_spelling(factor * Fraction(x), rng) for x in point]
+
+    axes = [[0, Fraction(1, 2), -2, 3], [Fraction(-2, 3), 0, 1, Fraction(5, 4)]]
+    unreduced = [rescaled(point) for point in _grid(axes)]
+    rng.shuffle(unreduced)
+    ones = [[1, "1", 1], ["1", 2, 1], [1, 3, "1"], [0, "1", 1], ["2/4", "-6/3", 1], [-1, "-1", 2]]
+    at_infinity = [[1, 0, 0], [0, 1, 0], [1, -1, 0], ["-1/3", 2, 0], [5, 3, 0]]
+    at_infinity += [rescaled(point) for point in _grid([[-1, 0, 2], [3, Fraction(1, 2)]])]
+    rng.shuffle(at_infinity)
+    long = int("7" * 4290)
+    digits = [
+        [long, 1, 1],
+        [1, f"{'3' * 4300}/{'1' * 4300}", 1],
+        [f"-{'9' * 4299}", 0, 2],
+        [1, 2, -long],
+        ["1/2", 1, 1],
+    ]
+    short, zero = [1, 2], [0, "0/5", 0]
+    errors = {
+        "zero-before-short": [[1, 2, 3], zero, [1, 1, 1], short],
+        "duplicate-before-zero": [[1, 2, 3], [4, 5, 6], ["2/2", "4/2", 3], [7, 8, 9], zero],
+        "short-before-duplicate": [[1, 2, 3], short, [-2, -4, "-6"]],
+        "literal-after-non-array": [[1, 2, 3], 5, [1, 1.5, 1]],
+        "literal-before-non-array": [[1, "x", 1], "abc", [1, 2, 3]],
+        "too-many-digits": [[1, 2, 3], [1, "1/" + "1" * 4301, 1]],
+    }
+    out = {
+        "unreduced": ({"ambient_dim": 2, "points": unreduced}, (1, 2, 3)),
+        "ones": ({"ambient_dim": 2, "points": ones}, (1, 2)),
+        "at-infinity": ({"ambient_dim": 2, "points": at_infinity}, (1, 2, 3)),
+        "empty": ({"ambient_dim": 2, "points": []}, (0, 2)),
+        "digit-limit": ({"ambient_dim": 2, "points": digits}, (1, 2)),
+    }
+    out.update((name, ({"ambient_dim": 2, "points": doc}, (2,))) for name, doc in errors.items())
+    return out
+
+
 KOSZUL_RESOLUTION = {
     "ambient_dim": 2,
     "resolved_twist": 0,
@@ -186,6 +249,11 @@ PLAIN_RUNS = {
     "eagon-northcott": ["eagon-northcott", "--n", "3", "--quadrics", "2"],
     "eagon-northcott-twist": ["eagon-northcott", "--n", "4", "--quadrics", "3", "--twist", "2"],
     "grid": ["grid", "--n", "2", "--k", "4"],
+    "grid-line": ["grid", "--n", "1", "--k", "2"],
+    "grid-long-line": ["grid", "--n", "1", "--k", "9"],
+    "grid-plane": ["grid", "--n", "2", "--k", "6"],
+    "grid-solid": ["grid", "--n", "3", "--k", "3"],
+    "grid-four": ["grid", "--n", "4", "--k", "4"],
     "grid-oversized": ["grid", "--n", "30", "--k", "30"],
     "paper-examples-defaults": ["paper-examples"],
     "paper-examples-small": [
@@ -238,6 +306,10 @@ def corpus(directory):
         path = write(f"points-{name}.json", doc)
         for d in degrees:
             runs[f"points {name} degree {d}"] = ["points", "--input", path, "--degree", str(d)]
+    for name, (doc, degrees) in ingest_documents().items():
+        path = write(f"ingest-{name}.json", doc)
+        for d in degrees:
+            runs[f"points ingest-{name} degree {d}"] = ["points", "--input", path, "--degree", str(d)]
     path = write("resolution.json", KOSZUL_RESOLUTION)
     for twist in ("2", "5", "-1", "2000000"):
         runs[f"chase twist {twist}"] = ["chase", "--input", path, "--twist", twist]
