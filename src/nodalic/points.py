@@ -12,8 +12,14 @@ integer representative of the point, its first nonzero entry positive.
 Two coordinate vectors give the same projective point exactly when
 these vectors are equal, and the evaluation and coordinate matrices are
 built from them on plain ints, so no Fraction is made between the JSON
-document and the elimination kernel.  Reading a 256-point grid document
-takes about 1.7 ms instead of 5.8 ms with Fractions.  ``points``, the
+document and the elimination kernel.  The vectors are built column by
+column: each distinct literal of a document is parsed once, each
+coordinate's numerators and denominators are looked up across all
+points, and the lcm, the scaling, the content and the division are
+each one ``map`` across the points, so the interpreter takes a step per
+coordinate, not per point.  Reading a 256-point grid document takes
+about 0.8 ms instead of 2.0 ms point by point (CPython 3.11, shared
+2-vCPU VM).  ``points``, the
 lead-1 Fraction form, is derived only when an API caller asks for it;
 ``to_json``, which the ``grid`` command prints, writes the same lead-1
 coordinates from the ints.
@@ -70,9 +76,9 @@ points, so the rank is min(delta, d + 1).
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
-from math import comb, gcd
-from operator import and_, mul
+from itertools import chain, product, repeat
+from math import comb, gcd, lcm
+from operator import and_, floordiv, itemgetter, lt, mul
 
 from . import linalg
 from .errors import InputError, PreconditionError, check_int, check_reportable
@@ -98,19 +104,55 @@ FAIL_GRID_SIZE = (
 )
 
 
-def _primitive_vector(pairs, index):
-    """Integer vector of a point given as (numerator, denominator) pairs.
+def _first_false(flags):
+    """Index of the first false flag, or the number of flags if none is."""
+    flags = list(flags)
+    return flags.index(False) if False in flags else len(flags)
 
-    The result is primitive with its first nonzero entry positive, so it
-    depends only on the projective point.
+
+def _shaped_prefix(ambient_dim, coordinates):
+    """``(end, error)``: the points before ``end`` are vectors of n + 1 entries.
+
+    ``error`` is the InputError of point ``end``, which is no list or
+    tuple or has another length, or None when every point is well shaped.
     """
-    _, vec = linalg.clear_denominators(pairs)
-    content = gcd(*vec)
-    if content == 0:
-        raise InputError(f"point {index} is the zero vector")
-    if next(x for x in vec if x) < 0:
-        content = -content
-    return tuple(x // content for x in vec)
+    check_int(ambient_dim, "ambient_dim", minimum=1)
+    if not isinstance(coordinates, (list, tuple)):
+        raise InputError("points must be a list of coordinate vectors")
+    width = ambient_dim + 1
+    end = _first_false(map(isinstance, coordinates, repeat((list, tuple))))
+    short = _first_false(map(width.__eq__, map(len, coordinates[:end])))
+    if short < end:
+        return short, InputError(
+            f"point {short} has {len(coordinates[short])} coordinates, expected {width}"
+        )
+    if end < len(coordinates):
+        return end, InputError(f"point {end} is not a coordinate vector")
+    return end, None
+
+
+def _literal_tables(literals):
+    """Numerator and denominator of each literal, keyed by the literal.
+
+    The literals are parsed in document order, so the first bad one
+    raises.  An int never equals a string, so when every literal is one
+    or the other each distinct value is parsed once.  Otherwise some
+    literal is true, 1.0 or the like, which equals an int but must not
+    pass for it, or a list, which cannot be a key: every literal is
+    parsed as written, up to the first bad one.
+    """
+    if set(map(type, literals)) <= {int, str}:
+        literals = dict.fromkeys(literals)
+    numerator, denominator = {}, {}
+    for x in literals:
+        numerator[x], denominator[x] = linalg.parse_rational_pair(x)
+    return numerator, denominator
+
+
+def _look_up(table, keys):
+    """``table[key]`` for each of one or more ``keys``, in one C-level pass."""
+    values = itemgetter(*keys)(table)
+    return values if len(keys) > 1 else (values,)
 
 
 def _quotient_json(x, lead):
@@ -135,36 +177,66 @@ class ProjectivePointSet:
     @classmethod
     def from_coordinates(cls, ambient_dim, coordinates):
         """Point set from coordinate vectors of ints or Fractions."""
-        return cls._from_pairs(ambient_dim, coordinates, rational=True)
+        end, error = _shaped_prefix(ambient_dim, coordinates)
+        columns = list(zip(*coordinates[:end]))
+        try:
+            values = [list(map(linalg.as_rational, column)) for column in columns]
+        except InputError:
+            # the first bad entry in point order ends the prefix
+            for end, point in enumerate(zip(*columns)):
+                try:
+                    linalg.rational_pairs(point)
+                except InputError as err:
+                    error = err
+                    break
+            values = [list(map(linalg.as_rational, column[:end])) for column in columns]
+        return cls._from_columns(
+            ambient_dim,
+            [[x.numerator for x in column] for column in values],
+            [[x.denominator for x in column] for column in values],
+            error,
+        )
 
     @classmethod
-    def _from_pairs(cls, ambient_dim, coordinates, rational=False):
-        # each point's coordinates are (numerator, denominator) pairs, or
-        # ints and Fractions when rational is true, converted after the
-        # point's shape is checked
-        check_int(ambient_dim, "ambient_dim", minimum=1)
-        if not isinstance(coordinates, (list, tuple)):
-            raise InputError("points must be a list of coordinate vectors")
-        vectors = []
-        seen = {}
-        for i, coords in enumerate(coordinates):
-            if not isinstance(coords, (list, tuple)):
-                raise InputError(f"point {i} is not a coordinate vector")
-            if len(coords) != ambient_dim + 1:
-                raise InputError(
-                    f"point {i} has {len(coords)} coordinates, "
-                    f"expected {ambient_dim + 1}"
-                )
-            if rational:
-                coords = linalg.rational_pairs(coords)
-            vector = _primitive_vector(coords, i)
-            if vector in seen:
-                raise InputError(
-                    f"points {seen[vector]} and {i} coincide as projective points"
-                )
-            seen[vector] = i
-            vectors.append(vector)
-        return cls(ambient_dim=ambient_dim, vectors=tuple(vectors))
+    def _from_columns(cls, ambient_dim, numerators, denominators, error=None):
+        """Point set from its coordinates, one column per coordinate.
+
+        ``numerators[i]`` and ``denominators[i]`` hold coordinate i of
+        every point, the denominators positive; with no points there are
+        no columns.  ``error`` is the InputError of the point after the
+        last, if any, raised unless a zero or repeated point comes first.
+        Each step is one ``map`` across all points: the points are scaled
+        by the lcm of their denominators and divided by the gcd of the
+        results, negated where the first nonzero entry is negative.  A
+        point whose gcd is 0 is the zero vector and ends the points.
+        """
+        if numerators:
+            scales = list(map(lcm, *denominators))
+            columns = [
+                list(map(mul, nums, map(floordiv, scales, dens)))
+                for nums, dens in zip(numerators, denominators)
+            ]
+            # a tuple is below the zero tuple exactly when its first
+            # nonzero entry is negative
+            negative = map(lt, zip(*columns), repeat((0,) * len(columns)))
+            signs = map((1, -1).__getitem__, negative)
+            contents = list(map(mul, map(gcd, *columns), signs))
+            if 0 in contents:
+                zero = contents.index(0)
+                error = InputError(f"point {zero} is the zero vector")
+                del contents[zero:]
+            vectors = tuple(zip(*[map(floordiv, column, contents) for column in columns]))
+        else:
+            vectors = ()
+        if len(set(vectors)) < len(vectors):
+            first = {}
+            for i, vector in enumerate(vectors):
+                j = first.setdefault(vector, i)
+                if j != i:
+                    raise InputError(f"points {j} and {i} coincide as projective points")
+        if error is not None:
+            raise error
+        return cls(ambient_dim=ambient_dim, vectors=vectors)
 
     @property
     def points(self):
@@ -205,28 +277,19 @@ class ProjectivePointSet:
         if not isinstance(raw, list):
             raise InputError('"points" must be an array of coordinate vectors')
         # every literal is parsed before any point is checked, so a bad
-        # literal is reported ahead of a short, zero or repeated point;
-        # each distinct literal is parsed once, keyed by its type too, so
-        # that true never takes the entry of 1
-        parsed = {}
-
-        def parse(x):
-            key = type(x), x
-            try:
-                return parsed[key]
-            except KeyError:
-                parsed[key] = pair = linalg.parse_rational_pair(x)
-                return pair
-            except TypeError:
-                # unhashable, so not a literal: parsing it raises
-                return linalg.parse_rational_pair(x)
-
-        coordinates = []
-        for i, vec in enumerate(raw):
-            if not isinstance(vec, list):
-                raise InputError(f"point {i} is not an array")
-            coordinates.append(list(map(parse, vec)))
-        return cls._from_pairs(obj["ambient_dim"], coordinates)
+        # literal is reported ahead of a short, zero or repeated point
+        arrays = _first_false(map(isinstance, raw, repeat(list)))
+        numerator, denominator = _literal_tables(list(chain.from_iterable(raw[:arrays])))
+        if arrays < len(raw):
+            raise InputError(f"point {arrays} is not an array")
+        end, error = _shaped_prefix(obj["ambient_dim"], raw)
+        columns = list(zip(*raw[:end]))
+        return cls._from_columns(
+            obj["ambient_dim"],
+            [_look_up(numerator, column) for column in columns],
+            [_look_up(denominator, column) for column in columns],
+            error,
+        )
 
 
 def _check_monomial_count(n, d):
@@ -622,8 +685,11 @@ def grid_nodes(n, k, parameters=None):
     check_int(k, "k", minimum=2)
     _check_grid_size(n, k)
     axes = _grid_parameters(n, k, parameters)
-    coordinates = [list(choice) + [(1, 1)] for choice in product(*axes)]
-    return ProjectivePointSet._from_pairs(n, coordinates)
+    # coordinate i runs over axis i in product order; the last is 1
+    numerators = list(zip(*product(*[[p for p, _ in axis] for axis in axes])))
+    denominators = list(zip(*product(*[[q for _, q in axis] for axis in axes])))
+    ones = [1] * len(numerators[0])
+    return ProjectivePointSet._from_columns(n, numerators + [ones], denominators + [ones])
 
 
 def node_count_ci(n, k):

@@ -6,9 +6,10 @@ every test is reproducible from its seed.
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from nodalic import linalg, points
-from nodalic.errors import check_int
+from nodalic.errors import InputError, check_int
 from nodalic.monodromy import MonodromyData
 
 
@@ -233,3 +234,30 @@ def monomial_basis(n, d):
                 yield (e,) + rest
 
     return list(walk(n + 1, d))
+
+
+def primitive_vectors(coordinates):
+    """Per-point oracle for ``ProjectivePointSet.vectors``: the textbook rule.
+
+    Each point, read as Fractions (ints, Fractions or "p/q" strings), is
+    scaled by the lcm of its denominators and divided by the gcd of the
+    results, negated when its first nonzero entry is negative.  Raises the
+    InputError of the first zero or repeated point, in point order.
+    """
+    vectors = []
+    for i, point in enumerate(coordinates):
+        point = [Fraction(x) for x in point]
+        scale = lcm(*(x.denominator for x in point))
+        ints = [int(x * scale) for x in point]
+        content = gcd(*ints)
+        if content == 0:
+            raise InputError(f"point {i} is the zero vector")
+        if next(x for x in ints if x) < 0:
+            content = -content
+        vector = tuple(x // content for x in ints)
+        if vector in vectors:
+            raise InputError(
+                f"points {vectors.index(vector)} and {i} coincide as projective points"
+            )
+        vectors.append(vector)
+    return tuple(vectors)

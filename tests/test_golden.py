@@ -309,7 +309,8 @@ def corpus(directory):
     for name, (doc, degrees) in ingest_documents().items():
         path = write(f"ingest-{name}.json", doc)
         for d in degrees:
-            runs[f"points ingest-{name} degree {d}"] = ["points", "--input", path, "--degree", str(d)]
+            argv = ["points", "--input", path, "--degree", str(d)]
+            runs[f"points ingest-{name} degree {d}"] = argv
     path = write("resolution.json", KOSZUL_RESOLUTION)
     for twist in ("2", "5", "-1", "2000000"):
         runs[f"chase twist {twist}"] = ["chase", "--input", path, "--twist", twist]

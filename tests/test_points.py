@@ -9,7 +9,7 @@ import pytest
 from nodalic import linalg, points
 from nodalic.errors import InputError, PreconditionError
 
-from helpers import NoFraction, monomial_basis, random_invertible
+from helpers import NoFraction, monomial_basis, primitive_vectors, random_invertible
 
 COLLINEAR = [(1, 0, 0), (1, 1, 0), (1, 2, 0)]
 
@@ -135,12 +135,50 @@ class TestPointSet:
                 "expected an integer or \"a/b\" string, got list: ['1/2']",
             ),
             ([[1, 2, 3], [1, 2, None]], 'expected an integer or "a/b" string, got NoneType: None'),
+            # then point by point: not an array, wrong length, zero, repeated
+            ([[1, 2, 3], [0, "0/5", 0], [1, 1, 1], [1, 2]], "point 1 is the zero vector"),
+            (
+                [[1, 2, 3], [4, 5, 6], ["2/2", "4/2", 3], [7, 8, 9], [0, 0, 0]],
+                "points 0 and 2 coincide as projective points",
+            ),
+            ([[1, 2, 3], [1, 2], [-2, -4, "-6"]], "point 1 has 2 coordinates, expected 3"),
+            ([[1, 2], [0, 0, 0], [1, 2, 3]], "point 0 has 2 coordinates, expected 3"),
+            ([[1, 2, 3], [0, 0, 0], [2, 4, 6]], "point 1 is the zero vector"),
+            # a point that is not an array stops the literal scan
+            ([[1, 2, 3], 5, [1, 1.5, 1]], "point 1 is not an array"),
+            ([[1, "x", 1], "abc", [1, 2, 3]], "not a rational literal: 'x'"),
+            ([[0, 0, 0], [1, 2], {"x": 1}], "point 2 is not an array"),
         ],
     )
     def test_document_error_messages(self, coords, message):
         doc = {"ambient_dim": 2, "points": coords}
         with pytest.raises(InputError) as err:
             points.ProjectivePointSet.from_json(doc)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "coords, message",
+        [
+            ([(1, 2, 3), (0, 0, 0), (1, 1, 1), (1, 2)], "point 1 is the zero vector"),
+            (
+                [(1, 2, 3), (4, 5, 6), (Fraction(1, 2), 1, Fraction(3, 2)), (7, 8, 9), (0, 0, 0)],
+                "points 0 and 2 coincide as projective points",
+            ),
+            ([(1, 2, 3), (1, 2), (-2, -4, -6)], "point 1 has 2 coordinates, expected 3"),
+            ([(1, 2, 3), 5, (1, 1.5, 1)], "point 1 is not a coordinate vector"),
+            ([(1, 1.5, 1), 5], "expected an int or Fraction, got float: 1.5"),
+            # an entry's type is checked after the earlier points
+            ([(0, 0, 0), (1, 1.5, 1)], "point 0 is the zero vector"),
+            ([(1, 2, 3), (2, 4, 6), (1, True, 1)], "points 0 and 1 coincide as projective points"),
+            ([(1, 2, 3), (1, 2, 1.5), (0, 0, 0)], "expected an int or Fraction, got float: 1.5"),
+            # point order, not column order
+            ([(1, 2, 3), (1, 2, 1.5), ("x", 1, 1)], "expected an int or Fraction, got float: 1.5"),
+            ([(1, 2, 3), (1, 2, 4), (1, 2)], "point 2 has 2 coordinates, expected 3"),
+        ],
+    )
+    def test_coordinate_error_order(self, coords, message):
+        with pytest.raises(InputError) as err:
+            point_set(2, coords)
         assert str(err.value) == message
 
     def test_coordinate_error_messages(self):
@@ -150,6 +188,93 @@ class TestPointSet:
         with pytest.raises(InputError) as err:
             point_set(2, [(1, 2), (1, 1.5, 1)])
         assert str(err.value) == "point 0 has 2 coordinates, expected 3"
+
+
+class TestColumnBuild:
+    """The column-wise build of all three constructors against a per-point oracle.
+
+    :func:`helpers.primitive_vectors` applies the textbook lcm, content
+    and sign rule point by point, and raises the first zero or repeated
+    point; the constructors must give the same vectors, the same lead-1
+    points, or the same error.
+    """
+
+    VALUES = (0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+
+    @staticmethod
+    def matches_oracle(build, coordinates):
+        """Assert that ``build()`` agrees with the oracle; True if it built a set."""
+        try:
+            expected = primitive_vectors(coordinates)
+        except InputError as err:
+            with pytest.raises(InputError) as got:
+                build()
+            assert str(got.value) == str(err)
+            return False
+        pts = build()
+        assert pts.vectors == expected
+        lead_one = []
+        for point in coordinates:
+            point = [Fraction(x) for x in point]
+            lead = next(x for x in point if x)
+            lead_one.append(tuple(x / lead for x in point))
+        assert pts.points == tuple(lead_one)
+        return True
+
+    def value(self, rng):
+        if rng.random() < 0.7:
+            return rng.choice(self.VALUES)
+        return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+    def random_set(self, rng):
+        n = rng.randint(1, 4)
+        delta = rng.choice((0, 1, 2, 5, 9, 14, 40))
+        return n, [[self.value(rng) for _ in range(n + 1)] for _ in range(delta)]
+
+    def test_from_coordinates(self):
+        rng = random.Random(1901)
+        built = 0
+        for _ in range(250):
+            n, coords = self.random_set(rng)
+            # ints as ints, and as Fractions with denominator 1
+            coords = [[rng.choice((x, Fraction(x))) for x in point] for point in coords]
+            built += self.matches_oracle(lambda: point_set(n, coords), coords)
+        # both outcomes occur: sets built, and zero or repeated points
+        assert 20 <= built <= 230
+
+    def test_from_json(self):
+        rng = random.Random(1903)
+
+        def spelling(x):
+            m = rng.choice((1, 1, 2, 3))
+            forms = [f"{x.numerator * m}/{x.denominator * m}"]
+            if x.denominator == 1:
+                forms += [x.numerator, x.numerator, str(x.numerator), f"{x.numerator:+d}"]
+            return rng.choice(forms)
+
+        built = 0
+        for _ in range(250):
+            n, coords = self.random_set(rng)
+            doc = {"ambient_dim": n, "points": [[spelling(Fraction(x)) for x in p] for p in coords]}
+            built += self.matches_oracle(
+                lambda: points.ProjectivePointSet.from_json(doc), doc["points"]
+            )
+        # both outcomes occur: sets built, and zero or repeated points
+        assert 20 <= built <= 230
+
+    def test_grid_nodes(self):
+        rng = random.Random(1907)
+        for _ in range(120):
+            n, k = rng.randint(1, 3), rng.randint(2, 5)
+            axes = []
+            while len(axes) < n:
+                axis = {self.value(rng) for _ in range(k - 1)}
+                if len(axis) == k - 1:
+                    axes.append([rng.choice((x, Fraction(x))) for x in axis])
+            coords = [list(choice) + [1] for choice in product(*axes)]
+            assert self.matches_oracle(lambda: points.grid_nodes(n, k, axes), coords)
+        default = list(product([1, 2, 3], [1, 2, 3], [1, 2, 3], [1]))
+        assert self.matches_oracle(lambda: points.grid_nodes(3, 4), default)
 
 
 class TestMonomialBasis:
