@@ -8,14 +8,19 @@ paths in error messages are the same on every machine.
 ``golden_digests.json`` holds, per run, the sha256 of its stdout, of
 its stderr and of its exit code.  The digests were recorded once; a
 change that alters an output on purpose must say so and record them
-again with :func:`digests`.
+again with :func:`digests`.  ``PYTHONPATH=src python
+tests/test_golden.py --add-missing`` records the runs that have no
+digest yet, and writes nothing if a recorded one differs.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import sys
+import tempfile
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -353,3 +358,58 @@ def test_outputs_match_recorded_digests(tmp_path, monkeypatch):
     changed = [name for name in computed if computed[name] != recorded[name]]
     assert not changed, f"{len(changed)} runs changed output, first: {changed[:5]}"
 
+
+def add_missing():
+    """Record digests for the corpus runs that have none; return the exit code.
+
+    Every recorded digest is computed again first.  If one differs, or
+    names a run the corpus no longer has, nothing is written and the
+    code is 1, so a changed output is never recorded by accident.
+    """
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as directory:
+        # the runs name their documents relative to the directory
+        os.chdir(directory)
+        try:
+            computed = digests(directory)
+        finally:
+            os.chdir(cwd)
+    stale = sorted(set(recorded) - set(computed))
+    both = set(recorded) & set(computed)
+    changed = sorted(name for name in both if computed[name] != recorded[name])
+    for name in stale:
+        print(f"recorded run not in the corpus: {name}", file=sys.stderr)
+    for name in changed:
+        print(f"output changed: {name}", file=sys.stderr)
+    if stale or changed:
+        print("nothing written", file=sys.stderr)
+        return 1
+    missing = sorted(set(computed) - set(recorded))
+    recorded.update((name, computed[name]) for name in missing)
+    GOLDEN.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"added {len(missing)} digests")
+    return 0
+
+
+def test_add_missing_records_only_new_runs(tmp_path, monkeypatch):
+    golden = tmp_path / "golden.json"
+    old = {"stdout": "a", "stderr": "b", "exit": "c"}
+    new = {"stdout": "d", "stderr": "e", "exit": "f"}
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN", golden)
+    monkeypatch.setattr(sys.modules[__name__], "digests", lambda _: {"old": old, "new": new})
+    golden.write_text(json.dumps({"old": old}), encoding="utf-8")
+    assert add_missing() == 0
+    assert json.loads(golden.read_text(encoding="utf-8")) == {"new": new, "old": old}
+    # a changed or stale digest writes nothing
+    for recorded in ({"old": new}, {"old": old, "gone": old}):
+        golden.write_text(json.dumps(recorded), encoding="utf-8")
+        assert add_missing() == 1
+        assert json.loads(golden.read_text(encoding="utf-8")) == recorded
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--add-missing"]:
+        print("usage: python tests/test_golden.py --add-missing", file=sys.stderr)
+        sys.exit(2)
+    sys.exit(add_missing())
