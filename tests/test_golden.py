@@ -132,8 +132,8 @@ def point_documents(rng):
     """Point sets: complete, partial and off-grid, at infinity and on the line.
 
     The complete grids include ones with 0 as an axis value, with points
-    at infinity mixed in, with more values per axis than the degree and
-    in four dimensions.
+    at infinity mixed in, with more values per axis than the degree, in
+    four dimensions and with one constant axis.
     """
     complete = _grid([[Fraction(1, 2), -3, Fraction(5, 3)], [2, Fraction(-7, 2), 0]])
     partial = _grid([[1, 2, Fraction(-1, 3)], [0, 4, -1], [Fraction(3, 2), 5, -2]])
@@ -159,6 +159,18 @@ def point_documents(rng):
     four_dim = _grid([[0, 1, Fraction(-1, 2)], [2, -3], [Fraction(1, 3), 1], [-1, 0, 4]])
     colliding = _grid([[1, Fraction(-2, 3), 3, 0], [Fraction(5, 2), -1, 2, 4]])
     edges.shuffle(colliding)
+    # sets whose degree-1 Newton rows (x_h and each axis's first factor)
+    # vanish or share lead columns: every point at infinity, a P^3 grid
+    # with one constant axis, and points on a line in P^3
+    leads = random.Random(1901)
+    only_infinity = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [2, -1, 0], ["-3/2", 1, 0], [5, "1/3", 0]]
+    leads.shuffle(only_infinity)
+    constant_axis = _grid([[0, Fraction(1, 2), -2], [Fraction(-7, 3)], [3, -1, Fraction(5, 4)]])
+    leads.shuffle(constant_axis)
+    collinear = [
+        [_rational(1 + 2 * t), _rational(3 - t), _rational(5 * t), 1]
+        for t in (0, 1, -1, Fraction(1, 2), 3, Fraction(-4, 3))
+    ]
     return {
         "complete-grid": ({"ambient_dim": 2, "points": complete}, (1, 2, 3)),
         "partial-grid": ({"ambient_dim": 3, "points": partial[:20]}, (2, 3)),
@@ -174,6 +186,9 @@ def point_documents(rng):
         "wide-axis-grid": ({"ambient_dim": 2, "points": wide}, (2, 3, 4)),
         "four-dimensional-grid": ({"ambient_dim": 4, "points": four_dim}, (1, 2, 3)),
         "colliding-partial-grid": ({"ambient_dim": 2, "points": colliding[:11]}, (2, 3, 4)),
+        "only-infinity": ({"ambient_dim": 2, "points": only_infinity}, (1, 2, 3)),
+        "constant-axis-grid": ({"ambient_dim": 3, "points": constant_axis}, (1, 2, 3)),
+        "collinear-in-space": ({"ambient_dim": 3, "points": collinear}, (1, 2, 3)),
     }
 
 
