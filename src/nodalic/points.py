@@ -46,7 +46,11 @@ index tuples, each nonzero row k is therefore zero before the point with
 indices k and nonzero there, so the rows have distinct lead columns, and
 their number is the rank with no elimination (the echelon certificate
 of :mod:`nodalic.linalg`); the count is the Hilbert function #{k : k_i <
-m_i, |k| <= d} of Alon's Combinatorial Nullstellensatz (1999).
+m_i, |k| <= d} of Alon's Combinatorial Nullstellensatz (1999).  The
+nodes, each point's node index and the sort do not depend on d: a
+point set labels itself once, on first use (:func:`_node_labelling`),
+and every degree reads that labelling, taking the first d nodes of
+each coordinate.
 
 That certificate needs only where each row is zero, and the zero
 pattern is combinatorial, so no row is built for it.  Factor
@@ -63,6 +67,14 @@ rank; at the first shared lead the rows are built and eliminated.  A
 set with no repeated ratio has no nodes, and its rows are the monomial
 ones.
 
+The coordinate matrix of :func:`normal_crossing_check` is the degree-1
+evaluation, and its rank comes from the same labelling: the degree-1
+Newton rows, x_h and each coordinate's first factor, are a triangular
+change of basis of x_0..x_n, and when the nonzero ones lead at distinct
+points their count is the rank.  On a complete grid with two or more
+values on two or more axes they always do, so a ``points`` request on
+such a grid makes no elimination at all.
+
 A set of at most d + 1 points needs no matrix at all: distinct points
 impose independent conditions in every degree d >= delta - 1, since
 for each point a product of delta - 1 linear forms, one through each
@@ -76,9 +88,10 @@ points, so the rank is min(delta, d + 1).
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product, repeat
+from functools import cached_property, lru_cache
+from itertools import chain, compress, count, product, repeat
 from math import comb, gcd, lcm
-from operator import and_, floordiv, itemgetter, lt, mul
+from operator import and_, floordiv, gt, itemgetter, lt, mul
 
 from . import linalg
 from .errors import InputError, PreconditionError, check_int, check_reportable
@@ -238,6 +251,16 @@ class ProjectivePointSet:
             raise error
         return cls(ambient_dim=ambient_dim, vectors=vectors)
 
+    @cached_property
+    def _labelling(self):
+        """:func:`_node_labelling` of the set, computed on first use.
+
+        Every degree's Newton rows and the span certificate read it, so a
+        ``points`` request labels its set once.  It is no field: equality,
+        hash and repr see only ``ambient_dim`` and ``vectors``.
+        """
+        return _node_labelling(self)
+
     @property
     def points(self):
         """The points with first nonzero coordinate 1, as Fraction tuples."""
@@ -315,6 +338,7 @@ def _check_request(pts, d, caller):
     _check_monomial_count(pts.ambient_dim, d)
 
 
+@lru_cache(maxsize=64)
 def _prefix_plan(n, d):
     """How the degree-d monomials in n+1 variables grow from their prefixes.
 
@@ -324,7 +348,8 @@ def _prefix_plan(n, d):
     variables share one level: a monomial extends its prefix by
     x^e * y^(f - e), where f is the degree the prefix leaves, and that
     level lists the index of (f, e) in the table of these products,
-    f ascending, then e.
+    f ascending, then e.  The plan depends on n and d alone, so it is
+    memoised, as tuples that no caller can change.
     """
     levels = []
     free = [d]
@@ -335,9 +360,9 @@ def _prefix_plan(n, d):
             parents += [i] * (f + 1)
             exponents += range(start, start + f + 1)
             left += range(f, -1, -1)
-        levels.append((parents, exponents))
+        levels.append((tuple(parents), tuple(exponents)))
         free = left
-    return levels
+    return tuple(levels)
 
 
 def _vector_product(a, b):
@@ -408,65 +433,83 @@ def _running_products(ones, factors, rest, d):
     return table
 
 
-def _node_labelling(pts, d):
-    """The Newton basis's nodes, and each point's place in them, sorted.
+# runs are bytes, and 255 stands for a ratio that is no node
+_MAX_NODES = 255
+
+
+def _node_labelling(pts):
+    """The Newton nodes of a point set, and each point's place in them, sorted.
 
     With h the last coordinate, the nodes of coordinate i < n are its
-    ratios x_i/x_h that occur at two or more points, at most d of them,
-    in the order they first occur.  The points are sorted by their tuple
-    of node indices (a ratio that is no node counts as one past the
-    last), which only permutes the columns; with no nodes nothing moves.
-    Returns ``(hs, coordinates, nodes, runs)``, the first two being the
-    coordinates h and i < n in that order, and ``runs[i][c]`` the number
-    of leading factors of coordinate i (see :func:`_newton_rows`) that
-    are nonzero at point c, at most d: the node index of its ratio
-    x_i/x_h; where that is no node, the node count if x_i = 0 != x_h
-    (the next factor is x_i), 0 if x_h = x_i = 0, and d otherwise.
+    ratios x_i/x_h that occur at two or more points, the first
+    ``_MAX_NODES`` of them in the order they first occur; the degree-d
+    basis uses the first d, and d <= 139 once n >= 2 (``MAX_MONOMIALS``),
+    so the cap never cuts a degree's nodes.  The points are sorted by
+    their tuple of node indices (a ratio that is no node counts as one
+    past the last), read as one bytes object per point, which only
+    permutes the columns; with no nodes, or with the points in that
+    order already, nothing moves.  Returns ``(hs, coordinates, nodes,
+    runs)``, the first two being tuples of the coordinates h and i < n
+    in that order, and ``runs[i]`` a bytes object whose byte c is the
+    number of leading factors of coordinate i (see :func:`_newton_rows`)
+    nonzero at point c, read as "all of them" from ``_MAX_NODES`` on:
+    the node index of its ratio x_i/x_h; where that is no node, the node
+    count if x_i = 0 != x_h (the next factor is x_i), 0 if x_h = x_i = 0,
+    and ``_MAX_NODES`` otherwise.  No degree enters, so one labelling
+    serves every degree.
     """
-    n = pts.ambient_dim
-    hs = [vector[n] for vector in pts.vectors]
-    coordinates = [[vector[i] for vector in pts.vectors] for i in range(n)]
+    *coordinates, hs = list(zip(*pts.vectors)) or [()] * (pts.ambient_dim + 1)
     nodes, labels, runs = [], [], []
     for xs in coordinates:
         keys = _ratio_keys(xs, hs)
-        counts = Counter(keys)
-        at_infinity = counts.pop(None, 0)
-        axis = [key for key, count in counts.items() if count > 1][:d]
-        index = {key: j for j, key in enumerate(axis)}
-        labels.append(list(map(index.get, keys, repeat(len(axis)))))
+        # each point's ratio as the index of its first occurrence, so that
+        # the look-ups below hash small ints instead of tuples
+        first = {}
+        ids = list(map(first.setdefault, keys, count()))
+        counts = Counter(ids)
+        at_infinity = counts.pop(first.get(None), 0)
+        repeated = [i for i, times in counts.items() if times > 1][:_MAX_NODES]
+        index = {i: j for j, i in enumerate(repeated)}
+        labels.append(list(map(index.get, ids, repeat(len(repeated)))))
         # x_i = 0 with x_h != 0 is ratio 0/1: its node, or past the nodes
         # the factor x_i itself, is its first zero factor
-        index.setdefault((0, 1), len(axis))
-        run = list(map(index.get, keys, repeat(d)))
+        index.setdefault(first.get((0, 1)), len(repeated))
+        run = bytes(map(index.get, ids, repeat(_MAX_NODES)))
         if at_infinity:
             # where x_h = 0 a factor q*x_i - p*x_h is q*x_i
-            run = [r if h or x else 0 for r, x, h in zip(run, xs, hs)]
+            run = bytes(r if h or x else 0 for r, x, h in zip(run, xs, hs))
         runs.append(run)
-        nodes.append(axis)
+        nodes.append([keys[i] for i in repeated])
     if any(nodes):
-        order = sorted(range(pts.delta), key=list(zip(*labels)).__getitem__)
-        hs = [hs[j] for j in order]
-        coordinates = [[xs[j] for j in order] for xs in coordinates]
-        runs = [[run[j] for j in order] for run in runs]
+        # labels are at most _MAX_NODES, so bytes order the points as
+        # their label tuples, and take time linear in n to build
+        codes = list(map(bytes, zip(*labels)))
+        # points written in grid order need no sort; a repeated ratio
+        # means two or more points, so the getter returns tuples
+        if any(map(gt, codes, codes[1:])):
+            permute = itemgetter(*sorted(range(pts.delta), key=codes.__getitem__))
+            hs = permute(hs)
+            coordinates = list(map(permute, coordinates))
+            runs = [bytes(permute(run)) for run in runs]
     return hs, coordinates, nodes, runs
 
 
-def _newton_rows(pts, d, labelling=None):
+def _newton_rows(pts, d):
     """Nonzero rows of the degree-d Newton basis at the points.
 
-    The nodes and the column order are those of :func:`_node_labelling`,
-    computed here unless ``labelling`` is given.  Factor j of coordinate
-    i is ``q*x_i - p*x_h`` for node j = p/q and ``x_i`` once the nodes
-    run out, and basis element k is ``x_h^(d-|k|)`` times the first k_i
-    factors of each coordinate i.  With no nodes the rows are those of
-    :func:`evaluation_columns` less any that hold a power of a coordinate
-    zero at every point.
+    The nodes and the column order are those of the set's
+    :func:`_node_labelling`, of which each coordinate keeps its first d
+    nodes.  Factor j of coordinate i is ``q*x_i - p*x_h`` for node j =
+    p/q and ``x_i`` once the nodes run out, and basis element k is
+    ``x_h^(d-|k|)`` times the first k_i factors of each coordinate i.
+    With no nodes the rows are those of :func:`evaluation_columns` less
+    any that hold a power of a coordinate zero at every point.
     """
-    hs, coordinates, nodes, _ = labelling or _node_labelling(pts, d)
+    hs, coordinates, nodes, _ = pts._labelling
     ones = [1] * pts.delta
     tables = []
     for xs, axis in zip(coordinates, nodes):
-        factors = [[q * x - p * h for x, h in zip(xs, hs)] for p, q in axis]
+        factors = [[q * x - p * h for x, h in zip(xs, hs)] for p, q in axis[:d]]
         tables.append(_running_products(ones, factors, xs, d))
     tables.append(_running_products(ones, (), hs, d))
     rows = _products_from_tables(tables, pts.ambient_dim, d, ones, _vector_product)
@@ -487,11 +530,14 @@ def _support_masks(labelling, d):
     exactly where each factor is, so each coordinate's table holds, per
     exponent e, the points whose run is at least e (the first e factors
     are nonzero), the homogenising coordinate's the points with x_h != 0
-    for e >= 1, and the rows' ``mul`` becomes ``and_``.  Runs are at most
-    d, and d <= 139 once n >= 2 (``MAX_MONOMIALS``), so each fits a byte.
+    for e >= 1, and the rows' ``mul`` becomes ``and_``.  Runs are bytes
+    because nodes are capped at ``_MAX_NODES``; a run of ``_MAX_NODES``
+    passes every test, since e <= d <= 139 once n >= 2
+    (``MAX_MONOMIALS``), so the degree-free labelling gives each degree's
+    masks.
     """
     hs, _, _, runs = labelling
-    codes = [bytes(reversed(run)) for run in runs]
+    codes = [run[::-1] for run in runs]
     tables = [[_at_least(code, e) for e in range(d + 1)] for code in codes]
     everyone = tables[0][0]
     tables.append([everyone] + [_at_least(bytes(map(bool, reversed(hs))), 1)] * d)
@@ -562,12 +608,11 @@ def conditions_report(pts, d):
     if d >= pts.delta - 1 or pts.ambient_dim == 1:
         rank = min(pts.delta, d + 1)
     else:
-        labelling = _node_labelling(pts, d)
-        masks = [mask for mask in _support_masks(labelling, d) if mask]
+        masks = [mask for mask in _support_masks(pts._labelling, d) if mask]
         if len({mask & -mask for mask in masks}) == len(masks):
             rank = len(masks)
         else:
-            rank = linalg.rank_int_rows(_newton_rows(pts, d, labelling), pts.delta)
+            rank = linalg.rank_int_rows(_newton_rows(pts, d), pts.delta)
     return ConditionsReport(
         delta=pts.delta,
         degree=d,
@@ -611,13 +656,33 @@ def normal_crossing_check(pts):
     cross normally exactly when the coordinate matrix has full row rank;
     the common intersection of the hyperplanes then has dimension
     ambient_dim - rank.
+
+    The coordinate matrix is the degree-1 evaluation, so its rank comes
+    as :func:`conditions_report` gets it at d = 1.  Two distinct points
+    are independent, and the line has two coordinates, so a set of at
+    most two points or on the line has rank min(delta, 2).  Otherwise
+    the degree-1 Newton rows, x_h and the first factor of each
+    coordinate, are a triangular change of basis of x_0..x_n, so they
+    have the same rank.  Their supports are the points with x_h != 0 and
+    those with a nonzero run in the set's labelling; when the nonzero
+    rows lead at distinct points their count is the rank, with no
+    elimination.  Otherwise the transposed coordinate matrix is
+    eliminated.
     """
     if not isinstance(pts, ProjectivePointSet):
         raise InputError("normal_crossing_check expects a ProjectivePointSet")
-    # the coordinate matrix, transposed: delta rows would be reduced as
-    # their transpose anyway, and this is its one copy
-    columns = [list(column) for column in zip(*pts.vectors)]
-    rank = linalg.rank_int_rows(columns, pts.delta)
+    if pts.delta <= 2 or pts.ambient_dim == 1:
+        rank = min(pts.delta, 2)
+    else:
+        hs, _, _, runs = pts._labelling
+        leads = [next(compress(count(), row)) for row in (hs, *runs) if any(row)]
+        if len(set(leads)) == len(leads):
+            rank = len(leads)
+        else:
+            # the coordinate matrix, transposed: delta rows would be
+            # reduced as their transpose anyway, and this is its one copy
+            columns = [list(column) for column in zip(*pts.vectors)]
+            rank = linalg.rank_int_rows(columns, pts.delta)
     return NormalCrossingCheck(
         independent_branches=rank == pts.delta,
         tangent_intersection_dim=pts.ambient_dim - rank,

@@ -261,3 +261,14 @@ def primitive_vectors(coordinates):
             )
         vectors.append(vector)
     return tuple(vectors)
+
+
+def kernel_rank(rows, ncols):
+    """Rank by the list kernel alone, on copies, the taller side transposed.
+
+    No certificate of ``linalg.rank_int_rows`` and no node labelling of
+    :mod:`nodalic.points` runs, so it checks the fast paths of both.
+    """
+    if len(rows) > ncols:
+        rows, ncols = list(zip(*rows)), len(rows)
+    return len(linalg.reduce_int_rows([list(row) for row in rows], ncols))

@@ -27,6 +27,16 @@ def write_doc(tmp_path, name, obj):
     return str(path)
 
 
+# strings that int() reads but that are no "a/b" literal: a final
+# newline, Arabic-Indic digits and a mathematical bold digit
+NOT_LITERALS = ["3\n", "\u0663", "3/\u0665", "\U0001d7d1"]
+
+
+def assert_not_a_literal(code, err, literal):
+    assert code == 1
+    assert err == f"error: not a rational literal: {literal!r}\n"
+
+
 class TestIcStalkCommand:
     def test_defective_document_json(self, tmp_path, capsys):
         path = write_doc(tmp_path, "monodromy.json", DEFECTIVE_DOC)
@@ -65,6 +75,13 @@ class TestIcStalkCommand:
         assert cli.run(["ic-stalk", "--input", path]) == 2
         assert "zero vanishing cycle unsupported" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", NOT_LITERALS)
+    def test_literal_outside_the_format_exits_one(self, tmp_path, capsys, literal):
+        doc = dict(DEFECTIVE_DOC, cycles=[[1, 0, literal, 0]])
+        path = write_doc(tmp_path, "monodromy.json", doc)
+        code = cli.run(["ic-stalk", "--input", path])
+        assert_not_a_literal(code, capsys.readouterr().err, literal)
+
     def test_non_orthogonal_exits_two(self, tmp_path, capsys):
         doc = dict(
             DEFECTIVE_DOC, dim=2, pairing=[[0, 1], [-1, 0]],
@@ -100,6 +117,13 @@ class TestPointsCommand:
         doc = {"ambient_dim": 1, "points": [[1, 1], [2, 2]]}
         path = write_doc(tmp_path, "dup.json", doc)
         assert cli.run(["points", "--input", path, "--degree", "1"]) == 1
+
+    @pytest.mark.parametrize("literal", NOT_LITERALS)
+    def test_literal_outside_the_format_exits_one(self, tmp_path, capsys, literal):
+        doc = {"ambient_dim": 2, "points": [[1, 0, 1], [0, literal, 1], [1, 1, 1]]}
+        path = write_doc(tmp_path, "points.json", doc)
+        code = cli.run(["points", "--input", path, "--degree", "1"])
+        assert_not_a_literal(code, capsys.readouterr().err, literal)
 
     def test_negative_degree_exits_one(self, tmp_path):
         path = write_doc(tmp_path, "grid.json", points.grid_nodes(1, 2).to_json())

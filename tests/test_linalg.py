@@ -303,7 +303,11 @@ class TestScalars:
         assert linalg.parse_rational_pair("-3/6") == (-3, 6)
         assert linalg.parse_rational_pair("+4") == (4, 1)
 
-    @pytest.mark.parametrize("bad", [1.5, True, "3.2", "1/0", "a/b", "2/-3", None])
+    # "3\n", Arabic-Indic and mathematical bold digits are no "a/b" literal
+    @pytest.mark.parametrize(
+        "bad",
+        [1.5, True, "3.2", "1/0", "a/b", "2/-3", None, "3\n", " 3", "\u0663", "3/\u0665", "\U0001d7d1"],
+    )
     def test_parse_rejects(self, bad):
         with pytest.raises(InputError):
             linalg.parse_rational_pair(bad)

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -6,10 +7,16 @@ from math import comb, prod
 
 import pytest
 
-from nodalic import linalg, points
+from nodalic import cli, linalg, points
 from nodalic.errors import InputError, PreconditionError
 
-from helpers import NoFraction, monomial_basis, primitive_vectors, random_invertible
+from helpers import (
+    NoFraction,
+    kernel_rank,
+    monomial_basis,
+    primitive_vectors,
+    random_invertible,
+)
 
 COLLINEAR = [(1, 0, 0), (1, 1, 0), (1, 2, 0)]
 
@@ -652,12 +659,6 @@ def monomial_rows(pts, d):
     return [[prod(map(pow, vector, mon)) for mon in basis] for vector in pts.vectors]
 
 
-def kernel_rank(rows, ncols):
-    if len(rows) > ncols:
-        rows, ncols = list(zip(*rows)), len(rows)
-    return len(linalg.reduce_int_rows([list(row) for row in rows], ncols))
-
-
 def random_point_set(rng, n, delta, bound):
     """``delta`` distinct points with coordinates in [-bound, bound]."""
     seen = {}
@@ -858,7 +859,7 @@ class TestNewtonRank:
             assert newton_rank_agrees(point_set(2, coords), d) == rank
 
     @pytest.mark.parametrize("n, k, d", [(1, 6, 3), (2, 4, 2), (2, 5, 3), (2, 5, 5), (3, 4, 2), (3, 6, 6), (4, 4, 4), (4, 5, 3)])
-    def test_complete_grids_rank_with_no_elimination(self, monkeypatch, n, k, d):
+    def test_complete_grids_rank_with_no_elimination(self, monkeypatch, tmp_path, capsys, n, k, d):
         def refuse(*args):
             raise AssertionError("a complete grid reached the elimination")
 
@@ -867,13 +868,21 @@ class TestNewtonRank:
         values = [Fraction(p, q) for p, q in ((7, 3), (-5, 2), (9, 1), (-8, 3), (5, 2))]
         rational = points.grid_nodes(n, k, values[:k - 1])
         shuffled = random.Random(n * k * d).sample(rational.vectors, rational.delta)
+        path = tmp_path / "grid.json"
         for grid in (points.grid_nodes(n, k), rational, point_set(n, shuffled)):
             assert grid.delta > d + 1
-            # the support masks certify the rank: no row is built or ranked
+            path.write_text(json.dumps(grid.to_json()), encoding="utf-8")
+            # the support masks certify the rank and the degree-1 leads the
+            # span: no row is built or ranked, here or in a points request
             with monkeypatch.context() as patch:
                 patch.setattr(points, "_newton_rows", refuse)
                 patch.setattr(linalg, "rank_int_rows", refuse)
                 assert points.conditions_report(grid, d).rank == count
+                assert points.node_span_dim(grid) == n
+                argv = ["points", "--input", str(path), "--degree", str(d), "--json"]
+                assert cli.run(argv) == 0
+            report = json.loads(capsys.readouterr().out)
+            assert (report["conditions"]["rank"], report["node_span_dim"]) == (count, n)
             # the running products stop at zero, so no zero row is built
             assert len(points._newton_rows(grid, d)) == count
 
@@ -895,8 +904,9 @@ class TestNewtonRank:
 def newton_values(pts, d, labelling):
     """Each Newton basis element at each point, one product per entry.
 
-    The nodes and the point order are the labelling's; rows come in the
-    order of ``monomial_basis``, zero rows included.
+    The nodes and the point order are the labelling's, of which element
+    k uses the first k_i nodes of coordinate i; rows come in the order
+    of ``monomial_basis``, zero rows included.
     """
     hs, coordinates, nodes, _ = labelling
     rows = []
@@ -955,37 +965,158 @@ class TestSupportMasks:
         built = []
         newton_rows = points._newton_rows
 
-        def recorded(pts, d, labelling=None):
+        def recorded(pts, d):
             built.append((pts, d))
-            return newton_rows(pts, d, labelling)
+            return newton_rows(pts, d)
 
         monkeypatch.setattr(points, "_newton_rows", recorded)
         outcomes = {"certified": 0, "fallback": 0}
-        for _ in range(400):
+        for _ in range(250):
             n = rng.randint(2, 3)
             pts, complete = degenerate_grid(rng, n)
-            # below, at and above the node counts of the axes
-            d = rng.randint(0, 5)
-            labelling = points._node_labelling(pts, d)
-            masks = points._support_masks(labelling, d)
-            rows = newton_values(pts, d, labelling)
-            assert masks == [sum(1 << c for c, x in enumerate(row) if x) for row in rows]
-            built_rows = newton_rows(pts, d, labelling)
-            assert [r for r in built_rows if any(r)] == [r for r in rows if any(r)]
-            if pts.delta <= d + 1:
-                continue
-            nonzero = [mask for mask in masks if mask]
-            certified = len({mask & -mask for mask in nonzero}) == len(nonzero)
-            assert certified or not complete
-            expected = kernel_rank(monomial_rows(pts, d), comb(n + d, n))
-            if certified:
-                assert len(nonzero) == expected
-            built.clear()
-            assert points.conditions_report(pts, d).rank == expected
-            # the rows are built exactly when two masks share a lead
-            assert built == ([] if certified else [(pts, d)])
-            outcomes["certified" if certified else "fallback"] += 1
+            # one labelling for every degree, below, at and above the node
+            # counts of the axes
+            labelling = points._node_labelling(pts)
+            assert pts._labelling == labelling
+            for d in range(0, 6):
+                masks = points._support_masks(labelling, d)
+                rows = newton_values(pts, d, labelling)
+                assert masks == [sum(1 << c for c, x in enumerate(row) if x) for row in rows]
+                built_rows = newton_rows(pts, d)
+                assert [r for r in built_rows if any(r)] == [r for r in rows if any(r)]
+                if pts.delta <= d + 1:
+                    continue
+                nonzero = [mask for mask in masks if mask]
+                certified = len({mask & -mask for mask in nonzero}) == len(nonzero)
+                assert certified or not complete
+                expected = kernel_rank(monomial_rows(pts, d), comb(n + d, n))
+                if certified:
+                    assert len(nonzero) == expected
+                built.clear()
+                assert points.conditions_report(pts, d).rank == expected
+                # the rows are built exactly when two masks share a lead
+                assert built == ([] if certified else [(pts, d)])
+                outcomes["certified" if certified else "fallback"] += 1
         assert min(outcomes.values()) >= 20
+
+
+def span_sets(rng):
+    """``(pts, complete)`` for the span certificate's differential test.
+
+    Complete, shuffled and partial grids; the odd sets of
+    :func:`degenerate_grid`; sets all at infinity, grids with one
+    constant axis and points on a hyperplane; every set of 0 to 3 points
+    and sets on the line.  ``complete`` marks a complete grid with two
+    or more values on two or more axes.
+    """
+    for sizes in ((2, 2), (3, 2), (4, 3), (2, 2, 2), (3, 1, 2), (2, 3, 1, 2), (1, 3, 3)):
+        n = len(sizes)
+        coords = grid_points(rng, sizes)
+        yield point_set(n, coords), True
+        yield point_set(n, rng.sample(coords, len(coords))), True
+        for _ in range(3):
+            yield point_set(n, rng.sample(coords, rng.randint(1, len(coords)))), False
+    for _ in range(60):
+        yield degenerate_grid(rng, rng.randint(2, 3))
+    def distinct(n, coords):
+        vectors = {}
+        for c in coords:
+            if any(c):
+                vectors.setdefault(primitive_vectors([c])[0], c)
+        return point_set(n, list(vectors.values()))
+
+    for n in (2, 3, 4):
+        for _ in range(4):
+            # all at infinity: x_h = 0 everywhere
+            coords = [[rng.randint(-3, 3) for _ in range(n)] + [0] for _ in range(8)]
+            yield distinct(n, coords), False
+            # on the hyperplane sum_i a_i x_i = 0 with a_j = 1
+            a = [rng.randint(-2, 2) for _ in range(n + 1)]
+            j = rng.randrange(n + 1)
+            a[j] = 1
+            coords = []
+            for _ in range(rng.randint(3, 9)):
+                c = [rng.randint(-4, 4) for _ in range(n + 1)]
+                c[j] = -sum(x * y for i, (x, y) in enumerate(zip(a, c)) if i != j)
+                coords.append(c)
+            yield distinct(n, coords), False
+    for n in (1, 2, 3, 4):
+        for delta in range(0, 4):
+            yield random_point_set(rng, n, delta, 3), False
+    for delta in (4, 7, 12):
+        yield random_point_set(rng, 1, delta, 9), False
+
+
+class TestSpanCertificate:
+    def test_span_rank_matches_the_kernel_on_the_coordinate_matrix(self, monkeypatch):
+        rng = random.Random(2401)
+        calls = []
+        rank_int_rows = linalg.rank_int_rows
+
+        def recorded(rows, ncols):
+            calls.append(ncols)
+            return rank_int_rows(rows, ncols)
+
+        def refuse(*args):
+            raise AssertionError("a complete grid eliminated its coordinate matrix")
+
+        outcomes = {"closed form": 0, "certified": 0, "fallback": 0}
+        for pts, complete in span_sets(rng):
+            n = pts.ambient_dim
+            expected = kernel_rank(pts.vectors, n + 1)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "rank_int_rows", refuse if complete else recorded)
+                check = points.normal_crossing_check(pts)
+            assert check.span_dim == expected - 1
+            assert check.tangent_intersection_dim == n - expected
+            assert check.independent_branches == (expected == pts.delta)
+            if pts.delta <= 2 or n == 1:
+                outcome = "closed form"
+            else:
+                outcome = "fallback" if calls else "certified"
+            assert calls in ([], [pts.delta])
+            outcomes[outcome] += 1
+        assert outcomes["certified"] >= 20
+        assert outcomes["fallback"] >= 20
+        assert outcomes["closed form"] >= 10
+
+
+class TestOneLabelling:
+    def test_a_points_request_labels_its_set_once(self, tmp_path, monkeypatch):
+        calls = []
+        node_labelling = points._node_labelling
+
+        def counted(pts):
+            calls.append(pts.delta)
+            return node_labelling(pts)
+
+        monkeypatch.setattr(points, "_node_labelling", counted)
+        rng = random.Random(2501)
+        shuffled = rng.sample(grid_points(rng, (3, 4, 2)), 24)
+        partial = rng.sample(grid_points(rng, (3, 3)), 6)
+        for n, coords in ((3, shuffled), (2, partial), (2, COLLINEAR + [(1, 3, 1)])):
+            path = tmp_path / "points.json"
+            path.write_text(json.dumps(point_set(n, coords).to_json()), encoding="utf-8")
+            for d in ("1", "2"):
+                calls.clear()
+                assert cli.run(["points", "--input", str(path), "--degree", d]) == 0
+                assert calls == [len(coords)]
+
+    def test_reports_from_one_labelling_match_a_fresh_set(self):
+        rng = random.Random(2502)
+        sets = [point_set(3, grid_points(rng, (3, 2, 4))), point_set(2, COLLINEAR + [(0, 1, 1)])]
+        sets += [degenerate_grid(rng, rng.randint(2, 3))[0] for _ in range(30)]
+        for pts in sets:
+            degrees = [*range(0, 7), *range(6, -1, -1)]
+            crossing = points.normal_crossing_check(pts)
+            for d in degrees:
+                fresh = points.ProjectivePointSet(pts.ambient_dim, pts.vectors)
+                assert points.conditions_report(pts, d) == points.conditions_report(fresh, d)
+            fresh = points.ProjectivePointSet(pts.ambient_dim, pts.vectors)
+            assert crossing == points.normal_crossing_check(fresh)
+            # the labelling is no field
+            assert fresh == pts and hash(fresh) == hash(pts) and repr(fresh) == repr(pts)
 
 
 class TestSeparatorTheorem:
