@@ -171,24 +171,32 @@ def point_documents(rng):
         [_rational(1 + 2 * t), _rational(3 - t), _rational(5 * t), 1]
         for t in (0, 1, -1, Fraction(1, 2), 3, Fraction(-4, 3))
     ]
+    # three points in P^200: degree 1 is within MAX_MONOMIALS (201
+    # monomials), degree 2 is not (20301)
+    wide_space = random.Random(2001)
+    far = [
+        [_rational(Fraction(wide_space.randint(-9, 9), wide_space.randint(1, 3))) for _ in range(201)]
+        for _ in range(3)
+    ]
     return {
-        "complete-grid": ({"ambient_dim": 2, "points": complete}, (1, 2, 3)),
-        "partial-grid": ({"ambient_dim": 3, "points": partial[:20]}, (2, 3)),
+        "complete-grid": ({"ambient_dim": 2, "points": complete}, (0, 1, 2, 3)),
+        "partial-grid": ({"ambient_dim": 3, "points": partial[:20]}, (0, 2, 3)),
         "off-grid": (
             {"ambient_dim": 2, "points": [[_rational(c) for c in p] for p in off_grid]},
-            (2, 3),
+            (0, 2, 3),
         ),
-        "infinity": ({"ambient_dim": 2, "points": infinity}, (1, 2)),
-        "line": ({"ambient_dim": 1, "points": line}, (2, 6)),
-        "too-many-monomials": ({"ambient_dim": 2, "points": infinity}, (400,)),
-        "zero-axis-grid": ({"ambient_dim": 2, "points": zero_axis}, (1, 2, 3)),
-        "grid-with-infinity": ({"ambient_dim": 2, "points": mixed_infinity}, (2, 3, 4)),
-        "wide-axis-grid": ({"ambient_dim": 2, "points": wide}, (2, 3, 4)),
-        "four-dimensional-grid": ({"ambient_dim": 4, "points": four_dim}, (1, 2, 3)),
-        "colliding-partial-grid": ({"ambient_dim": 2, "points": colliding[:11]}, (2, 3, 4)),
-        "only-infinity": ({"ambient_dim": 2, "points": only_infinity}, (1, 2, 3)),
-        "constant-axis-grid": ({"ambient_dim": 3, "points": constant_axis}, (1, 2, 3)),
-        "collinear-in-space": ({"ambient_dim": 3, "points": collinear}, (1, 2, 3)),
+        "infinity": ({"ambient_dim": 2, "points": infinity}, (0, 1, 2)),
+        "line": ({"ambient_dim": 1, "points": line}, (0, 2, 6)),
+        "too-many-monomials": ({"ambient_dim": 2, "points": infinity}, (0, 400)),
+        "zero-axis-grid": ({"ambient_dim": 2, "points": zero_axis}, (0, 1, 2, 3)),
+        "grid-with-infinity": ({"ambient_dim": 2, "points": mixed_infinity}, (0, 2, 3, 4)),
+        "wide-axis-grid": ({"ambient_dim": 2, "points": wide}, (0, 2, 3, 4)),
+        "four-dimensional-grid": ({"ambient_dim": 4, "points": four_dim}, (0, 1, 2, 3)),
+        "colliding-partial-grid": ({"ambient_dim": 2, "points": colliding[:11]}, (0, 2, 3, 4)),
+        "only-infinity": ({"ambient_dim": 2, "points": only_infinity}, (0, 1, 2, 3)),
+        "constant-axis-grid": ({"ambient_dim": 3, "points": constant_axis}, (0, 1, 2, 3)),
+        "collinear-in-space": ({"ambient_dim": 3, "points": collinear}, (0, 1, 2, 3)),
+        "three-in-p200": ({"ambient_dim": 200, "points": far}, (0, 1, 2)),
     }
 
 
@@ -403,11 +411,13 @@ def add_missing():
     missing = sorted(set(computed) - set(recorded))
     recorded.update((name, computed[name]) for name in missing)
     GOLDEN.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    for name in missing:
+        print(f"added: {name}")
     print(f"added {len(missing)} digests")
     return 0
 
 
-def test_add_missing_records_only_new_runs(tmp_path, monkeypatch):
+def test_add_missing_records_only_new_runs(tmp_path, monkeypatch, capsys):
     golden = tmp_path / "golden.json"
     old = {"stdout": "a", "stderr": "b", "exit": "c"}
     new = {"stdout": "d", "stderr": "e", "exit": "f"}
@@ -416,6 +426,8 @@ def test_add_missing_records_only_new_runs(tmp_path, monkeypatch):
     golden.write_text(json.dumps({"old": old}), encoding="utf-8")
     assert add_missing() == 0
     assert json.loads(golden.read_text(encoding="utf-8")) == {"new": new, "old": old}
+    # one line names each added run
+    assert capsys.readouterr().out == "added: new\nadded 1 digests\n"
     # a changed or stale digest writes nothing
     for recorded in ({"old": new}, {"old": old, "gone": old}):
         golden.write_text(json.dumps(recorded), encoding="utf-8")
