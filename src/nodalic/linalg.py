@@ -34,11 +34,11 @@ the column among the rows not yet used, so the rank and the pivot
 columns are a deterministic function of the input alone.
 
 The kernel gets what no certificate ranks: the Newton rows of point
-sets off the grids, the coordinate matrices of point sets whose
-degree-1 Newton rows share a lead
-(:func:`nodalic.points.normal_crossing_check` certifies the others,
-every complete grid among them) and the ranks of
-:mod:`nodalic.monodromy`.  Each pivot updates every nonzero row below
+sets off the grids at degree 2 and up, the coordinate matrices of
+point sets whose degree-1 Newton rows share a lead (the one rank path
+of :mod:`nodalic.points`, ``_rank``, certifies the others for the span
+and for degree 1 alike, every complete grid among them) and the ranks
+of :mod:`nodalic.monodromy`.  Each pivot updates every nonzero row below
 it, so :func:`rank_int_rows` reduces a matrix with more rows than
 columns as its transpose: the same rank in about r * cols row updates
 instead of r * rows.  The 126x20 Newton rows of 20 random points of

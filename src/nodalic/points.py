@@ -31,7 +31,7 @@ them, so the interpreter takes one step per row instead of one per
 point.  :func:`evaluation_columns` does this for the monomials, and
 :func:`evaluation_matrix` is its transpose, point-major.
 
-:func:`conditions_report` changes the basis first.  With h the last
+The rank certificates change the basis first.  With h the last
 coordinate, the nodes of each other coordinate i are the ratios x_i/x_h
 that occur at two or more points, and basis element k is
 x_h^(d-|k|) times, for each i, the product of ``q*x_i - p*x_h`` over
@@ -62,27 +62,11 @@ so a row's support is the intersection of its factors' supports: an
 ``&`` of int bitmasks over the points, one bit per point in node-index
 order, where the row build has a ``mul`` of lists.  The mask is the
 row's exact nonzero pattern, and its lowest bit the row's lead column.
-When the nonzero masks have distinct lowest bits their count is the
-rank; at the first shared lead the rows are built and eliminated.  A
-set with no repeated ratio has no nodes, and its rows are the monomial
-ones.
-
-The coordinate matrix of :func:`normal_crossing_check` is the degree-1
-evaluation, and its rank comes from the same labelling: the degree-1
-Newton rows, x_h and each coordinate's first factor, are a triangular
-change of basis of x_0..x_n, and when the nonzero ones lead at distinct
-points their count is the rank.  On a complete grid with two or more
-values on two or more axes they always do, so a ``points`` request on
-such a grid makes no elimination at all.
-
-A set of at most d + 1 points needs no matrix at all: distinct points
-impose independent conditions in every degree d >= delta - 1, since
-for each point a product of delta - 1 linear forms, one through each
-other point and none through it, separates it.  Nor does a set on the
-projective line: any d + 1 of its points give a square evaluation
-whose determinant is, up to sign, the product of the minors
-a_i b_j - a_j b_i of their vectors (Vandermonde), nonzero for distinct
-points, so the rank is min(delta, d + 1).
+A set with no repeated ratio has no nodes, and its rows are the
+monomial ones.  :func:`_rank` is the one function that computes a
+rank, for :func:`conditions_report` and :func:`normal_crossing_check`
+alike; its docstring gives the order of the closed forms, the
+certificates and the fallbacks.
 """
 
 from collections import Counter
@@ -100,7 +84,12 @@ from .errors import InputError, PreconditionError, check_int, check_reportable
 # built.  The largest default paper-examples cell evaluates 625 points on
 # 210 monomials in 5 coordinates.  At the bounds the work is slow but
 # finite: a grid of MAX_GRID_COORDINATES takes about 1.5 s and 40 MB to
-# print.  The column bound does not bound the rank's cost, which grows
+# print.  A degree-d prefix plan (_prefix_plan) lists comb(n + d + 1,
+# d + 1) products.  Only a rank at d >= 2 walks one, where the bound
+# keeps n <= 139: the largest plan, (139, 2), lists 467,180 and five
+# points rank in 0.6-0.8 s.  At d = 1 the bound admits n up to 9999 and
+# the plan would be quadratic in n, so a rank at d <= 1 builds none.
+# The column bound does not bound the rank's cost, which grows
 # with the point count and, through the entry size, with the degree:
 # random plane points with no repeated ratio and more than d + 1 of
 # them have no certificate and are eliminated, and 50 of them with
@@ -580,39 +569,67 @@ class ConditionsReport:
         }
 
 
+def _rank(pts, d):
+    """Rank of the degree-d evaluation of a point set: its one rank path.
+
+    The first step that applies gives the rank:
+
+    1. Closed form, with no matrix, when d = 0, d >= delta - 1 or the
+       set is on the projective line: the rank is min(delta, d + 1).
+       At d = 0 the one constant form is nonzero at every point.  At
+       d >= delta - 1 distinct points impose independent conditions:
+       for each point a product of delta - 1 linear forms, one through
+       each other point and none through it, separates it.  On the line
+       any d + 1 points give a square evaluation whose determinant is,
+       up to sign, the product of the minors a_i b_j - a_j b_i of their
+       vectors (Vandermonde), nonzero for distinct points.
+    2. At d = 1, the coordinate matrix.  The degree-1 Newton rows, x_h
+       and each coordinate's first factor, are a triangular change of
+       basis of x_0..x_n; their supports are the points with x_h != 0
+       and those with a nonzero run in the set's labelling.  When the
+       nonzero rows lead at distinct points their count is the rank (the
+       echelon certificate of :mod:`nodalic.linalg`), as on every
+       complete grid with two or more values on two or more axes.  At
+       the first shared lead the transposed coordinate matrix is
+       eliminated: delta rows would be reduced as their transpose anyway,
+       and this is its one copy.
+    3. At d >= 2, the support masks (:func:`_support_masks`).  A row's
+       lead column is the lowest bit of its mask, so when the nonzero
+       masks have distinct lowest bits their count is the rank, with no
+       row built, as on the same complete grids.  At the first shared
+       lead the rows of :func:`_newton_rows`, from the same labelling, go
+       straight to :func:`nodalic.linalg.rank_int_rows`: they are fresh
+       ints, so they are not validated or copied again.
+
+    Steps 1 and 2 walk no prefix plan (see ``MAX_MONOMIALS``), so they
+    serve :func:`normal_crossing_check`, which bounds no n.  At d = 1 the
+    masks are the supports of step 2's rows, so both certify the same
+    leads, and either fallback computes the exact rank.
+    """
+    if d == 0 or d >= pts.delta - 1 or pts.ambient_dim == 1:
+        return min(pts.delta, d + 1)
+    if d == 1:
+        hs, _, _, runs = pts._labelling
+        leads = [next(compress(count(), row)) for row in (hs, *runs) if any(row)]
+        if len(set(leads)) == len(leads):
+            return len(leads)
+        columns = [list(column) for column in zip(*pts.vectors)]
+        return linalg.rank_int_rows(columns, pts.delta)
+    masks = [mask for mask in _support_masks(pts._labelling, d) if mask]
+    if len({mask & -mask for mask in masks}) == len(masks):
+        return len(masks)
+    return linalg.rank_int_rows(_newton_rows(pts, d), pts.delta)
+
+
 def conditions_report(pts, d):
     """Rank bookkeeping for the degree-d evaluation of a point set.
 
-    After the checks of :func:`evaluation_columns`, a set of at most
-    d + 1 points has rank delta by the separator theorem, and a set on
-    the projective line has rank min(delta, d + 1), both with no matrix.
-    Otherwise the rank is read from the support of each Newton row
-    (:func:`_support_masks`), which is exact: a factor ``q*x_i - p*x_h``
-    is zero at a point exactly when x_h != 0 and x_i/x_h is the node p/q,
-    or x_h = x_i = 0; a factor ``x_i`` exactly when x_i = 0; and
-    ``x_h^(d-|k|)`` exactly when x_h = 0 and |k| < d; and a product of
-    ints is zero exactly when a factor is.  A row's lead column is the
-    lowest bit of its mask, so when the nonzero masks have distinct
-    lowest bits the rows are in echelon form and their count is the rank
-    (the echelon certificate of :mod:`nodalic.linalg`), with no row
-    built.  The leads are always distinct on a complete grid with two or
-    more values on two or more axes: there every axis value occurs at
-    two or more points, so the first d values of each axis are its
-    nodes.  At the first shared lead the rows of :func:`_newton_rows`,
-    from the same labelling, go straight to
-    :func:`nodalic.linalg.rank_int_rows`: they are fresh
-    ints, so they are not validated or copied again.
+    After the checks of :func:`evaluation_columns`, the rank is
+    :func:`_rank`'s.
     """
     _check_request(pts, d, "conditions_report")
     width = comb(pts.ambient_dim + d, d)
-    if d >= pts.delta - 1 or pts.ambient_dim == 1:
-        rank = min(pts.delta, d + 1)
-    else:
-        masks = [mask for mask in _support_masks(pts._labelling, d) if mask]
-        if len({mask & -mask for mask in masks}) == len(masks):
-            rank = len(masks)
-        else:
-            rank = linalg.rank_int_rows(_newton_rows(pts, d), pts.delta)
+    rank = _rank(pts, d)
     return ConditionsReport(
         delta=pts.delta,
         degree=d,
@@ -626,7 +643,9 @@ def conditions_report(pts, d):
 
 def node_span_dim(pts):
     """Projective dimension of the linear span of the points."""
-    return normal_crossing_check(pts).span_dim
+    if not isinstance(pts, ProjectivePointSet):
+        raise InputError("node_span_dim expects a ProjectivePointSet")
+    return _rank(pts, 1) - 1
 
 
 @dataclass(frozen=True)
@@ -655,34 +674,13 @@ def normal_crossing_check(pts):
     Reading each point as a hyperplane of the dual space, the branches
     cross normally exactly when the coordinate matrix has full row rank;
     the common intersection of the hyperplanes then has dimension
-    ambient_dim - rank.
-
-    The coordinate matrix is the degree-1 evaluation, so its rank comes
-    as :func:`conditions_report` gets it at d = 1.  Two distinct points
-    are independent, and the line has two coordinates, so a set of at
-    most two points or on the line has rank min(delta, 2).  Otherwise
-    the degree-1 Newton rows, x_h and the first factor of each
-    coordinate, are a triangular change of basis of x_0..x_n, so they
-    have the same rank.  Their supports are the points with x_h != 0 and
-    those with a nonzero run in the set's labelling; when the nonzero
-    rows lead at distinct points their count is the rank, with no
-    elimination.  Otherwise the transposed coordinate matrix is
-    eliminated.
+    ambient_dim - rank.  The coordinate matrix is the degree-1
+    evaluation, so the rank is :func:`_rank` at d = 1, which walks no
+    prefix plan and so needs no ``MAX_MONOMIALS`` check.
     """
     if not isinstance(pts, ProjectivePointSet):
         raise InputError("normal_crossing_check expects a ProjectivePointSet")
-    if pts.delta <= 2 or pts.ambient_dim == 1:
-        rank = min(pts.delta, 2)
-    else:
-        hs, _, _, runs = pts._labelling
-        leads = [next(compress(count(), row)) for row in (hs, *runs) if any(row)]
-        if len(set(leads)) == len(leads):
-            rank = len(leads)
-        else:
-            # the coordinate matrix, transposed: delta rows would be
-            # reduced as their transpose anyway, and this is its one copy
-            columns = [list(column) for column in zip(*pts.vectors)]
-            rank = linalg.rank_int_rows(columns, pts.delta)
+    rank = _rank(pts, 1)
     return NormalCrossingCheck(
         independent_branches=rank == pts.delta,
         tangent_intersection_dim=pts.ambient_dim - rank,

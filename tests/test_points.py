@@ -455,6 +455,10 @@ class TestSpanAndCrossing:
     def test_grid_spans_plane(self):
         assert points.node_span_dim(points.grid_nodes(2, 3)) == 2
 
+    def test_node_span_dim_names_itself_in_its_type_error(self):
+        with pytest.raises(InputError, match="^node_span_dim expects a ProjectivePointSet$"):
+            points.node_span_dim([(1, 0)])
+
     def test_two_coordinate_points_cross_normally(self):
         pts = point_set(3, [(1, 0, 0, 0), (0, 1, 0, 0)])
         check = points.normal_crossing_check(pts)
@@ -970,6 +974,14 @@ class TestSupportMasks:
             return newton_rows(pts, d)
 
         monkeypatch.setattr(points, "_newton_rows", recorded)
+        ranked = []
+        rank_int_rows = linalg.rank_int_rows
+
+        def counted(rows, ncols):
+            ranked.append(ncols)
+            return rank_int_rows(rows, ncols)
+
+        monkeypatch.setattr(linalg, "rank_int_rows", counted)
         outcomes = {"certified": 0, "fallback": 0}
         for _ in range(250):
             n = rng.randint(2, 3)
@@ -993,9 +1005,17 @@ class TestSupportMasks:
                 if certified:
                     assert len(nonzero) == expected
                 built.clear()
+                ranked.clear()
                 assert points.conditions_report(pts, d).rank == expected
-                # the rows are built exactly when two masks share a lead
-                assert built == ([] if certified else [(pts, d)])
+                if d == 1:
+                    # the degree-1 fallback eliminates the coordinate
+                    # matrix, transposed to delta columns, exactly when
+                    # two masks share a lead, and builds no Newton row
+                    assert built == []
+                    assert ranked == ([] if certified else [pts.delta])
+                else:
+                    # the rows are built exactly when two masks share a lead
+                    assert built == ([] if certified else [(pts, d)])
                 outcomes["certified" if certified else "fallback"] += 1
         assert min(outcomes.values()) >= 20
 
@@ -1060,6 +1080,9 @@ class TestSpanCertificate:
         def refuse(*args):
             raise AssertionError("a complete grid eliminated its coordinate matrix")
 
+        def refuse_plan(*args):
+            raise AssertionError("a rank at degree 0 or 1 built a prefix plan")
+
         outcomes = {"closed form": 0, "certified": 0, "fallback": 0}
         for pts, complete in span_sets(rng):
             n = pts.ambient_dim
@@ -1067,19 +1090,52 @@ class TestSpanCertificate:
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(linalg, "rank_int_rows", refuse if complete else recorded)
+                patch.setattr(points, "_prefix_plan", refuse_plan)
                 check = points.normal_crossing_check(pts)
+                span_calls = list(calls)
+                # the degree-1 evaluation is the coordinate matrix
+                assert points.conditions_report(pts, 1).rank == expected
+                assert points.conditions_report(pts, 0).rank == min(pts.delta, 1)
+            # degree 1 takes the span's certificate or its fallback
+            assert calls == span_calls * 2
             assert check.span_dim == expected - 1
             assert check.tangent_intersection_dim == n - expected
             assert check.independent_branches == (expected == pts.delta)
             if pts.delta <= 2 or n == 1:
                 outcome = "closed form"
             else:
-                outcome = "fallback" if calls else "certified"
-            assert calls in ([], [pts.delta])
+                outcome = "fallback" if span_calls else "certified"
+            assert span_calls in ([], [pts.delta])
             outcomes[outcome] += 1
         assert outcomes["certified"] >= 20
         assert outcomes["fallback"] >= 20
         assert outcomes["closed form"] >= 10
+
+
+class TestLowDegreesBuildNoPlan:
+    def test_huge_ambient_spaces_rank_with_no_plan(self, tmp_path, monkeypatch, capsys):
+        # comb(9999 + 1, 1) = 10^4 is the bound's edge at degree 1, and
+        # degree 0 admits any ambient dimension; a prefix plan lists
+        # comb(n + d + 1, d + 1) products, 5 * 10^7 at (9999, 1)
+        def refuse(*args):
+            raise AssertionError("built a prefix plan")
+
+        monkeypatch.setattr(points, "_prefix_plan", refuse)
+        rng = random.Random(2601)
+        for n, delta, d in ((9999, 3, 1), (20000, 4, 0)):
+            path = tmp_path / f"points-{n}.json"
+            pts = random_point_set(rng, n, delta, 9)
+            path.write_text(json.dumps(pts.to_json()), encoding="utf-8")
+            capsys.readouterr()
+            argv = ["points", "--input", str(path), "--degree", str(d), "--json"]
+            assert cli.run(argv) == 0
+            report = json.loads(capsys.readouterr().out)
+            rank = report["conditions"]["rank"]
+            if d == 1:
+                assert rank == report["node_span_dim"] + 1
+                assert rank == kernel_rank(pts.vectors, n + 1)
+            else:
+                assert rank == 1
 
 
 class TestOneLabelling:
