@@ -178,6 +178,18 @@ def point_documents(rng):
         [_rational(Fraction(wide_space.randint(-9, 9), wide_space.randint(1, 3))) for _ in range(201)]
         for _ in range(3)
     ]
+    # many coordinates at degrees 2 to 4: seven off-grid points of P^12,
+    # whose support masks share a lead so that the Newton rows are
+    # ranked, and a partial grid in P^6 with three constant axes
+    many = random.Random(2101)
+    off_grid_p12 = [
+        [_rational(Fraction(many.randint(-99, 99), many.randint(1, 9))) for _ in range(12)] + [1]
+        for _ in range(7)
+    ]
+    constant_axes = _grid([
+        [0, Fraction(1, 2), -2], [3], [1, Fraction(-4, 3)], [Fraction(5, 4)], [0, 2, -1], [-7],
+    ])
+    many.shuffle(constant_axes)
     return {
         "complete-grid": ({"ambient_dim": 2, "points": complete}, (0, 1, 2, 3)),
         "partial-grid": ({"ambient_dim": 3, "points": partial[:20]}, (0, 2, 3)),
@@ -197,6 +209,10 @@ def point_documents(rng):
         "constant-axis-grid": ({"ambient_dim": 3, "points": constant_axis}, (0, 1, 2, 3)),
         "collinear-in-space": ({"ambient_dim": 3, "points": collinear}, (0, 1, 2, 3)),
         "three-in-p200": ({"ambient_dim": 200, "points": far}, (0, 1, 2)),
+        "seven-off-grid-in-p12": ({"ambient_dim": 12, "points": off_grid_p12}, (2, 3)),
+        "constant-axes-partial-grid": (
+            {"ambient_dim": 6, "points": constant_axes[:13]}, (2, 3, 4),
+        ),
     }
 
 
