@@ -26,9 +26,11 @@ coordinates from the ints.
 
 The evaluation is built basis-major: one row per basis form of degree
 d, one entry per point.  Each coordinate's factors are vectors across
-all points, and each row is its exponent prefix's row times one of
-them, so the interpreter takes one step per row instead of one per
-point.  :func:`evaluation_columns` does this for the monomials, and
+all points.  :func:`_graded_products` builds each exponent vector's
+product from its parent's by one factor of its last nonzero coordinate,
+and its row by one power of the last coordinate, so the interpreter
+takes two steps per row instead of one per point.
+:func:`evaluation_columns` does this for the monomials, and
 :func:`evaluation_matrix` is its transpose, point-major.
 
 The rank certificates change the basis first.  With h the last
@@ -72,7 +74,7 @@ certificates and the fallbacks.
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, compress, count, product, repeat
 from math import comb, gcd, lcm
 from operator import and_, floordiv, gt, itemgetter, lt, mul
@@ -84,11 +86,11 @@ from .errors import InputError, PreconditionError, check_int, check_reportable
 # built.  The largest default paper-examples cell evaluates 625 points on
 # 210 monomials in 5 coordinates.  At the bounds the work is slow but
 # finite: a grid of MAX_GRID_COORDINATES takes about 1.5 s and 40 MB to
-# print.  A degree-d prefix plan (_prefix_plan) lists comb(n + d + 1,
-# d + 1) products.  Only a rank at d >= 2 walks one, where the bound
-# keeps n <= 139: the largest plan, (139, 2), lists 467,180 and five
-# points rank in 0.6-0.8 s.  At d = 1 the bound admits n up to 9999 and
-# the plan would be quadratic in n, so a rank at d <= 1 builds none.
+# print.  The comb(n + d, n) rows of a degree (_graded_products) take
+# two products each, and the walk recurses at most min(n, d) + 1 deep,
+# which the bound keeps at 8, since comb(2m, m) > 10^4 for m >= 8.  The
+# evaluation of three points of P^1 at d = 9999 takes about 1.3 s and
+# 120 MB, nearly all of it the rows' big ints.
 # The column bound does not bound the rank's cost, which grows
 # with the point count and, through the entry size, with the degree:
 # random plane points with no repeated ratio and more than d + 1 of
@@ -327,55 +329,58 @@ def _check_request(pts, d, caller):
     _check_monomial_count(pts.ambient_dim, d)
 
 
-@lru_cache(maxsize=64)
-def _prefix_plan(n, d):
-    """How the degree-d monomials in n+1 variables grow from their prefixes.
-
-    Level i lists, for each exponent prefix of the first i + 1 variables
-    with sum at most d, its parent prefix (an index into level i - 1)
-    and its last exponent, in lexicographic order.  The last two
-    variables share one level: a monomial extends its prefix by
-    x^e * y^(f - e), where f is the degree the prefix leaves, and that
-    level lists the index of (f, e) in the table of these products,
-    f ascending, then e.  The plan depends on n and d alone, so it is
-    memoised, as tuples that no caller can change.
-    """
-    levels = []
-    free = [d]
-    for level in range(n):
-        parents, exponents, left = [], [], []
-        for i, f in enumerate(free):
-            start = f * (f + 1) // 2 if level == n - 1 else 0
-            parents += [i] * (f + 1)
-            exponents += range(start, start + f + 1)
-            left += range(f, -1, -1)
-        levels.append((tuple(parents), tuple(exponents)))
-        free = left
-    return tuple(levels)
-
-
 def _vector_product(a, b):
     return list(map(mul, a, b))
 
 
-def _products_from_tables(tables, n, d, one, times):
-    """One product per exponent vector of degree d, along :func:`_prefix_plan`.
+def _nonzero_product(a, b):
+    """:func:`_vector_product`, or ``[]`` where that is zero at every point.
 
-    ``tables[i][e]`` is coordinate i's factor for exponent e, the last
-    table being the homogenising coordinate's, and ``times`` multiplies
-    two factors: :func:`_vector_product` on rows of values, one per
-    point, and ``and_`` on support bitmasks.  Each product is its
-    prefix's product times one table entry, so the interpreter takes one
-    step per exponent vector.  An empty table row stands for a zero row:
-    ``map`` stops at the shorter row, so every row built from it is empty
-    too, at no cost.
+    ``map`` stops at the shorter row, so every product with an empty row
+    is empty too, at no cost.
     """
-    x, y = tables[-2:]
-    tables[-2] = [times(x[e], y[f - e]) for f in range(d + 1) for e in range(f + 1)]
-    products = [one]
-    for factors, (parents, exponents) in zip(tables, _prefix_plan(n, d)):
-        products = [times(products[p], factors[e]) for p, e in zip(parents, exponents)]
-    return products
+    row = _vector_product(a, b)
+    return row if any(row) else []
+
+
+def _graded_products(steps, last, d, one, times):
+    """The degree-d rows: one per exponent vector k, |k| <= d, of n coordinates.
+
+    ``steps[i][e]`` is coordinate i's factor that takes k_i from e to
+    e + 1, ``last`` is the homogenising coordinate's factor, and
+    ``times`` multiplies two products: :func:`_vector_product` on rows
+    of values, one per point, and ``and_`` on support bitmasks.  The
+    product of k is its parent's, k - e_j for j the last nonzero
+    coordinate of k, times ``steps[j][k_j - 1]``, and the row of k is
+    that product times ``last`` to the power d - |k|.  That is
+    2 comb(n + d, d) - 1 products after the d powers, with no cache, and
+    the interpreter takes one step per product instead of one per point.
+
+    The rows come in lexicographic order of k: k, then its children from
+    the last coordinate down to j.  The child at j is the next turn of a
+    loop and only later coordinates recurse, so the depth is at most
+    min(n, d) + 1.
+    """
+    powers = [one]
+    for _ in range(d):
+        powers.append(times(powers[-1], last))
+    rows = []
+
+    def walk(partial, j, e, free):
+        # partial is k's product, with k_j = e its last nonzero entry (0 at
+        # the root), and free = d - |k|
+        while True:
+            rows.append(times(partial, powers[free]))
+            if not free:
+                return
+            for i in range(len(steps) - 1, j, -1):
+                walk(times(partial, steps[i][0]), i, 1, free - 1)
+            partial = times(partial, steps[j][e])
+            e += 1
+            free -= 1
+
+    walk(one, 0, 0, d)
+    return rows
 
 
 def evaluation_columns(pts, d):
@@ -383,20 +388,14 @@ def evaluation_columns(pts, d):
 
     Row ``j`` holds the ``j``-th degree-d monomial, in lexicographic
     order of exponent vectors, evaluated at every stored integer vector,
-    in point order.  The power tables are vectors across all points, one
-    per exponent, combined by :func:`_products_from_tables`.  Every row
-    is a fresh list.
+    in point order.  Each coordinate is a vector across all points, and
+    :func:`_graded_products` multiplies them up, one product per row
+    and per power of the last coordinate.  Every row is a fresh list.
     """
     _check_request(pts, d, "evaluation_columns")
-    ones = [1] * pts.delta
-    tables = []
-    for i in range(pts.ambient_dim + 1):
-        xs = [vector[i] for vector in pts.vectors]
-        powers = [ones]
-        for _ in range(d):
-            powers.append(list(map(mul, powers[-1], xs)))
-        tables.append(powers)
-    return _products_from_tables(tables, pts.ambient_dim, d, ones, _vector_product)
+    *coordinates, hs = list(zip(*pts.vectors)) or [()] * (pts.ambient_dim + 1)
+    steps = [[xs] * d for xs in coordinates]
+    return _graded_products(steps, hs, d, [1] * pts.delta, _vector_product)
 
 
 def _ratio_keys(xs, hs):
@@ -405,21 +404,6 @@ def _ratio_keys(xs, hs):
         (x // g, h // g) if h > 0 else (-x // g, -h // g) if h else None
         for x, h, g in zip(xs, hs, map(gcd, xs, hs))
     ]
-
-
-def _running_products(ones, factors, rest, d):
-    """Products of the first e factor rows, e = 0..d: ``factors``, then ``rest``.
-
-    From the first all-zero product on, the rows are empty.
-    """
-    table = [ones]
-    row = ones
-    for e in range(d):
-        row = list(map(mul, row, factors[e] if e < len(factors) else rest))
-        if not any(row):
-            return table + [[]] * (d - e)
-        table.append(row)
-    return table
 
 
 # runs are bytes, and 255 stands for a ratio that is no node
@@ -491,17 +475,17 @@ def _newton_rows(pts, d):
     nodes.  Factor j of coordinate i is ``q*x_i - p*x_h`` for node j =
     p/q and ``x_i`` once the nodes run out, and basis element k is
     ``x_h^(d-|k|)`` times the first k_i factors of each coordinate i.
-    With no nodes the rows are those of :func:`evaluation_columns` less
-    any that hold a power of a coordinate zero at every point.
+    The products are :func:`_graded_products`, and one that is zero at
+    every point is dropped: it is ``[]``, and so is every product built
+    from it.  With no nodes the rows are those of
+    :func:`evaluation_columns` less the zero ones.
     """
     hs, coordinates, nodes, _ = pts._labelling
-    ones = [1] * pts.delta
-    tables = []
+    steps = []
     for xs, axis in zip(coordinates, nodes):
         factors = [[q * x - p * h for x, h in zip(xs, hs)] for p, q in axis[:d]]
-        tables.append(_running_products(ones, factors, xs, d))
-    tables.append(_running_products(ones, (), hs, d))
-    rows = _products_from_tables(tables, pts.ambient_dim, d, ones, _vector_product)
+        steps.append(factors + [xs] * (d - len(factors)))
+    rows = _graded_products(steps, hs, d, [1] * pts.delta, _nonzero_product)
     return [row for row in rows if row]
 
 
@@ -518,19 +502,20 @@ def _support_masks(labelling, d):
     rows are dropped, zero masks included.  A product of ints is nonzero
     exactly where each factor is, so each coordinate's table holds, per
     exponent e, the points whose run is at least e (the first e factors
-    are nonzero), the homogenising coordinate's the points with x_h != 0
-    for e >= 1, and the rows' ``mul`` becomes ``and_``.  Runs are bytes
-    because nodes are capped at ``_MAX_NODES``; a run of ``_MAX_NODES``
-    passes every test, since e <= d <= 139 once n >= 2
-    (``MAX_MONOMIALS``), so the degree-free labelling gives each degree's
-    masks.
+    are nonzero), the homogenising coordinate's the points with x_h != 0,
+    and the rows' ``mul`` becomes ``and_``.  The walk of
+    :func:`_graded_products` ANDs coordinate i's masks for e = 1..k_i,
+    and ``and_`` is idempotent, so that is the mask for k_i alone.  Runs
+    are bytes because nodes are capped at ``_MAX_NODES``; a run of
+    ``_MAX_NODES`` passes every test, since e <= d <= 139 once n >= 2
+    (``MAX_MONOMIALS``), so the degree-free labelling gives each
+    degree's masks.
     """
     hs, _, _, runs = labelling
     codes = [run[::-1] for run in runs]
-    tables = [[_at_least(code, e) for e in range(d + 1)] for code in codes]
-    everyone = tables[0][0]
-    tables.append([everyone] + [_at_least(bytes(map(bool, reversed(hs))), 1)] * d)
-    return _products_from_tables(tables, len(runs), d, everyone, and_)
+    steps = [[_at_least(code, e) for e in range(1, d + 1)] for code in codes]
+    last = _at_least(bytes(map(bool, reversed(hs))), 1)
+    return _graded_products(steps, last, d, _at_least(codes[0], 0), and_)
 
 
 def evaluation_matrix(pts, d):
@@ -601,10 +586,11 @@ def _rank(pts, d):
        straight to :func:`nodalic.linalg.rank_int_rows`: they are fresh
        ints, so they are not validated or copied again.
 
-    Steps 1 and 2 walk no prefix plan (see ``MAX_MONOMIALS``), so they
-    serve :func:`normal_crossing_check`, which bounds no n.  At d = 1 the
-    masks are the supports of step 2's rows, so both certify the same
-    leads, and either fallback computes the exact rank.
+    Steps 1 and 2 build no row of :func:`_graded_products`, so their cost
+    is linear in n and they serve :func:`normal_crossing_check`, which
+    bounds no n.  At d = 1 the masks are the supports of step 2's rows,
+    so both certify the same leads, and either fallback computes the
+    exact rank.
     """
     if d == 0 or d >= pts.delta - 1 or pts.ambient_dim == 1:
         return min(pts.delta, d + 1)
@@ -675,8 +661,8 @@ def normal_crossing_check(pts):
     cross normally exactly when the coordinate matrix has full row rank;
     the common intersection of the hyperplanes then has dimension
     ambient_dim - rank.  The coordinate matrix is the degree-1
-    evaluation, so the rank is :func:`_rank` at d = 1, which walks no
-    prefix plan and so needs no ``MAX_MONOMIALS`` check.
+    evaluation, so the rank is :func:`_rank` at d = 1, which builds no
+    monomial row and so needs no ``MAX_MONOMIALS`` check.
     """
     if not isinstance(pts, ProjectivePointSet):
         raise InputError("normal_crossing_check expects a ProjectivePointSet")

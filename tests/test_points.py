@@ -887,7 +887,7 @@ class TestNewtonRank:
                 assert cli.run(argv) == 0
             report = json.loads(capsys.readouterr().out)
             assert (report["conditions"]["rank"], report["node_span_dim"]) == (count, n)
-            # the running products stop at zero, so no zero row is built
+            # a product zero at every point is dropped with its descendants
             assert len(points._newton_rows(grid, d)) == count
 
     def test_newton_rows_without_repeats_are_the_monomial_rows(self):
@@ -996,6 +996,7 @@ class TestSupportMasks:
                 assert masks == [sum(1 << c for c, x in enumerate(row) if x) for row in rows]
                 built_rows = newton_rows(pts, d)
                 assert [r for r in built_rows if any(r)] == [r for r in rows if any(r)]
+                assert all(map(any, built_rows))
                 if pts.delta <= d + 1:
                     continue
                 nonzero = [mask for mask in masks if mask]
@@ -1080,8 +1081,8 @@ class TestSpanCertificate:
         def refuse(*args):
             raise AssertionError("a complete grid eliminated its coordinate matrix")
 
-        def refuse_plan(*args):
-            raise AssertionError("a rank at degree 0 or 1 built a prefix plan")
+        def refuse_walk(*args):
+            raise AssertionError("a rank at degree 0 or 1 walked the monomials")
 
         outcomes = {"closed form": 0, "certified": 0, "fallback": 0}
         for pts, complete in span_sets(rng):
@@ -1090,7 +1091,7 @@ class TestSpanCertificate:
             calls.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(linalg, "rank_int_rows", refuse if complete else recorded)
-                patch.setattr(points, "_prefix_plan", refuse_plan)
+                patch.setattr(points, "_graded_products", refuse_walk)
                 check = points.normal_crossing_check(pts)
                 span_calls = list(calls)
                 # the degree-1 evaluation is the coordinate matrix
@@ -1115,12 +1116,12 @@ class TestSpanCertificate:
 class TestLowDegreesBuildNoPlan:
     def test_huge_ambient_spaces_rank_with_no_plan(self, tmp_path, monkeypatch, capsys):
         # comb(9999 + 1, 1) = 10^4 is the bound's edge at degree 1, and
-        # degree 0 admits any ambient dimension; a prefix plan lists
-        # comb(n + d + 1, d + 1) products, 5 * 10^7 at (9999, 1)
+        # degree 0 admits any ambient dimension; a rank there takes a
+        # closed form or the degree-1 leads, and builds no monomial row
         def refuse(*args):
-            raise AssertionError("built a prefix plan")
+            raise AssertionError("walked the monomials")
 
-        monkeypatch.setattr(points, "_prefix_plan", refuse)
+        monkeypatch.setattr(points, "_graded_products", refuse)
         rng = random.Random(2601)
         for n, delta, d in ((9999, 3, 1), (20000, 4, 0)):
             path = tmp_path / f"points-{n}.json"
@@ -1136,6 +1137,46 @@ class TestLowDegreesBuildNoPlan:
                 assert rank == kernel_rank(pts.vectors, n + 1)
             else:
                 assert rank == 1
+
+
+class TestOneProductPerMonomial:
+    @pytest.mark.parametrize("n, d", [(200, 1), (1, 300), (40, 2)])
+    def test_each_build_makes_one_product_per_monomial(self, monkeypatch, n, d):
+        # a row is its parent's product times one factor, then times a
+        # power of the last coordinate, and the d powers come on top
+        bound = 2 * comb(n + d, d) + d
+        counts = {"rows": 0, "masks": 0}
+
+        def counted(name, times):
+            def wrapped(a, b):
+                counts[name] += 1
+                return times(a, b)
+
+            return wrapped
+
+        monkeypatch.setattr(points, "_vector_product", counted("rows", points._vector_product))
+        monkeypatch.setattr(points, "and_", counted("masks", points.and_))
+        pts = random_point_set(random.Random(2701 + n), n, 5, 2)
+        columns = points.evaluation_columns(pts, d)
+        assert counts["rows"] <= bound
+        assert columns == [list(c) for c in zip(*monomial_rows(pts, d))]
+        # a rank builds masks and Newton rows only at d >= 2 off the line
+        if d < 2 or n == 1:
+            return
+        counts["rows"] = 0
+        rows = points._newton_rows(pts, d)
+        assert counts["rows"] <= bound
+        assert rows and all(map(any, rows))
+        masks = points._support_masks(pts._labelling, d)
+        assert counts["masks"] <= bound
+        assert len(masks) == comb(n + d, d)
+
+    def test_the_walk_does_not_recurse_on_the_degree(self):
+        # 3000 is past the default recursion limit; on the line every row
+        # is the next turn of one loop
+        d = 3000
+        columns = points.evaluation_columns(point_set(1, [(2, 3), (1, -5)]), d)
+        assert columns == [[2**k * 3 ** (d - k), (-5) ** (d - k)] for k in range(d + 1)]
 
 
 class TestOneLabelling:
