@@ -190,6 +190,17 @@ def point_documents(rng):
         [0, Fraction(1, 2), -2], [3], [1, Fraction(-4, 3)], [Fraction(5, 4)], [0, 2, -1], [-7],
     ])
     many.shuffle(constant_axes)
+    # few points in a huge ambient space, read and ranked at the cost of
+    # reading them: three points of P^2000 and four of P^20000, where
+    # degree 1 passes MAX_MONOMIALS (2001 monomials) and fails it (20001)
+    huge = random.Random(2201)
+    few_p2000, few_p20000 = (
+        [
+            [_rational(Fraction(huge.randint(-9, 9), huge.randint(1, 3))) for _ in range(n + 1)]
+            for _ in range(delta)
+        ]
+        for n, delta in ((2000, 3), (20000, 4))
+    )
     return {
         "complete-grid": ({"ambient_dim": 2, "points": complete}, (0, 1, 2, 3)),
         "partial-grid": ({"ambient_dim": 3, "points": partial[:20]}, (0, 2, 3)),
@@ -213,6 +224,8 @@ def point_documents(rng):
         "constant-axes-partial-grid": (
             {"ambient_dim": 6, "points": constant_axes[:13]}, (2, 3, 4),
         ),
+        "three-in-p2000": ({"ambient_dim": 2000, "points": few_p2000}, (0, 1)),
+        "four-in-p20000": ({"ambient_dim": 20000, "points": few_p20000}, (0, 1)),
     }
 
 
