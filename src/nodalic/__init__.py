@@ -16,9 +16,14 @@ with no floating point anywhere:
 - :mod:`nodalic.bott`: line-bundle cohomology on projective space,
   Koszul and Eagon-Northcott resolutions, and the h1 vanishing chase.
 - :mod:`nodalic.cli`: JSON-first command line tying them together.
+
+Each submodule is imported on first attribute access (PEP 562), so
+``import nodalic`` loads none of them and a command loads only the
+engines it uses.  The results they return are named tuples.
 """
 
-from . import bott, cli, linalg, monodromy, points
+from importlib import import_module
+
 from .errors import InputError, PreconditionError
 
 __version__ = "0.1.0"
@@ -33,3 +38,10 @@ __all__ = [
     "monodromy",
     "points",
 ]
+
+
+def __getattr__(name):
+    # called only for names not yet bound: of __all__, the submodules
+    if name in __all__:
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,10 +9,9 @@ exact value when the relevant cohomology of the intermediate terms
 vanishes and the bound collapses to a single term.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .errors import InputError, PreconditionError, check_int, check_reportable
 
@@ -65,15 +64,14 @@ def _canonical_summands(pairs):
     return tuple(sorted(merged.items()))
 
 
-@dataclass(frozen=True)
-class LineBundleSum:
+class LineBundleSum(namedtuple("LineBundleSum", "summands")):
     """A direct sum of line bundles on a fixed projective space.
 
     ``summands`` is the canonical form: (twist, multiplicity) pairs,
     multiplicities positive, sorted by twist, equal twists merged.
     """
 
-    summands: tuple
+    __slots__ = ()
 
     @classmethod
     def of(cls, pairs):
@@ -109,8 +107,7 @@ class LineBundleSum:
         return cls.of(pairs)
 
 
-@dataclass(frozen=True)
-class Resolution:
+class Resolution(namedtuple("Resolution", "ambient_dim resolved_twist terms")):
     """Line-bundle resolution of a twisted ideal sheaf on P^n.
 
     ``terms[0]`` is the term mapping onto the sheaf and the list walks
@@ -119,18 +116,22 @@ class Resolution:
     by t - resolved_twist.
     """
 
-    ambient_dim: int
-    resolved_twist: int
-    terms: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_int(self.ambient_dim, "ambient_dim", minimum=1)
-        _check_twist(self.resolved_twist, "resolved_twist")
-        if not self.terms:
+    def __new__(cls, ambient_dim, resolved_twist, terms):
+        check_int(ambient_dim, "ambient_dim", minimum=1)
+        _check_twist(resolved_twist, "resolved_twist")
+        if not terms:
             raise InputError("a resolution needs at least one term")
-        for term in self.terms:
+        for term in terms:
             if not isinstance(term, LineBundleSum):
                 raise InputError("resolution terms must be LineBundleSum values")
+        return super().__new__(cls, ambient_dim, resolved_twist, terms)
+
+    @classmethod
+    def _make(cls, iterable):
+        # the namedtuple _make, and _replace through it, skip __new__
+        return cls(*iterable)
 
     def to_json(self):
         return {
@@ -256,8 +257,11 @@ def eagon_northcott_resolution(n, num_quadrics):
     return Resolution(ambient_dim=n, resolved_twist=h + n, terms=tuple(terms))
 
 
-@dataclass(frozen=True)
-class ChaseVerdict:
+class ChaseVerdict(
+    namedtuple(
+        "ChaseVerdict", "target_twist upper_bound vanishes exact_h1 obstructions"
+    )
+):
     """Outcome of an h1 chase at one target twist.
 
     ``vanishes`` certifies h1 = 0.  ``exact_h1`` is present (not None)
@@ -266,11 +270,7 @@ class ChaseVerdict:
     (position, twist, dimension) contributions.
     """
 
-    target_twist: int
-    upper_bound: int
-    vanishes: bool
-    exact_h1: int | None
-    obstructions: tuple
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -342,29 +342,42 @@ def h1_vanishing_chase(res, target_twist):
     )
 
 
-@dataclass(frozen=True)
-class CompleteIntersectionThreshold:
-    """Degree range where the chase certifies independence of grid nodes."""
+class CompleteIntersectionThreshold(
+    namedtuple("CompleteIntersectionThreshold", "numerator denominator admissible_k")
+):
+    """Degree range where the chase certifies independence of grid nodes.
 
-    bound: Fraction
-    admissible_k: tuple
+    The bound is ``numerator / denominator`` in lowest terms, held as
+    two ints; :attr:`bound` builds the Fraction only when asked.
+    """
+
+    __slots__ = ()
+
+    @property
+    def bound(self):
+        return Fraction(self.numerator, self.denominator)
 
     def to_json(self):
-        from .linalg import rational_to_json
-
+        p, q = self.numerator, self.denominator
         return {
-            "bound": rational_to_json(self.bound),
+            "bound": p if q == 1 else f"{p}/{q}",
             "admissible_k": list(self.admissible_k),
         }
 
 
 def ci_threshold(n):
-    """Exact bound (2n+1)/(n-1) with the admissible integer degrees k >= 2."""
+    """Exact bound (2n+1)/(n-1) with the admissible integer degrees k >= 2.
+
+    k is admissible when k < (2n+1)/(n-1), compared as k(n-1) < 2n+1.
+    """
     check_int(n, "n", minimum=2)
-    bound = Fraction(2 * n + 1, n - 1)
+    top, bottom = 2 * n + 1, n - 1
     admissible = []
     k = 2
-    while k < bound:
+    while k * bottom < top:
         admissible.append(k)
         k += 1
-    return CompleteIntersectionThreshold(bound=bound, admissible_k=tuple(admissible))
+    g = gcd(top, bottom)
+    return CompleteIntersectionThreshold(
+        numerator=top // g, denominator=bottom // g, admissible_k=tuple(admissible)
+    )

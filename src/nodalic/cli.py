@@ -6,14 +6,17 @@ verdicts for the two node configurations and cross-checks them against
 explicit grid ranks where those are cheap.  Exit codes are part of the
 contract: 0 success, 1 malformed input, 2 violated precondition or a
 sweep cell deviating from its asserted verdict.
+
+Each command imports the engines it uses when it runs, so a process
+loads only those: ``points`` never imports :mod:`nodalic.bott` or
+:mod:`nodalic.monodromy`.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
-from . import bott, monodromy, points
 from .errors import InputError, PreconditionError, check_int, unreportable
 
 _EXPECTED_EN_MAX_H = 2
@@ -36,16 +39,13 @@ _EN_COLUMNS = (
 _SEVERI_COLUMNS = (("N", "N"), ("delta", "delta"), ("expected_dim", "expected_dim"))
 
 
-def _expected_ci(n, k):
-    return k in bott.ci_threshold(n).admissible_k
-
-
 def _cell(columns, *values):
     return dict(zip([key for key, _ in columns], values, strict=True))
 
 
-@dataclass(frozen=True)
-class PaperExamplesReport:
+class PaperExamplesReport(
+    namedtuple("PaperExamplesReport", "ci_table en_table severi_samples all_match")
+):
     """Verdict tables for both node configurations plus sample dimensions.
 
     Each table is a tuple of cells, dicts keyed as its columns.
@@ -54,10 +54,7 @@ class PaperExamplesReport:
     chase column.
     """
 
-    ci_table: tuple
-    en_table: tuple
-    severi_samples: tuple
-    all_match: bool
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -76,6 +73,8 @@ def paper_examples(max_n=6, max_k=8, max_h=6, grid_cap=1000):
     bound and the rank must then agree (sufficiency in one direction,
     exact value when the chase certifies one).
     """
+    from . import bott, points
+
     check_int(max_n, "max_n", minimum=2)
     check_int(max_k, "max_k", minimum=2)
     check_int(max_h, "max_h", minimum=1)
@@ -97,7 +96,7 @@ def paper_examples(max_n=6, max_k=8, max_h=6, grid_cap=1000):
                 consistent = (not verdict.vanishes or grid_h1 == 0) and (
                     verdict.exact_h1 is None or verdict.exact_h1 == grid_h1
                 )
-            expected = _expected_ci(n, k)
+            expected = k in bott.ci_threshold(n).admissible_k
             matches = verdict.vanishes == expected and consistent is not False
             all_match = all_match and matches
             ci_table.append(
@@ -302,6 +301,8 @@ def _table_lines(columns, cells):
 
 
 def _run_ic_stalk(args):
+    from . import monodromy
+
     data = monodromy.MonodromyData.from_json(_load_json(args.input))
     report = monodromy.ic_stalk(data, sign=args.sign)
     filtration = monodromy.perverse_filtration(report)
@@ -322,6 +323,8 @@ def _run_ic_stalk(args):
 
 
 def _run_points(args):
+    from . import points
+
     pts = points.ProjectivePointSet.from_json(_load_json(args.input))
     conditions = points.conditions_report(pts, args.degree)
     crossing = points.normal_crossing_check(pts)
@@ -347,12 +350,16 @@ def _run_points(args):
 
 
 def _run_chase(args):
+    from . import bott
+
     res = bott.Resolution.from_json(_load_json(args.input))
     verdict = bott.h1_vanishing_chase(res, args.twist)
     return verdict.to_json(), _verdict_lines(verdict), 0
 
 
 def _run_koszul(args):
+    from . import bott
+
     res = bott.koszul_resolution(args.n, _parse_degrees(args.degrees))
     if args.twist is None:
         return res.to_json(), _resolution_lines(res), 0
@@ -362,6 +369,8 @@ def _run_koszul(args):
 
 
 def _run_eagon_northcott(args):
+    from . import bott, points
+
     res = bott.eagon_northcott_resolution(args.n, args.quadrics)
     count = points.node_count_quadrics(args.n, args.quadrics)
     report = {"resolution": res.to_json(), "node_count": count}
@@ -374,6 +383,8 @@ def _run_eagon_northcott(args):
 
 
 def _run_grid(args):
+    from . import points
+
     pts = points.grid_nodes(args.n, args.k)
     report = pts.to_json()
     lines = [

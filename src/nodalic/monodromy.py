@@ -30,7 +30,7 @@ of each node with f_i != 0 in degree 1, and one differential, whose rows
 are sign * f_i.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -45,8 +45,14 @@ FAIL_ZERO_CYCLE = "zero vanishing cycle unsupported"
 FAIL_ORTHOGONALITY = "vanishing cycles not pairwise orthogonal"
 
 
-@dataclass(frozen=True)
-class MonodromyData:
+class MonodromyData(
+    namedtuple(
+        "MonodromyData",
+        "dim int_pairing scale int_cycles cycle_scales functionals gram h_ambient "
+        "fiber_dim",
+        defaults=(None,),
+    )
+):
     """Vanishing-cycle presentation of a nodal degeneration, on integers.
 
     ``dim`` is the rank of the middle cohomology of the nearby fiber,
@@ -70,15 +76,7 @@ class MonodromyData:
     :func:`validate`.
     """
 
-    dim: int
-    int_pairing: tuple
-    scale: int
-    int_cycles: tuple
-    cycle_scales: tuple
-    functionals: tuple
-    gram: tuple
-    h_ambient: int
-    fiber_dim: int | None = None
+    __slots__ = ()
 
     @property
     def delta(self):
@@ -215,15 +213,15 @@ def _is_skew(pairing):
     return all(pairing[i][j] == -pairing[j][i] for i in range(m) for j in range(i, m))
 
 
-@dataclass(frozen=True)
-class Diagnostics:
+class Diagnostics(
+    namedtuple(
+        "Diagnostics",
+        "skew nondegenerate cycles_nonzero pairwise_orthogonal failures",
+    )
+):
     """Pass/fail record for every semantic invariant of MonodromyData."""
 
-    skew: bool
-    nondegenerate: bool
-    cycles_nonzero: bool
-    pairwise_orthogonal: bool
-    failures: tuple
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -275,8 +273,7 @@ def validate(data):
     )
 
 
-@dataclass(frozen=True)
-class StalkComplex:
+class StalkComplex(namedtuple("StalkComplex", "dim summands differentials dims")):
     """Complex of images of products of the monodromy logarithms.
 
     Degree p collects one summand per strictly increasing index tuple of
@@ -291,10 +288,7 @@ class StalkComplex:
     ``differentials[0]`` are sign * f_i.
     """
 
-    dim: int
-    summands: tuple
-    differentials: tuple
-    dims: tuple
+    __slots__ = ()
 
     @property
     def degrees(self):
@@ -382,18 +376,15 @@ def excision_rank(data):
     return linalg.rank(data.functionals, data.dim)
 
 
-@dataclass(frozen=True)
-class IcStalkReport:
+class IcStalkReport(
+    namedtuple(
+        "IcStalkReport",
+        "h0 h1 higher span_dim excision_rank h_top_singular defect filtration",
+    )
+):
     """Stalk dimensions plus the bookkeeping derived from them."""
 
-    h0: int
-    h1: int
-    higher: tuple
-    span_dim: int
-    excision_rank: int
-    h_top_singular: int
-    defect: int
-    filtration: tuple
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -449,14 +440,12 @@ def ic_stalk(data, sign=-1):
     )
 
 
-@dataclass(frozen=True)
-class PerverseFiltration:
+class PerverseFiltration(
+    namedtuple("PerverseFiltration", "negative_piece graded_0 graded_1 total")
+):
     """Graded pieces of the two-step filtration on the top cohomology."""
 
-    negative_piece: int
-    graded_0: int
-    graded_1: int
-    total: int
+    __slots__ = ()
 
     def to_json(self):
         return {

@@ -71,8 +71,7 @@ alike; its docstring gives the order of the closed forms, the
 certificates and the fallbacks.
 """
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count, product, repeat
@@ -164,8 +163,7 @@ def _quotient_json(x, lead):
     return x // g if g == lead else f"{x // g}/{lead // g}"
 
 
-@dataclass(frozen=True)
-class ProjectivePointSet:
+class ProjectivePointSet(namedtuple("ProjectivePointSet", "ambient_dim vectors")):
     """Distinct points of projective n-space, stored as integer vectors.
 
     ``vectors`` holds each point's primitive integer representative with
@@ -173,10 +171,18 @@ class ProjectivePointSet:
     exactly projective equality, which is how duplicates are rejected.
     ``points`` gives the same points scaled so that their first nonzero
     coordinate is 1, as Fractions.
+
+    The class has no ``__slots__``: the cached :attr:`_labelling` lives
+    in the instance ``__dict__``, which ``cached_property`` writes
+    directly.  Assigning or deleting any attribute raises
+    ``AttributeError``, so the set stays immutable.
     """
 
-    ambient_dim: int
-    vectors: tuple
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a point set is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a point set is immutable")
 
     @classmethod
     def from_coordinates(cls, ambient_dim, coordinates):
@@ -248,7 +254,7 @@ class ProjectivePointSet:
 
         Every degree's Newton rows and the span certificate read it, so a
         ``points`` request labels its set once.  It is no field: equality,
-        hash and repr see only ``ambient_dim`` and ``vectors``.
+        hash and repr see only the tuple ``(ambient_dim, vectors)``.
         """
         return _node_labelling(self)
 
@@ -530,17 +536,15 @@ def evaluation_matrix(pts, d):
     return [list(row) for row in zip(*evaluation_columns(pts, d))]
 
 
-@dataclass(frozen=True)
-class ConditionsReport:
+class ConditionsReport(
+    namedtuple(
+        "ConditionsReport",
+        "delta degree h0_ambient rank h0_ideal h1_ideal independent",
+    )
+):
     """Exact answer to "do these points impose independent conditions?"."""
 
-    delta: int
-    degree: int
-    h0_ambient: int
-    rank: int
-    h0_ideal: int
-    h1_ideal: int
-    independent: bool
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -634,8 +638,12 @@ def node_span_dim(pts):
     return _rank(pts, 1) - 1
 
 
-@dataclass(frozen=True)
-class NormalCrossingCheck:
+class NormalCrossingCheck(
+    namedtuple(
+        "NormalCrossingCheck",
+        "independent_branches tangent_intersection_dim span_dim",
+    )
+):
     """Branch independence, read off the rank of the coordinate matrix.
 
     ``span_dim`` is the projective dimension of the points' linear span,
@@ -643,9 +651,7 @@ class NormalCrossingCheck:
     stays out of this check's JSON.
     """
 
-    independent_branches: bool
-    tangent_intersection_dim: int
-    span_dim: int
+    __slots__ = ()
 
     def to_json(self):
         return {

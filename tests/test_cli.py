@@ -452,10 +452,71 @@ def test_requests_load_no_test_dependency(tmp_path):
         "codes = [cli.run(['paper-examples', '--max-n', '3', '--max-k', '5', '--max-h', '3']),"
         " cli.run(['points', '--input', sys.argv[1], '--degree', '5', '--json'])]\n"
         "test_only = {'sympy', 'hypothesis', 'pytest', '_pytest', 'helpers'}\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] in test_only))"
+        "import json\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] in test_only)]))"
     )
+    assert _run_script(script, path, cwd=tmp_path) == [[0, 0], []]
+
+
+def _run_script(script, *args, cwd):
+    """Run ``script`` in a fresh interpreter; its last stdout line, read as JSON."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nodalic.__file__)))
     done = subprocess.run(
-        [sys.executable, "-c", script, path], capture_output=True, text=True, env=env, cwd=tmp_path
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, cwd=cwd
     )
-    assert done.stdout.endswith("\n[0, 0] []\n") and done.stderr == ""
+    assert done.stderr == ""
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_each_command_loads_only_its_engines(tmp_path):
+    # no wall clock: what a fresh process imports is the start-up cost
+    grid = write_doc(tmp_path, "grid.json", points.grid_nodes(2, 4).to_json())
+    stalk = write_doc(tmp_path, "stalk.json", DEFECTIVE_DOC)
+    script = (
+        "import io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "before = set(sys.modules)\n"
+        "from nodalic import cli\n"
+        "loaded = []\n"
+        "for argv in (['points', '--input', sys.argv[1], '--degree', '2'],\n"
+        "             ['ic-stalk', '--input', sys.argv[2]],\n"
+        "             ['koszul', '--n', '2', '--degrees', '2,2', '--twist', '3']):\n"
+        "    with redirect_stdout(io.StringIO()):\n"
+        "        code = cli.run(argv)\n"
+        "    loaded.append([code, sorted(set(sys.modules) - before)])\n"
+        "print(json.dumps(loaded))"
+    )
+    (points_code, after_points), (stalk_code, after_stalk), (koszul_code, after_koszul) = (
+        _run_script(script, grid, stalk, cwd=tmp_path)
+    )
+    assert (points_code, stalk_code, koszul_code) == (0, 0, 0)
+    assert "nodalic.points" in after_points
+    for name in ("dataclasses", "inspect", "nodalic.bott", "nodalic.monodromy"):
+        assert name not in after_points
+    assert "nodalic.monodromy" in after_stalk and "nodalic.bott" not in after_stalk
+    assert "nodalic.bott" in after_koszul
+    assert "dataclasses" not in after_koszul and "inspect" not in after_koszul
+
+
+def test_submodules_load_on_first_use(tmp_path):
+    script = (
+        "import json, sys\n"
+        "import nodalic\n"
+        "engines = ('bott', 'cli', 'linalg', 'monodromy', 'points')\n"
+        "on_import = [m for m in engines if 'nodalic.' + m in sys.modules]\n"
+        "grid = nodalic.points.grid_nodes(2, 3).delta\n"
+        "from nodalic import *\n"
+        "bound = [name for name in nodalic.__all__ if name in globals()]\n"
+        "try:\n"
+        "    nodalic.nothing\n"
+        "    missing = None\n"
+        "except AttributeError as err:\n"
+        "    missing = str(err)\n"
+        "print(json.dumps([on_import, grid, bound, monodromy.__name__, missing]))"
+    )
+    on_import, grid, bound, monodromy_name, missing = _run_script(script, cwd=tmp_path)
+    assert on_import == []
+    assert grid == 4
+    assert bound == nodalic.__all__
+    assert monodromy_name == "nodalic.monodromy"
+    assert missing == "module 'nodalic' has no attribute 'nothing'"

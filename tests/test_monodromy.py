@@ -818,11 +818,8 @@ class TestIntegerPath:
     def test_points_and_chase_commands_build_no_fraction(
         self, monkeypatch, tmp_path, capsys
     ):
-        """``points`` on a rational grid, ``grid`` and the chase commands build no Fraction.
-
-        Only ``paper-examples`` is left out: ``bott.ci_threshold``, which
-        it calls, builds its bound as a Fraction.
-        """
+        """``points`` on a rational grid, ``grid``, the chase commands and
+        ``paper-examples`` build no Fraction."""
         axis = ["1/2", -3, "5/3"]
         grid = {
             "ambient_dim": 2,
@@ -845,6 +842,7 @@ class TestIntegerPath:
             ["eagon-northcott", "--n", "3", "--quadrics", "2", "--twist", "2"],
             ["chase", "--input", str(resolution_path), "--twist", "2"],
             ["grid", "--n", "2", "--k", "4"],
+            ["paper-examples", "--max-n", "3", "--max-k", "5", "--max-h", "2"],
         ]
         for module in (linalg, points, bott, monodromy):
             monkeypatch.setattr(module, "Fraction", NoFraction)
