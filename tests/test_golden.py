@@ -350,6 +350,23 @@ def corpus(directory):
     }
     # its own generator, so the draws above and below stay as recorded
     stalks["stalk-dense-40"] = stalk_document(random.Random(1601), 40, 20, 12)
+    # the edges of the two-term complex: no fiber cohomology at all, two
+    # coincident cycles (the README example) and more nodes than dimensions
+    stalks["stalk-dim-zero"] = {"dim": 0, "pairing": [], "cycles": [], "h_ambient": 0}
+    stalks["stalk-coincident"] = {
+        "dim": 4,
+        "pairing": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+        "cycles": [[1, 0, 0, 0], [1, 0, 0, 0]],
+        "h_ambient": 1,
+    }
+    stalks["stalk-twelve-proportional"] = {
+        "dim": 2,
+        "pairing": [[0, 1], [-1, 0]],
+        "cycles": [
+            [c, 0] for c in (1, -1, 2, "1/2", -3, "2/3", 5, "-7/4", 6, "3/5", -8, "9/2")
+        ],
+        "h_ambient": 2,
+    }
     stalks.update((f"fail-{k}", doc) for k, doc in FAILING_DOCUMENTS.items())
     stalks.update((f"malformed-{k}", doc) for k, doc in MALFORMED_DOCUMENTS.items())
     stalks["malformed-json"] = '{"dim": 2, "pairing": '
