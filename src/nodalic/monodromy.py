@@ -21,13 +21,13 @@ forms; the pairing and the cycles as Fractions are built when asked for.
 Positive rescalings change no rank, skewness or orthogonality, so
 every check runs on plain ints, and every pairwise one reads the Gram
 matrix.  The complex is built on the integer operators
-M_i = sign * outer(v_i, f_i), positive multiples of the logarithms,
-which rescales the summands and changes no rank.  M_i M_j is
+M_i = sign * outer(v_i, f_i), positive multiples of the logarithms;
+the rescaling changes no rank.  M_i M_j is
 sign^2 * gram[i][j] * outer(v_i, f_j), so the builder reads the Gram
 matrix off its diagonal to see that every product of two or more
-vanishes; the complex is then the identity in degree 0, the column v_i
-of each node with f_i != 0 in degree 1, and one differential, whose rows
-are sign * f_i.
+vanishes.  The complex is then Q^dim -> Q^k, one line (spanned by v_i)
+for each of the k nodes with f_i != 0, and :class:`StalkComplex` holds
+it as its one differential, whose rows are sign * f_i.
 """
 
 from collections import namedtuple
@@ -273,26 +273,18 @@ def validate(data):
     )
 
 
-class StalkComplex(namedtuple("StalkComplex", "dim summands differentials dims")):
-    """Complex of images of products of the monodromy logarithms.
+class StalkComplex(namedtuple("StalkComplex", "dim delta d0")):
+    """The stalk complex of ``delta`` orthogonal cycles: Q^dim -> Q^len(d0).
 
-    Degree p collects one summand per strictly increasing index tuple of
-    length p whose product is nonzero; products that vanish span nothing
-    and are not stored, but all delta + 1 degrees are, empty ones
-    included.  A summand's basis matrix (int columns spanning the image
-    of its product: the identity in degree 0, the column
-    ``int_cycles[i]`` for the summand ``(i,)`` of degree 1) fixes the
-    coordinates in which the differentials are written.
-    ``differentials[p]`` maps degree p to degree p+1, with int entries;
-    ``dims[p]`` is the total dimension of degree p.  The rows of
-    ``differentials[0]`` are sign * f_i.
+    Degree 0 is the fiber, degree 1 has one line per node whose
+    logarithm is nonzero, and degrees 2 to ``delta`` are zero, because
+    every product of two logarithms vanishes.  ``d0`` is the one
+    differential, as int rows sign * f_i for the nodes with f_i != 0, in
+    node order; the row of node i maps onto its line in the coordinate
+    along v_i.
     """
 
     __slots__ = ()
-
-    @property
-    def degrees(self):
-        return tuple(range(len(self.summands)))
 
 
 def build_stalk_complex(data, sign=-1):
@@ -305,57 +297,30 @@ def build_stalk_complex(data, sign=-1):
     """
     if not isinstance(data, MonodromyData):
         raise InputError("build_stalk_complex expects MonodromyData")
-    if sign not in (1, -1):
+    if type(sign) is not int or sign not in (1, -1):
         raise InputError(f"sign must be +1 or -1, got {sign!r}")
-    m, delta = data.dim, data.delta
-    vs, fs, gram = data.int_cycles, data.functionals, data.gram
+    gram = data.gram
     if any(g for i, row in enumerate(gram) for j, g in enumerate(row) if i != j):
         raise PreconditionError(FAIL_ORTHOGONALITY)
-
     # The logarithm of node i is a positive multiple of M_i, and rescaling
     # each logarithm by a positive constant is a diagonal change of basis
     # of the complex.  M_i is nonzero exactly when f_i is, its image is
     # the line of v_i, and M_i e_k is sign * f_i[k] times v_i.
-    nodes = [i for i in range(delta) if any(fs[i])]
-    identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
-    # degrees 2 to delta are empty; with no cycles only degree 0 is kept
-    empty = ((),) * (delta - 1)
-    summands = (
-        (((), identity),),
-        tuple(((i,), tuple((x,) for x in vs[i])) for i in nodes),
-    ) + empty
-    d0 = tuple(tuple(sign * x for x in fs[i]) for i in nodes)
-    return StalkComplex(
-        dim=m,
-        summands=summands[: delta + 1],
-        differentials=((d0,) + empty)[:delta],
-        dims=((m, len(nodes)) + (0,) * (delta - 1))[: delta + 1],
-    )
+    d0 = tuple(tuple(sign * x for x in f) for f in data.functionals if any(f))
+    return StalkComplex(dim=data.dim, delta=data.delta, d0=d0)
 
 
 def complex_cohomology(complex_):
-    """Cohomology dimensions in every degree, after checking d∘d = 0."""
+    """Cohomology dimensions in degrees 0 to delta, from one rank of d0."""
     if not isinstance(complex_, StalkComplex):
         raise InputError("complex_cohomology expects a StalkComplex")
-    dims = complex_.dims
-    top = len(dims) - 1
-    ranks = [
-        linalg.rank(diff, dims[p]) if diff else 0
-        for p, diff in enumerate(complex_.differentials)
-    ]
-    for p in range(len(complex_.differentials) - 1):
-        a, b = complex_.differentials[p + 1], complex_.differentials[p]
-        if not a or not b:
-            continue
-        product = linalg.matmul(a, b)
-        if any(any(x != 0 for x in row) for row in product):
-            raise PreconditionError("differentials do not compose to zero")
-    out = []
-    for p in range(top + 1):
-        rank_out = ranks[p] if p < len(ranks) else 0
-        rank_in = ranks[p - 1] if p >= 1 else 0
-        out.append(dims[p] - rank_out - rank_in)
-    return out
+    dim, delta, d0 = complex_
+    if len(d0) > delta:
+        raise InputError(f"d0 has {len(d0)} rows, more than delta = {delta}")
+    if not delta:
+        return [dim]
+    r = linalg.rank(d0, dim)
+    return [dim - r, len(d0) - r] + [0] * (delta - 1)
 
 
 def span_dim(data):
@@ -370,7 +335,7 @@ def excision_rank(data):
 
     Row i is the functional <., v_i>; with a nondegenerate pairing the
     rank equals the span dimension of the cycles, which the test suite
-    checks as the excision bookkeeping identity.
+    checks as the excision bookkeeping equation.
     """
     _require_valid(data)
     return linalg.rank(data.functionals, data.dim)
@@ -420,9 +385,8 @@ def ic_stalk(data, sign=-1):
     cohomology = complex_cohomology(build_stalk_complex(data, sign))
     h0 = data.dim - s
     h1 = data.delta - s
-    higher = tuple(cohomology[2:])
-    complex_h1 = cohomology[1] if len(cohomology) > 1 else 0
-    if cohomology[0] != h0 or complex_h1 != h1 or any(higher):
+    closed = [h0, h1] + [0] * (data.delta - 1) if data.delta else [h0]
+    if cohomology != closed:
         raise PreconditionError(
             "closed-form and complex stalk computations disagree: "
             f"closed (h0={h0}, h1={h1}), complex {cohomology}"
@@ -431,7 +395,7 @@ def ic_stalk(data, sign=-1):
     return IcStalkReport(
         h0=h0,
         h1=h1,
-        higher=higher,
+        higher=tuple(closed[2:]),
         span_dim=s,
         excision_rank=excision_rank(data),
         h_top_singular=h_top,

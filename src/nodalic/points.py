@@ -188,22 +188,19 @@ class ProjectivePointSet(namedtuple("ProjectivePointSet", "ambient_dim vectors")
     def from_coordinates(cls, ambient_dim, coordinates):
         """Point set from coordinate vectors of ints or Fractions."""
         end, error = _shaped_prefix(ambient_dim, coordinates)
-        columns = list(zip(*coordinates[:end]))
-        try:
-            values = [list(map(linalg.as_rational, column)) for column in columns]
-        except InputError:
-            # the first bad entry in point order ends the prefix
-            for end, point in enumerate(zip(*columns)):
-                try:
-                    linalg.rational_pairs(point)
-                except InputError as err:
-                    error = err
-                    break
-            values = [list(map(linalg.as_rational, column[:end])) for column in columns]
+        pairs = []
+        for point in coordinates[:end]:
+            try:
+                pairs.append(linalg.rational_pairs(point))
+            except InputError as err:
+                # the first bad entry in point order ends the prefix
+                error = err
+                break
+        columns = list(zip(*pairs))
         return cls._from_columns(
             ambient_dim,
-            [[x.numerator for x in column] for column in values],
-            [[x.denominator for x in column] for column in values],
+            [[num for num, _ in column] for column in columns],
+            [[den for _, den in column] for column in columns],
             error,
         )
 

@@ -341,7 +341,7 @@ def corpus(directory):
         for m, delta, s in SMALL_MIXED_SHAPES:
             stalks[f"stalk-{draw}-{m}-{delta}-{s}"] = stalk_document(rng, m, delta, s)
     stalks["stalk-forty-nodes"] = stalk_document(rng, 8, 40, 4)
-    # delta = 0: the complex is the identity summand alone
+    # delta = 0: the complex is the fiber alone, with no differential
     stalks["stalk-no-cycles"] = {
         "dim": 4,
         "pairing": [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],

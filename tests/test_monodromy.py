@@ -18,7 +18,6 @@ from nodalic.monodromy import (
 from helpers import (
     NoFraction,
     basis_vector,
-    column_space_basis,
     identity,
     kernel_basis,
     log_matrix,
@@ -113,10 +112,14 @@ class TestPlOperator:
             data_for(4, [(1, 0)])
 
     def test_bad_sign(self):
+        # only the ints +1 and -1: bool is excluded as check_int excludes
+        # it, and a float or a Fraction would put non-ints into d0
         data = data_for(2, [(1, 0)])
-        for run in (monodromy.build_stalk_complex, monodromy.ic_stalk):
-            with pytest.raises(InputError, match="sign"):
-                run(data, 2)
+        for sign in (2, True, 1.0, -1.0, Fraction(1)):
+            for run in (monodromy.build_stalk_complex, monodromy.ic_stalk):
+                with pytest.raises(InputError) as err:
+                    run(data, sign)
+                assert str(err.value) == f"sign must be +1 or -1, got {sign!r}"
 
 
 class TestTransvection:
@@ -372,24 +375,18 @@ class TestDataParsing:
 class TestStalkComplex:
     def test_single_cycle_dims(self):
         complex_ = monodromy.build_stalk_complex(data_for(2, [(1, 0)]))
-        assert complex_.dims == (2, 1)
-        assert complex_.degrees == (0, 1)
-
-    def test_degree_zero_term_is_identity(self):
-        complex_ = monodromy.build_stalk_complex(data_for(2, [(1, 0)]))
-        level0 = complex_.summands[0]
-        assert len(level0) == 1
-        assert [list(r) for r in level0[0][1]] == identity(2)
+        # f = J e_0 = (0, -1), and the default sign is -1
+        assert complex_ == (2, 1, ((0, 1),))
 
     def test_orthogonal_pair_kills_degree_two(self):
         data = data_for(4, [basis_vector(4, 0), basis_vector(4, 2)])
         complex_ = monodromy.build_stalk_complex(data)
-        assert complex_.dims == (4, 2, 0)
+        assert (complex_.dim, complex_.delta, len(complex_.d0)) == (4, 2, 2)
+        assert monodromy.complex_cohomology(complex_) == [2, 0, 0]
 
     def test_no_cycles(self):
         complex_ = monodromy.build_stalk_complex(data_for(4, []))
-        assert complex_.dims == (4,)
-        assert complex_.differentials == ()
+        assert complex_ == (4, 0, ())
 
     def test_non_commuting_rejected(self):
         # <v_0, v_1> != 0, so the product of the two logs is nonzero
@@ -397,38 +394,24 @@ class TestStalkComplex:
         with pytest.raises(PreconditionError, match=FAIL_ORTHOGONALITY):
             monodromy.build_stalk_complex(data)
 
-    def test_summand_bases_match_explicit_products(self):
-        rng = random.Random(14)
-        for _ in range(20):
-            data = random_monodromy_data(rng, max_half_dim=3, max_delta=4)
-            pairing = [list(r) for r in data.pairing]
-            for sign in (1, -1):
-                complex_ = monodromy.build_stalk_complex(data, sign)
-                logs = [log_matrix(pairing, c, sign) for c in data.cycles]
-                for p in range(1, data.delta + 1):
-                    for idx, basis in complex_.summands[p]:
-                        product = identity(data.dim)
-                        for i in idx:
-                            product = linalg.matmul(product, logs[i])
-                        assert basis == tuple((x,) for x in data.int_cycles[idx[0]])
-                        # one column, on the line of the product's image
-                        expected = column_space_basis(product)
-                        assert len(expected[0]) == 1
-                        aug = [list(e) + list(b) for e, b in zip(expected, basis)]
-                        assert rref(aug)[1] == 1
-
     def test_differential_composition_vanishes(self):
+        # the complex stops at d0 because every product of two explicit
+        # logarithms is zero on the data the builder accepts
         rng = random.Random(15)
         for _ in range(10):
             data = random_monodromy_data(rng, max_half_dim=4, max_delta=5)
-            complex_ = monodromy.build_stalk_complex(data)
-            for p in range(len(complex_.differentials) - 1):
-                a = [list(r) for r in complex_.differentials[p + 1]]
-                b = [list(r) for r in complex_.differentials[p]]
-                if not a or not b or not a[0] or not b[0]:
-                    continue
-                product = linalg.matmul(a, b)
-                assert all(all(x == 0 for x in row) for row in product)
+            monodromy.build_stalk_complex(data)
+            pairing = [list(r) for r in data.pairing]
+            logs = [log_matrix(pairing, c, -1) for c in data.cycles]
+            for a in logs:
+                for b in logs:
+                    product = linalg.matmul(a, b)
+                    assert all(all(x == 0 for x in row) for row in product)
+
+    def test_more_rows_than_nodes_rejected(self):
+        fake = monodromy.StalkComplex(dim=2, delta=1, d0=((0, 1), (1, 0)))
+        with pytest.raises(InputError, match="d0 has 2 rows, more than delta = 1"):
+            monodromy.complex_cohomology(fake)
 
 
 class TestComplexCohomology:
@@ -445,16 +428,6 @@ class TestComplexCohomology:
         complex_ = monodromy.build_stalk_complex(data_for(6, []))
         assert monodromy.complex_cohomology(complex_) == [6]
 
-    def test_bad_composition_rejected(self):
-        fake = monodromy.StalkComplex(
-            dim=1,
-            summands=((), (), ()),
-            differentials=(((Fraction(1),),), ((Fraction(1),),)),
-            dims=(1, 1, 1),
-        )
-        with pytest.raises(PreconditionError, match="compose"):
-            monodromy.complex_cohomology(fake)
-
     def test_kernel_of_first_differential_pairs_to_zero(self):
         rng = random.Random(16)
         for _ in range(15):
@@ -462,7 +435,7 @@ class TestComplexCohomology:
             if data.delta == 0:
                 continue
             complex_ = monodromy.build_stalk_complex(data)
-            d0 = [list(r) for r in complex_.differentials[0]]
+            d0 = [list(r) for r in complex_.d0]
             if not d0:
                 kernel_cols = identity(data.dim)
             else:
@@ -604,14 +577,15 @@ class TestOperatorIdentities:
 
 class TestSparseComplex:
     def test_orthogonal_cycles_store_one_summand_per_log(self):
+        # valid cycles are nonzero, so each has a nonzero log and one row
         rng = random.Random(22)
         for _ in range(15):
             data = random_monodromy_data(rng, max_half_dim=4, max_delta=8)
             complex_ = monodromy.build_stalk_complex(data)
-            assert sum(len(level) for level in complex_.summands) == 1 + data.delta
-            assert all(not level for level in complex_.summands[2:])
-            assert len(complex_.dims) == data.delta + 1
-            assert len(complex_.differentials) == data.delta
+            assert complex_.delta == len(complex_.d0) == data.delta
+            cohomology = monodromy.complex_cohomology(complex_)
+            assert len(cohomology) == data.delta + 1
+            assert not any(cohomology[2:])
 
     def test_forty_nodes(self):
         # 2^40 index tuples, of which only the 40 single logs are nonzero
@@ -632,39 +606,32 @@ class TestSparseComplex:
         assert report.excision_rank == s
 
 
-def reference_differential(complex_, logs, p):
-    """Degree-p differential with every block solved by rref.
+def reference_differential(data, logs):
+    """d0 with every block solved by rref, in the bases the complex implies.
 
-    The block from summand jdx to summand idx, where idx adds the factor
-    idx[l] to jdx, is (-1)^l times the coordinates of N_{idx[l]} applied
-    to the columns of jdx's basis, in the basis of idx.
+    Degree 0 has the identity basis, and node i, when its log is
+    nonzero, has a summand in degree 1 with basis the column v_i.  The
+    block of node i is the coordinates of N_i applied to the identity,
+    in the basis v_i.
     """
-    sources = complex_.summands[p]
-    offsets = [0]
-    for _, basis in sources:
-        offsets.append(offsets[-1] + len(basis[0]))
+    source = identity(data.dim)
     rows = []
-    for idx, basis in complex_.summands[p + 1]:
-        row = [Fraction(0)] * offsets[-1]
-        for k, (jdx, source) in enumerate(sources):
-            for l in range(len(idx)):
-                if idx[:l] + idx[l + 1 :] != jdx:
-                    continue
-                image = linalg.matmul(logs[idx[l]], [list(r) for r in source])
-                aug = [list(b) + list(i) for b, i in zip(basis, image)]
-                reduced, rank, _ = rref(aug)
-                assert rank == 1
-                for j, x in enumerate(reduced[0][1:]):
-                    row[offsets[k] + j] = (-1) ** l * x
-        rows.append(row)
+    for v, log in zip(data.int_cycles, logs):
+        if not any(any(r) for r in log):
+            continue
+        image = linalg.matmul(log, source)
+        aug = [[b] + list(i) for b, i in zip(v, image)]
+        reduced, rank, _ = rref(aug)
+        assert rank == 1
+        rows.append(reduced[0][1:])
     return rows
 
 
 class TestDroppedFactorBlocks:
     """On data the builder accepts, no block prepends or drops a factor.
 
-    Every differential past d0 is empty, and d0 holds the rref
-    coordinates of each log applied to the identity summand.
+    d0 is the only differential, and it holds the rref coordinates of
+    each log applied to the identity, in the basis v_i of its node.
     """
 
     def test_image_off_the_line_rejected(self):
@@ -683,10 +650,9 @@ class TestDroppedFactorBlocks:
             for sign in (1, -1):
                 complex_ = monodromy.build_stalk_complex(data, sign)
                 logs = [log_matrix(data.int_pairing, v, sign) for v in data.int_cycles]
-                assert not any(complex_.differentials[1:])
                 if data.delta:
-                    assert [list(r) for r in complex_.differentials[0]] == (
-                        reference_differential(complex_, logs, 0)
+                    assert [list(r) for r in complex_.d0] == (
+                        reference_differential(data, logs)
                     )
                     reached += 1
         assert reached >= 40
@@ -727,18 +693,18 @@ class TestTextbookComplex:
         index_sets, dims, cohomology = textbook_stalk_complex(
             [list(r) for r in data.pairing], data.cycles, sign
         )
-        assert list(complex_.dims) == dims
-        assert [[idx for idx, _ in level] for level in complex_.summands] == index_sets
+        # the builder accepted, so the products of two or more logs vanish
+        assert not any(index_sets[2:])
+        nodes = [i for i, f in enumerate(data.functionals) if any(f)]
+        if data.delta:
+            assert index_sets[1] == [(i,) for i in nodes]
+        assert complex_.d0 == tuple(
+            tuple(sign * x for x in data.functionals[i]) for i in nodes
+        )
+        two_terms = [data.dim, len(complex_.d0)] + [0] * (data.delta - 1)
+        assert dims == two_terms[: data.delta + 1]
         assert monodromy.complex_cohomology(complex_) == cohomology
-        entries = [
-            x
-            for level in complex_.summands
-            for _, basis in level
-            for row in basis
-            for x in row
-        ]
-        entries += [x for diff in complex_.differentials for row in diff for x in row]
-        assert all(type(x) is int for x in entries)
+        assert all(type(x) is int for row in complex_.d0 for x in row)
         return complex_
 
     def test_valid_random_data(self):
@@ -800,20 +766,11 @@ class TestIntegerPath:
 
     def test_cohomology_of_deep_complex_builds_no_fraction(self, monkeypatch):
         data = data_for(3, DEEP_CYCLES, pairing=DEEP_PAIRING)
-        # a hand-built complex with two nonempty differentials, so the
-        # d∘d check multiplies them
-        deep = monodromy.StalkComplex(
-            dim=2,
-            summands=((), (), ()),
-            differentials=(((1, 0),), ((0,),)),
-            dims=(2, 1, 1),
-        )
         monkeypatch.setattr(monodromy, "Fraction", NoFraction)
         monkeypatch.setattr(linalg, "Fraction", NoFraction)
         for sign in (1, -1):
             with pytest.raises(PreconditionError, match=FAIL_ORTHOGONALITY):
                 monodromy.build_stalk_complex(data, sign)
-        assert monodromy.complex_cohomology(deep) == [1, 0, 1]
 
     def test_points_and_chase_commands_build_no_fraction(
         self, monkeypatch, tmp_path, capsys
@@ -1043,5 +1000,6 @@ class TestDeltaSweep:
             assert report.span_dim == report.excision_rank == s
             assert report.higher == (0,) * (delta - 1)
         complex_ = monodromy.build_stalk_complex(data)
-        assert complex_.dims[1] == delta
-        assert not any(complex_.summands[2:])
+        assert complex_.delta == len(complex_.d0) == delta
+        cohomology = monodromy.complex_cohomology(complex_)
+        assert cohomology == [m - s, delta - s] + [0] * (delta - 1)

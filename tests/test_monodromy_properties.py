@@ -53,7 +53,8 @@ def outcome(data):
     except PreconditionError as err:
         report = str(err)
     try:
-        dims = monodromy.build_stalk_complex(data).dims
+        complex_ = monodromy.build_stalk_complex(data)
+        dims = (complex_.dim, complex_.delta, len(complex_.d0))
     except PreconditionError as err:
         dims = str(err)
     return monodromy.validate(data).to_json(), report, dims

@@ -76,8 +76,7 @@ def records():
         ),
         (
             monodromy.build_stalk_complex(data),
-            "StalkComplex(dim=2, summands=((((), ((1, 0), (0, 1))),), (((0,), ((2,), "
-            "(0,))),)), differentials=(((0, 2),),), dims=(2, 1))",
+            "StalkComplex(dim=2, delta=1, d0=((0, 2),))",
         ),
         (
             report,
