@@ -201,6 +201,15 @@ def point_documents(rng):
         ]
         for n, delta in ((2000, 3), (20000, 4))
     )
+    # twelve points of P^3 with no repeated ratio: no certificate applies,
+    # degree 1 eliminates the 12x4 coordinate matrix, degree 2 the wide
+    # 10x12 monomial rows and degree 3 the tall 20x12 ones
+    generic = random.Random(2501)
+    pool = [Fraction(p, q) for p in range(-40, 41) for q in (1, 2, 3) if p % q or q == 1]
+    twelve_generic = [
+        [_rational(x) for x in column] + [1]
+        for column in zip(*(generic.sample(pool, 12) for _ in range(3)))
+    ]
     return {
         "complete-grid": ({"ambient_dim": 2, "points": complete}, (0, 1, 2, 3)),
         "partial-grid": ({"ambient_dim": 3, "points": partial[:20]}, (0, 2, 3)),
@@ -226,6 +235,7 @@ def point_documents(rng):
         ),
         "three-in-p2000": ({"ambient_dim": 2000, "points": few_p2000}, (0, 1)),
         "four-in-p20000": ({"ambient_dim": 20000, "points": few_p20000}, (0, 1)),
+        "twelve-generic-in-p3": ({"ambient_dim": 3, "points": twelve_generic}, (0, 1, 2, 3)),
     }
 
 
