@@ -7,9 +7,9 @@ through :func:`_int_rows`: rows of plain ints are taken as they are,
 and a row holding a Fraction is scaled by the lcm of its denominators,
 which keeps the row space.  It hands the integer rows to
 :func:`rank_int_rows`, the rank core, which a caller holding int rows
-it has just built (the evaluation rows of :mod:`nodalic.points`) calls
-directly, so nothing is checked or copied again.  The core ends in the
-one elimination kernel, :func:`reduce_int_rows`.
+(the Newton rows and coordinate vectors of :mod:`nodalic.points`) calls
+directly, so nothing is checked again.  The core ends in the one
+elimination kernel, :func:`reduce_int_rows`.
 
 The rank core takes one path: the echelon certificate, then the
 orientation, then the kernel.  It first drops zero rows and reads each
@@ -164,7 +164,7 @@ def check_matrix(matrix, ncols=None):
 def _int_rows(matrix, ncols=None):
     """Validated integer rows with the same row space, and the column count.
 
-    A row of plain ints is copied as it is; any other row is checked
+    A row of plain ints is taken as it is; any other row is checked
     entry by entry and its denominators cleared.
     """
     rows, width = _check_shape(matrix, ncols)
@@ -172,7 +172,7 @@ def _int_rows(matrix, ncols=None):
     for row in rows:
         # exact type test: bool and Fraction rows go the slow way
         if {*map(type, row)} <= {int}:
-            out.append(list(row))
+            out.append(row)
             continue
         out.append(clear_denominators(rational_pairs(row))[1])
     return out, width
@@ -228,14 +228,15 @@ def reduce_int_rows(rows, ncols):
 
 
 def rank_int_rows(rows, ncols):
-    """Rank of int rows of ``ncols`` entries, which it may reduce in place.
+    """Rank of rows of ``ncols`` plain ints, lists or tuples, left unchanged.
 
-    The rank core.  ``rows`` must be lists of plain ints that the caller
-    no longer needs: nothing is validated or copied.  Zero rows are
-    dropped, and nonzero rows with distinct lead columns are their own
-    rank (the echelon certificate of the module docstring).  Otherwise a
-    matrix with more rows than columns is reduced as its transpose, and
-    :func:`reduce_int_rows` gives the rank.
+    The rank core, and the one function that decides the rows the kernel
+    works on.  Nothing is validated.  Zero rows are dropped, and nonzero
+    rows with distinct lead columns are their own rank (the echelon
+    certificate of the module docstring), read on the rows as given, so
+    a certified rank copies nothing.  Otherwise the core makes its one
+    copy, lists for :func:`reduce_int_rows` to reduce in place: the
+    transpose of a matrix with more rows than columns, else the rows.
     """
     rows = [row for row in rows if any(row)]
     leads = set()
@@ -248,15 +249,15 @@ def rank_int_rows(rows, ncols):
         # rows with distinct lead columns are independent
         return len(rows)
     if len(rows) > ncols:
-        rows, ncols = [list(column) for column in zip(*rows)], len(rows)
-    return len(reduce_int_rows(rows, ncols))
+        rows, ncols = zip(*rows), len(rows)
+    return len(reduce_int_rows(list(map(list, rows)), ncols))
 
 
 def rank(matrix, ncols=None):
     """Rank over the rationals (forward elimination only).
 
-    Validates the input into fresh int rows (:func:`_int_rows`) and
-    hands them to :func:`rank_int_rows`.
+    Validates the input into int rows (:func:`_int_rows`) and hands
+    them to :func:`rank_int_rows`.
     """
     return rank_int_rows(*_int_rows(matrix, ncols))
 

@@ -421,11 +421,10 @@ def _node_labelling(pts):
     ``_MAX_NODES`` of them in the order they first occur; the degree-d
     basis uses the first d, and d <= 139 once n >= 2 (``MAX_MONOMIALS``),
     so the cap never cuts a degree's nodes.  The points are sorted by
-    their tuple of node indices (a ratio that is no node counts as one
-    past the last), read as one bytes object per point, which only
-    permutes the columns; with no nodes, or with the points in that
-    order already, nothing moves.  Returns ``(hs, coordinates, nodes,
-    runs)``, the first two being tuples of the coordinates h and i < n
+    their tuple of runs (below), read as one bytes object per point,
+    which only permutes the columns; with no nodes, or with the points
+    in that order already, nothing moves.  Returns ``(hs, coordinates,
+    nodes, runs)``, the first two being tuples of the coordinates h and i < n
     in that order, and ``runs[i]`` a bytes object whose byte c is the
     number of leading factors of coordinate i (see :func:`_newton_rows`)
     nonzero at point c, read as "all of them" from ``_MAX_NODES`` on:
@@ -435,7 +434,7 @@ def _node_labelling(pts):
     serves every degree.
     """
     *coordinates, hs = list(zip(*pts.vectors)) or [()] * (pts.ambient_dim + 1)
-    nodes, labels, runs = [], [], []
+    nodes, runs = [], []
     for xs in coordinates:
         keys = _ratio_keys(xs, hs)
         # each point's ratio as the index of its first occurrence, so that
@@ -446,7 +445,6 @@ def _node_labelling(pts):
         at_infinity = counts.pop(first.get(None), 0)
         repeated = [i for i, times in counts.items() if times > 1][:_MAX_NODES]
         index = {i: j for j, i in enumerate(repeated)}
-        labels.append(list(map(index.get, ids, repeat(len(repeated)))))
         # x_i = 0 with x_h != 0 is ratio 0/1: its node, or past the nodes
         # the factor x_i itself, is its first zero factor
         index.setdefault(first.get((0, 1)), len(repeated))
@@ -457,9 +455,9 @@ def _node_labelling(pts):
         runs.append(run)
         nodes.append([keys[i] for i in repeated])
     if any(nodes):
-        # labels are at most _MAX_NODES, so bytes order the points as
-        # their label tuples, and take time linear in n to build
-        codes = list(map(bytes, zip(*labels)))
+        # bytes order the points as their run tuples, and take time
+        # linear in n to build
+        codes = list(map(bytes, zip(*runs)))
         # points written in grid order need no sort; a repeated ratio
         # means two or more points, so the getter returns tuples
         if any(map(gt, codes, codes[1:])):
@@ -576,16 +574,14 @@ def _rank(pts, d):
        nonzero rows lead at distinct points their count is the rank (the
        echelon certificate of :mod:`nodalic.linalg`), as on every
        complete grid with two or more values on two or more axes.  At
-       the first shared lead the transposed coordinate matrix is
-       eliminated: delta rows would be reduced as their transpose anyway,
-       and this is its one copy.
+       the first shared lead the point vectors, delta rows of n + 1
+       entries, go to :func:`nodalic.linalg.rank_int_rows`.
     3. At d >= 2, the support masks (:func:`_support_masks`).  A row's
        lead column is the lowest bit of its mask, so when the nonzero
        masks have distinct lowest bits their count is the rank, with no
        row built, as on the same complete grids.  At the first shared
        lead the rows of :func:`_newton_rows`, from the same labelling, go
-       straight to :func:`nodalic.linalg.rank_int_rows`: they are fresh
-       ints, so they are not validated or copied again.
+       to :func:`nodalic.linalg.rank_int_rows`.
 
     Steps 1 and 2 build no row of :func:`_graded_products`, so their cost
     is linear in n and they serve :func:`normal_crossing_check`, which
@@ -600,8 +596,7 @@ def _rank(pts, d):
         leads = [next(compress(count(), row)) for row in (hs, *runs) if any(row)]
         if len(set(leads)) == len(leads):
             return len(leads)
-        columns = [list(column) for column in zip(*pts.vectors)]
-        return linalg.rank_int_rows(columns, pts.delta)
+        return linalg.rank_int_rows(pts.vectors, pts.ambient_dim + 1)
     masks = [mask for mask in _support_masks(pts._labelling, d) if mask]
     if len({mask & -mask for mask in masks}) == len(masks):
         return len(masks)

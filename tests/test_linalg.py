@@ -1,4 +1,5 @@
 import random
+from copy import deepcopy
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -367,9 +368,28 @@ class TestRankCore:
         for rows, cols in ((40, 9), (9, 40), (9, 8), (8, 9), (12, 12), (5, 30), (30, 5)):
             matrix = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
             expected = oracle_rank(matrix, cols)
-            kernel_calls.clear()
-            assert linalg.rank_int_rows([list(row) for row in matrix], cols) == expected
-            assert kernel_calls == [(min(rows, cols), max(rows, cols))]
+            for given in ([list(row) for row in matrix], tuple(map(tuple, matrix))):
+                kernel_calls.clear()
+                assert linalg.rank_int_rows(given, cols) == expected
+                assert kernel_calls == [(min(rows, cols), max(rows, cols))]
+
+    def test_input_is_left_unchanged(self):
+        rng = random.Random(2501)
+        wide, tall, square = (
+            [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+            for rows, cols in ((5, 9), (20, 5), (6, 6))
+        )
+        certified = [[0, 3, 1, 0], [2, 0, 0, 5], [0, 0, 0, 0], [0, 0, -4, 1]]
+        colliding = [[0, 2, 4, 1], [0, 1, 2, 3], [0, 0, 0, 0], [1, 0, 0, 0]]
+        for matrix in (wide, tall, square, certified, colliding):
+            cols = len(matrix[0])
+            expected = oracle_rank(matrix, cols)
+            # lists, which the kernel would reduce in place, and tuples
+            for given in (matrix, tuple(map(tuple, matrix))):
+                for rank in (linalg.rank_int_rows, linalg.rank):
+                    before = deepcopy(given)
+                    assert rank(given, cols) == expected
+                    assert given == before
 
     def test_rows_with_distinct_leads_rank_with_no_elimination(self, kernel_calls):
         rng = random.Random(1903)

@@ -978,7 +978,7 @@ class TestSupportMasks:
         rank_int_rows = linalg.rank_int_rows
 
         def counted(rows, ncols):
-            ranked.append(ncols)
+            ranked.append((rows, ncols))
             return rank_int_rows(rows, ncols)
 
         monkeypatch.setattr(linalg, "rank_int_rows", counted)
@@ -1009,11 +1009,11 @@ class TestSupportMasks:
                 ranked.clear()
                 assert points.conditions_report(pts, d).rank == expected
                 if d == 1:
-                    # the degree-1 fallback eliminates the coordinate
-                    # matrix, transposed to delta columns, exactly when
-                    # two masks share a lead, and builds no Newton row
+                    # the degree-1 fallback hands the point vectors, n + 1
+                    # columns, to the rank core exactly when two masks
+                    # share a lead, and builds no Newton row
                     assert built == []
-                    assert ranked == ([] if certified else [pts.delta])
+                    assert ranked == ([] if certified else [(pts.vectors, n + 1)])
                 else:
                     # the rows are built exactly when two masks share a lead
                     assert built == ([] if certified else [(pts, d)])
@@ -1075,7 +1075,7 @@ class TestSpanCertificate:
         rank_int_rows = linalg.rank_int_rows
 
         def recorded(rows, ncols):
-            calls.append(ncols)
+            calls.append((rows, ncols))
             return rank_int_rows(rows, ncols)
 
         def refuse(*args):
@@ -1106,7 +1106,7 @@ class TestSpanCertificate:
                 outcome = "closed form"
             else:
                 outcome = "fallback" if span_calls else "certified"
-            assert span_calls in ([], [pts.delta])
+            assert span_calls in ([], [(pts.vectors, n + 1)])
             outcomes[outcome] += 1
         assert outcomes["certified"] >= 20
         assert outcomes["fallback"] >= 20
