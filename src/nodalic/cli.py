@@ -326,8 +326,7 @@ def _run_points(args):
     from . import points
 
     pts = points.ProjectivePointSet.from_json(_load_json(args.input))
-    conditions = points.conditions_report(pts, args.degree)
-    crossing = points.normal_crossing_check(pts)
+    conditions, crossing = points.point_reports(pts, args.degree)
     span = crossing.span_dim
     report = {
         "conditions": conditions.to_json(),

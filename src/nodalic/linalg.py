@@ -36,7 +36,7 @@ columns are a deterministic function of the input alone.
 The kernel gets what no certificate ranks: the Newton rows of point
 sets off the grids at degree 2 and up, the coordinate matrices of
 point sets whose degree-1 Newton rows share a lead (the one rank path
-of :mod:`nodalic.points`, ``_rank``, certifies the others for the span
+of :mod:`nodalic.points`, ``_ranks``, certifies the others for the span
 and for degree 1 alike, every complete grid among them) and the ranks
 of :mod:`nodalic.monodromy`.  Each pivot updates every nonzero row below
 it, so :func:`rank_int_rows` reduces a matrix with more rows than

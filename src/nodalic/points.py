@@ -49,10 +49,10 @@ indices k and nonzero there, so the rows have distinct lead columns, and
 their number is the rank with no elimination (the echelon certificate
 of :mod:`nodalic.linalg`); the count is the Hilbert function #{k : k_i <
 m_i, |k| <= d} of Alon's Combinatorial Nullstellensatz (1999).  The
-nodes, each point's node index and the sort do not depend on d: a
-point set labels itself once, on first use (:func:`_node_labelling`),
-and every degree reads that labelling, taking the first d nodes of
-each coordinate.
+nodes, each point's node index and the sort do not depend on d, so one
+labelling (:func:`_node_labelling`), a value passed along and not kept
+on the set, serves every degree, which takes the first d nodes of each
+coordinate.
 
 That certificate needs only where each row is zero, and the zero
 pattern is combinatorial, so no row is built for it.  Factor
@@ -65,15 +65,16 @@ so a row's support is the intersection of its factors' supports: an
 order, where the row build has a ``mul`` of lists.  The mask is the
 row's exact nonzero pattern, and its lowest bit the row's lead column.
 A set with no repeated ratio has no nodes, and its rows are the
-monomial ones.  :func:`_rank` is the one function that computes a
-rank, for :func:`conditions_report` and :func:`normal_crossing_check`
-alike; its docstring gives the order of the closed forms, the
-certificates and the fallbacks.
+monomial ones.  :func:`_ranks` is the one function that computes
+ranks, for :func:`conditions_report`, :func:`normal_crossing_check` and
+:func:`point_reports` alike.  One call labels the set at most once and
+ranks each distinct degree once, so a ``points`` request, degrees d and
+1, never ranks a matrix twice.  Its docstring gives the order of the
+closed forms, the certificates and the fallbacks.
 """
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, compress, count, product, repeat
 from math import comb, gcd, lcm
 from operator import and_, floordiv, gt, itemgetter, lt, mul
@@ -171,18 +172,9 @@ class ProjectivePointSet(namedtuple("ProjectivePointSet", "ambient_dim vectors")
     exactly projective equality, which is how duplicates are rejected.
     ``points`` gives the same points scaled so that their first nonzero
     coordinate is 1, as Fractions.
-
-    The class has no ``__slots__``: the cached :attr:`_labelling` lives
-    in the instance ``__dict__``, which ``cached_property`` writes
-    directly.  Assigning or deleting any attribute raises
-    ``AttributeError``, so the set stays immutable.
     """
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: a point set is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: a point set is immutable")
+    __slots__ = ()
 
     @classmethod
     def from_coordinates(cls, ambient_dim, coordinates):
@@ -244,16 +236,6 @@ class ProjectivePointSet(namedtuple("ProjectivePointSet", "ambient_dim vectors")
         if error is not None:
             raise error
         return cls(ambient_dim=ambient_dim, vectors=vectors)
-
-    @cached_property
-    def _labelling(self):
-        """:func:`_node_labelling` of the set, computed on first use.
-
-        Every degree's Newton rows and the span certificate read it, so a
-        ``points`` request labels its set once.  It is no field: equality,
-        hash and repr see only the tuple ``(ambient_dim, vectors)``.
-        """
-        return _node_labelling(self)
 
     @property
     def points(self):
@@ -468,10 +450,10 @@ def _node_labelling(pts):
     return hs, coordinates, nodes, runs
 
 
-def _newton_rows(pts, d):
+def _newton_rows(pts, d, labelling):
     """Nonzero rows of the degree-d Newton basis at the points.
 
-    The nodes and the column order are those of the set's
+    The nodes and the column order are those of ``labelling``, the set's
     :func:`_node_labelling`, of which each coordinate keeps its first d
     nodes.  Factor j of coordinate i is ``q*x_i - p*x_h`` for node j =
     p/q and ``x_i`` once the nodes run out, and basis element k is
@@ -481,7 +463,7 @@ def _newton_rows(pts, d):
     from it.  With no nodes the rows are those of
     :func:`evaluation_columns` less the zero ones.
     """
-    hs, coordinates, nodes, _ = pts._labelling
+    hs, coordinates, nodes, _ = labelling
     steps = []
     for xs, axis in zip(coordinates, nodes):
         factors = [[q * x - p * h for x, h in zip(xs, hs)] for p, q in axis[:d]]
@@ -553,10 +535,13 @@ class ConditionsReport(
         }
 
 
-def _rank(pts, d):
-    """Rank of the degree-d evaluation of a point set: its one rank path.
+def _ranks(pts, degrees):
+    """Ranks of a point set's degree-d evaluations, a list of one per d in ``degrees``.
 
-    The first step that applies gives the rank:
+    Each distinct degree is ranked once, and the set is labelled
+    (:func:`_node_labelling`) at most once, for the first degree that
+    needs it.  For each degree the first step that applies gives the
+    rank:
 
     1. Closed form, with no matrix, when d = 0, d >= delta - 1 or the
        set is on the projective line: the rank is min(delta, d + 1).
@@ -570,8 +555,8 @@ def _rank(pts, d):
     2. At d = 1, the coordinate matrix.  The degree-1 Newton rows, x_h
        and each coordinate's first factor, are a triangular change of
        basis of x_0..x_n; their supports are the points with x_h != 0
-       and those with a nonzero run in the set's labelling.  When the
-       nonzero rows lead at distinct points their count is the rank (the
+       and those with a nonzero run in the labelling.  When the nonzero
+       rows lead at distinct points their count is the rank (the
        echelon certificate of :mod:`nodalic.linalg`), as on every
        complete grid with two or more values on two or more axes.  At
        the first shared lead the point vectors, delta rows of n + 1
@@ -589,29 +574,30 @@ def _rank(pts, d):
     so both certify the same leads, and either fallback computes the
     exact rank.
     """
-    if d == 0 or d >= pts.delta - 1 or pts.ambient_dim == 1:
-        return min(pts.delta, d + 1)
-    if d == 1:
-        hs, _, _, runs = pts._labelling
-        leads = [next(compress(count(), row)) for row in (hs, *runs) if any(row)]
+    ranks, labelling = {}, None
+    for d in dict.fromkeys(degrees):
+        if d == 0 or d >= pts.delta - 1 or pts.ambient_dim == 1:
+            ranks[d] = min(pts.delta, d + 1)
+            continue
+        if labelling is None:
+            labelling = _node_labelling(pts)
+        if d == 1:
+            hs, _, _, runs = labelling
+            leads = [next(compress(count(), row)) for row in (hs, *runs) if any(row)]
+        else:
+            leads = [mask & -mask for mask in _support_masks(labelling, d) if mask]
         if len(set(leads)) == len(leads):
-            return len(leads)
-        return linalg.rank_int_rows(pts.vectors, pts.ambient_dim + 1)
-    masks = [mask for mask in _support_masks(pts._labelling, d) if mask]
-    if len({mask & -mask for mask in masks}) == len(masks):
-        return len(masks)
-    return linalg.rank_int_rows(_newton_rows(pts, d), pts.delta)
+            ranks[d] = len(leads)
+        elif d == 1:
+            ranks[d] = linalg.rank_int_rows(pts.vectors, pts.ambient_dim + 1)
+        else:
+            ranks[d] = linalg.rank_int_rows(_newton_rows(pts, d, labelling), pts.delta)
+    return [ranks[d] for d in degrees]
 
 
-def conditions_report(pts, d):
-    """Rank bookkeeping for the degree-d evaluation of a point set.
-
-    After the checks of :func:`evaluation_columns`, the rank is
-    :func:`_rank`'s.
-    """
-    _check_request(pts, d, "conditions_report")
+def _conditions(pts, d, rank):
+    """The :class:`ConditionsReport` of a degree-d evaluation of the given rank."""
     width = comb(pts.ambient_dim + d, d)
-    rank = _rank(pts, d)
     return ConditionsReport(
         delta=pts.delta,
         degree=d,
@@ -623,11 +609,21 @@ def conditions_report(pts, d):
     )
 
 
+def conditions_report(pts, d):
+    """Rank bookkeeping for the degree-d evaluation of a point set.
+
+    After the checks of :func:`evaluation_columns`, the rank is
+    :func:`_ranks`'s.
+    """
+    _check_request(pts, d, "conditions_report")
+    return _conditions(pts, d, *_ranks(pts, (d,)))
+
+
 def node_span_dim(pts):
     """Projective dimension of the linear span of the points."""
     if not isinstance(pts, ProjectivePointSet):
         raise InputError("node_span_dim expects a ProjectivePointSet")
-    return _rank(pts, 1) - 1
+    return _ranks(pts, (1,))[0] - 1
 
 
 class NormalCrossingCheck(
@@ -652,6 +648,15 @@ class NormalCrossingCheck(
         }
 
 
+def _crossing(pts, rank):
+    """The :class:`NormalCrossingCheck` of a coordinate matrix of the given rank."""
+    return NormalCrossingCheck(
+        independent_branches=rank == pts.delta,
+        tangent_intersection_dim=pts.ambient_dim - rank,
+        span_dim=rank - 1,
+    )
+
+
 def normal_crossing_check(pts):
     """Branch independence when the points are tangent hyperplanes.
 
@@ -659,17 +664,25 @@ def normal_crossing_check(pts):
     cross normally exactly when the coordinate matrix has full row rank;
     the common intersection of the hyperplanes then has dimension
     ambient_dim - rank.  The coordinate matrix is the degree-1
-    evaluation, so the rank is :func:`_rank` at d = 1, which builds no
+    evaluation, so the rank is :func:`_ranks` at d = 1, which builds no
     monomial row and so needs no ``MAX_MONOMIALS`` check.
     """
     if not isinstance(pts, ProjectivePointSet):
         raise InputError("normal_crossing_check expects a ProjectivePointSet")
-    rank = _rank(pts, 1)
-    return NormalCrossingCheck(
-        independent_branches=rank == pts.delta,
-        tangent_intersection_dim=pts.ambient_dim - rank,
-        span_dim=rank - 1,
-    )
+    return _crossing(pts, *_ranks(pts, (1,)))
+
+
+def point_reports(pts, d):
+    """``(conditions_report(pts, d), normal_crossing_check(pts))`` from one labelling.
+
+    The checks are those of :func:`conditions_report`, in its order.  One
+    call of :func:`_ranks` ranks degrees d and 1, so the set is labelled
+    at most once and, at d = 1, the coordinate matrix is ranked once for
+    both records.
+    """
+    _check_request(pts, d, "point_reports")
+    rank, coordinate_rank = _ranks(pts, (d, 1))
+    return _conditions(pts, d, rank), _crossing(pts, coordinate_rank)
 
 
 def severi_expected_dim(big_n, r):

@@ -23,6 +23,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from pathlib import Path
 
 from nodalic import cli
@@ -51,6 +52,21 @@ def _unimodular(rng, m):
     return change, inverse
 
 
+def _symplectic_pairing(change, q):
+    """q * P^T J P for P = ``change`` and the standard symplectic J.
+
+    Row a of JP is row a + 1 of P for even a and minus row a - 1 for odd
+    a, so JP takes row swaps and signs, and P^T (JP) one int product.
+    """
+    jp = []
+    for a in range(0, len(change), 2):
+        jp += [change[a + 1], [-x for x in change[a]]]
+    return [
+        [q * sum(map(mul, column, other)) for other in zip(*jp)]
+        for column in zip(*change)
+    ]
+
+
 def stalk_document(rng, m, delta, s):
     """Valid monodromy document: ``delta`` orthogonal cycles spanning s.
 
@@ -61,17 +77,8 @@ def stalk_document(rng, m, delta, s):
     basis, whose vectors come first before the list is shuffled.
     """
     change, inverse = _unimodular(rng, m)
-    form = [[0] * m for _ in range(m)]
-    for i in range(0, m, 2):
-        form[i][i + 1], form[i + 1][i] = 1, -1
     q = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 5)))
-    pairing = [
-        [
-            q * sum(change[a][i] * form[a][b] * change[b][j] for a in range(m) for b in range(m))
-            for j in range(m)
-        ]
-        for i in range(m)
-    ]
+    pairing = _symplectic_pairing(change, q)
     basis = []
     for t in range(s):
         u = [0] * m
@@ -436,6 +443,30 @@ def test_outputs_match_recorded_digests(tmp_path, monkeypatch):
     assert sorted(computed) == sorted(recorded)
     changed = [name for name in computed if computed[name] != recorded[name]]
     assert not changed, f"{len(changed)} runs changed output, first: {changed[:5]}"
+
+
+def test_stalk_pairing_matches_the_summed_formula(monkeypatch):
+    """The row-swap pairing gives the documents the O(m^4) sum gave."""
+
+    def summed(change, q):
+        m = len(change)
+        form = [[0] * m for _ in range(m)]
+        for i in range(0, m, 2):
+            form[i][i + 1], form[i + 1][i] = 1, -1
+        return [
+            [
+                q * sum(change[a][i] * form[a][b] * change[b][j] for a in range(m) for b in range(m))
+                for j in range(m)
+            ]
+            for i in range(m)
+        ]
+
+    for m, delta, s in ((8, 5, 3), (20, 12, 6)):
+        for seed in range(3):
+            swapped = stalk_document(random.Random(seed), m, delta, s)
+            with monkeypatch.context() as patch:
+                patch.setattr(sys.modules[__name__], "_symplectic_pairing", summed)
+                assert stalk_document(random.Random(seed), m, delta, s) == swapped
 
 
 def add_missing():

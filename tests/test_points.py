@@ -459,6 +459,16 @@ class TestSpanAndCrossing:
         with pytest.raises(InputError, match="^node_span_dim expects a ProjectivePointSet$"):
             points.node_span_dim([(1, 0)])
 
+    def test_point_reports_checks_in_the_order_of_conditions_report(self):
+        pts = point_set(2, COLLINEAR)
+        with pytest.raises(InputError, match="^point_reports expects a ProjectivePointSet$"):
+            points.point_reports([(1, 0)], True)
+        with pytest.raises(InputError, match="d must be"):
+            points.point_reports(pts, True)
+        with pytest.raises(PreconditionError) as err:
+            points.point_reports(pts, 140)
+        assert str(err.value) == points.FAIL_MONOMIALS
+
     def test_two_coordinate_points_cross_normally(self):
         pts = point_set(3, [(1, 0, 0, 0), (0, 1, 0, 0)])
         check = points.normal_crossing_check(pts)
@@ -727,8 +737,9 @@ class TestEvaluationColumns:
         # ones, and 12 points are more than the separator theorem covers
         xs = (-base, -5, -4, -3, -2, -1, 1, 2, 3, 4, 5, base)
         pts = point_set(2, [(x, y, 1) for x, y in zip(xs, xs[3:] + xs[:3])])
+        labelling = points._node_labelling(pts)
         for d in (fits, fits + 1):
-            assert points._newton_rows(pts, d) == points.evaluation_columns(pts, d)
+            assert points._newton_rows(pts, d, labelling) == points.evaluation_columns(pts, d)
             report = points.conditions_report(pts, d)
             assert report.rank == kernel_rank(monomial_rows(pts, d), comb(d + 2, 2))
 
@@ -888,7 +899,7 @@ class TestNewtonRank:
             report = json.loads(capsys.readouterr().out)
             assert (report["conditions"]["rank"], report["node_span_dim"]) == (count, n)
             # a product zero at every point is dropped with its descendants
-            assert len(points._newton_rows(grid, d)) == count
+            assert len(points._newton_rows(grid, d, points._node_labelling(grid))) == count
 
     def test_newton_rows_without_repeats_are_the_monomial_rows(self):
         rng = random.Random(2005)
@@ -902,7 +913,8 @@ class TestNewtonRank:
                 for i in range(12)
             ]
             pts = point_set(n, coords)
-            assert points._newton_rows(pts, d) == points.evaluation_columns(pts, d)
+            labelling = points._node_labelling(pts)
+            assert points._newton_rows(pts, d, labelling) == points.evaluation_columns(pts, d)
 
 
 def newton_values(pts, d, labelling):
@@ -969,9 +981,9 @@ class TestSupportMasks:
         built = []
         newton_rows = points._newton_rows
 
-        def recorded(pts, d):
+        def recorded(pts, d, labelling):
             built.append((pts, d))
-            return newton_rows(pts, d)
+            return newton_rows(pts, d, labelling)
 
         monkeypatch.setattr(points, "_newton_rows", recorded)
         ranked = []
@@ -989,12 +1001,12 @@ class TestSupportMasks:
             # one labelling for every degree, below, at and above the node
             # counts of the axes
             labelling = points._node_labelling(pts)
-            assert pts._labelling == labelling
+            assert points._node_labelling(pts) == labelling
             for d in range(0, 6):
                 masks = points._support_masks(labelling, d)
                 rows = newton_values(pts, d, labelling)
                 assert masks == [sum(1 << c for c, x in enumerate(row) if x) for row in rows]
-                built_rows = newton_rows(pts, d)
+                built_rows = newton_rows(pts, d, labelling)
                 assert [r for r in built_rows if any(r)] == [r for r in rows if any(r)]
                 assert all(map(any, built_rows))
                 if pts.delta <= d + 1:
@@ -1164,10 +1176,11 @@ class TestOneProductPerMonomial:
         if d < 2 or n == 1:
             return
         counts["rows"] = 0
-        rows = points._newton_rows(pts, d)
+        labelling = points._node_labelling(pts)
+        rows = points._newton_rows(pts, d, labelling)
         assert counts["rows"] <= bound
         assert rows and all(map(any, rows))
-        masks = points._support_masks(pts._labelling, d)
+        masks = points._support_masks(labelling, d)
         assert counts["masks"] <= bound
         assert len(masks) == comb(n + d, d)
 
@@ -1189,16 +1202,34 @@ class TestOneLabelling:
             return node_labelling(pts)
 
         monkeypatch.setattr(points, "_node_labelling", counted)
+        ranked = []
+        rank_int_rows = linalg.rank_int_rows
+
+        def recorded(rows, ncols):
+            ranked.append(ncols)
+            return rank_int_rows(rows, ncols)
+
+        monkeypatch.setattr(linalg, "rank_int_rows", recorded)
         rng = random.Random(2501)
         shuffled = rng.sample(grid_points(rng, (3, 4, 2)), 24)
         partial = rng.sample(grid_points(rng, (3, 3)), 6)
-        for n, coords in ((3, shuffled), (2, partial), (2, COLLINEAR + [(1, 3, 1)])):
+        # no ratio repeats, so every degree-1 row leads at the first point
+        # and the coordinate matrix goes to the rank core
+        scattered = [[rng.randint(1, 10**9) for _ in range(10)] for _ in range(3)]
+        assert not any(node_labelling(point_set(9, scattered))[2])
+        inputs = ((3, shuffled), (2, partial), (2, COLLINEAR + [(1, 3, 1)]), (9, scattered))
+        for n, coords in inputs:
             path = tmp_path / "points.json"
             path.write_text(json.dumps(point_set(n, coords).to_json()), encoding="utf-8")
             for d in ("1", "2"):
                 calls.clear()
+                ranked.clear()
                 assert cli.run(["points", "--input", str(path), "--degree", d]) == 0
                 assert calls == [len(coords)]
+                # at most one rank per distinct degree, d and 1
+                assert len(ranked) <= len({int(d), 1})
+                if n == 9:
+                    assert ranked == [n + 1]
 
     def test_reports_from_one_labelling_match_a_fresh_set(self):
         rng = random.Random(2502)
@@ -1210,6 +1241,7 @@ class TestOneLabelling:
             for d in degrees:
                 fresh = points.ProjectivePointSet(pts.ambient_dim, pts.vectors)
                 assert points.conditions_report(pts, d) == points.conditions_report(fresh, d)
+                assert points.point_reports(fresh, d) == (points.conditions_report(pts, d), crossing)
             fresh = points.ProjectivePointSet(pts.ambient_dim, pts.vectors)
             assert crossing == points.normal_crossing_check(fresh)
             # the labelling is no field

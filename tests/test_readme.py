@@ -20,6 +20,7 @@ def test_python_api_block_states_its_values():
     assert ns["rows"] == [[2, 4, 6], [1, 2, 3]]
     report = ns["report"]
     assert (report.rank, report.h1_ideal) == (15, 1)
+    assert ns["conditions"] == report and ns["crossing"].span_dim == 2
     columns, matrix = ns["columns"], ns["matrix"]
     assert len(columns) == 21 and {len(row) for row in columns} == {16}
     assert len(matrix) == 16 and matrix == [list(row) for row in zip(*columns)]

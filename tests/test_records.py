@@ -122,6 +122,9 @@ def test_records_are_frozen(index):
     with pytest.raises(AttributeError):
         delattr(record, field)
     assert getattr(record, field) == record[0]
+    # every record class declares empty __slots__, so no instance holds
+    # state beside its fields
+    assert not hasattr(record, "__dict__")
 
 
 def test_records_are_tuples():
@@ -171,19 +174,3 @@ class TestResolutionChecks:
         assert bott.Resolution(2, 0, (self.TERM,)) == bott.Resolution(
             terms=(self.TERM,), resolved_twist=0, ambient_dim=2
         )
-
-
-def test_point_set_ignores_its_labelling():
-    labelled = points.ProjectivePointSet.from_json(POINTS_DOC)
-    plain = points.ProjectivePointSet.from_json(POINTS_DOC)
-    labelling = labelled._labelling
-    assert "_labelling" in vars(labelled) and "_labelling" not in vars(plain)
-    assert labelled._labelling is labelling
-    assert labelled == plain
-    assert hash(labelled) == hash(plain)
-    assert repr(labelled) == repr(plain)
-    with pytest.raises(AttributeError):
-        labelled._labelling = None
-    with pytest.raises(AttributeError):
-        del labelled._labelling
-    assert labelled._labelling is labelling
