@@ -339,6 +339,23 @@ PLAIN_RUNS = {
 }
 
 
+# command lines the top-level parser reads, because they do not start
+# with a command name, and ones a command's own parser refuses; {points}
+# and {stalk} stand for documents of the corpus
+ARGV_RUNS = {
+    "argv-empty": [],
+    "argv-unknown-command": ["pointz", "--input", "{points}", "--degree", "2"],
+    "argv-double-dash-first": ["--", "points", "--input", "{points}", "--degree", "2"],
+    "argv-json-first": ["--json", "points", "--input", "{points}", "--degree", "2"],
+    "argv-trailing-extra": ["points", "--input", "{points}", "--degree", "2", "extra"],
+    "argv-missing-degree": ["points", "--input", "{points}"],
+    "argv-degree-not-int": ["points", "--input", "{points}", "--degree", "x"],
+    "argv-sign-out-of-range": ["ic-stalk", "--input", "{stalk}", "--sign", "2"],
+    "argv-abbreviated-flags": ["points", "--inp", "{points}", "--deg", "2"],
+    "argv-input-equals": ["points", "--input={points}", "--degree", "2"],
+}
+
+
 def corpus(directory):
     """``{name: argv}`` of every run, its documents written to ``directory``.
 
@@ -406,6 +423,9 @@ def corpus(directory):
     for twist in ("2", "5", "-1", "2000000"):
         runs[f"chase twist {twist}"] = ["chase", "--input", path, "--twist", twist]
     runs.update(PLAIN_RUNS)
+    documents = {"points": "points-complete-grid.json", "stalk": "stalk-coincident.json"}
+    for name, argv in ARGV_RUNS.items():
+        runs[name] = [arg.format(**documents) for arg in argv]
     out = {}
     for name, argv in runs.items():
         out[f"{name} text"] = argv
