@@ -48,6 +48,12 @@ def bott_h(n, q, a):
     check_int(n, "n", minimum=1)
     check_int(q, "q", minimum=0, maximum=n)
     check_int(a, "a")
+    return _bott_h(n, q, a)
+
+
+def _bott_h(n, q, a):
+    # bott_h without its checks, for callers holding an int n >= 1, an
+    # int q in 0..n and an int a
     if q == 0:
         return comb(n + a, n) if a >= 0 else 0
     if q == n:
@@ -62,6 +68,10 @@ def _canonical_summands(pairs):
         check_int(mult, "multiplicity", minimum=1)
         merged[twist] = merged.get(twist, 0) + mult
     return tuple(sorted(merged.items()))
+
+
+def _sum_h(summands, n, q):
+    return sum(r * _bott_h(n, q, a) for a, r in summands)
 
 
 class LineBundleSum(namedtuple("LineBundleSum", "summands")):
@@ -88,7 +98,9 @@ class LineBundleSum(namedtuple("LineBundleSum", "summands")):
 
     def h(self, n, q):
         """Total degree-q cohomology dimension over all summands."""
-        return sum(r * bott_h(n, q, a) for a, r in self.summands)
+        check_int(n, "n", minimum=1)
+        check_int(q, "q", minimum=0, maximum=n)
+        return _sum_h(self.summands, n, q)
 
     def to_json(self):
         return [{"twist": a, "mult": r} for a, r in self.summands]
@@ -298,17 +310,19 @@ def h1_vanishing_chase(res, target_twist):
     if not isinstance(res, Resolution):
         raise InputError("h1_vanishing_chase expects a Resolution")
     _check_twist(target_twist, "target_twist")
+    # the one check of the chase: a Resolution checked its values when it
+    # was built, and the int shift e keeps every twist an int
     n = res.ambient_dim
     e = target_twist - res.resolved_twist
-    terms = [term.twisted(e) for term in res.terms]
+    terms = [tuple((a + e, r) for a, r in term.summands) for term in res.terms]
     length = len(terms)
     limit = min(length, n)
 
     obstructions = []
     upper = 0
     for p in range(1, limit + 1):
-        for a, r in terms[p - 1].summands:
-            value = r * bott_h(n, p, a)
+        for a, r in terms[p - 1]:
+            value = r * _bott_h(n, p, a)
             if value:
                 obstructions.append((p, a, value))
                 upper += value
@@ -321,7 +335,7 @@ def h1_vanishing_chase(res, target_twist):
         # degree-q cohomology of term p after twisting; 0 beyond dimension
         if q > n:
             return 0
-        return terms[p - 1].h(n, q)
+        return _sum_h(terms[p - 1], n, q)
 
     stop = length - 1 if length <= n else n
     spliced = all(

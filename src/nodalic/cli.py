@@ -10,12 +10,19 @@ sweep cell deviating from its asserted verdict.
 Each command imports the engines it uses when it runs, so a process
 loads only those: ``points`` never imports :mod:`nodalic.bott` or
 :mod:`nodalic.monodromy`.
+
+A command line that starts with a command name is parsed once, by that
+command's own parser.  The top-level parser sees only the command lines
+that do not: none at all, ``-h``, ``--`` or an option before the
+command, or an unknown command.  Parse errors raise their bare message,
+so a command's errors read the same either way.
 """
 
 import argparse
 import json
 import sys
 from collections import namedtuple
+from json.encoder import encode_basestring_ascii
 
 from .errors import InputError, PreconditionError, check_int, unreportable
 
@@ -143,6 +150,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
+    """The top-level parser and the parser of each command, by name."""
     shared = _Parser(add_help=False)
     shared.add_argument(
         "--json", action="store_true", help="emit the JSON report instead of text"
@@ -228,7 +236,7 @@ def _build_parser():
         default=1000,
         help="compute the grid rank column only up to this many points",
     )
-    return parser
+    return parser, commands.choices
 
 
 def _load_json(path):
@@ -427,25 +435,81 @@ _DISPATCH = {
 }
 
 
+def _json_text(value, indent):
+    # json.encoder's isinstance order; a float, or any other type, raises
+    # TypeError, and so does a key that is not a str
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+            for key, item in sorted(value.items())
+        ]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    raise TypeError(f"{type(value).__name__} is left to json.dumps")
+
+
 def _dumps(report):
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    CPython's C encoder takes no ``indent`` (checked on 3.11), so
+    json.dumps runs its generator-based pure-Python encoder on every
+    report.  This joins the same text directly, with json's own string
+    escaper and ``int.__repr__`` for the leaves.  Reports hold str-keyed dicts,
+    lists, tuples, str, int, bool and None; anything else, and a
+    structure too deep or cyclic to recurse through, is handed to
+    json.dumps itself, so the text or the error is json's.
+    """
+    try:
+        return _json_text(report, "") + "\n"
+    except (TypeError, RecursionError):
+        return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 # built once: parsing never changes the parser, and a parser per call
 # costs far more than the parse and leaves cyclic garbage behind
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse_args(argv):
+    """Parse a command line once, by its command's parser where it names one."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _COMMANDS.get(argv[0]) if argv else None
+    if parser is None:
+        return _PARSER.parse_args(argv)
+    args = parser.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def run(argv=None):
     """Execute one command line; returns the exit code."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(argv)
         report, lines, code = _DISPATCH[args.command](args)
-        text = _dumps(report) if args.json else "\n".join(lines) + "\n"
+        # rendered once, for stdout and --out alike
+        document = _dumps(report) if args.json or args.out is not None else None
+        text = document if args.json else "\n".join(lines) + "\n"
         if args.out is not None:
             try:
                 with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write(_dumps(report))
+                    handle.write(document)
             except OSError as err:
                 raise InputError(f"cannot write {args.out}: {err}") from err
     except InputError as err:

@@ -7,7 +7,19 @@ from math import comb, factorial
 import pytest
 
 from nodalic import bott
-from nodalic.errors import MAX_REPORTED_BITS, InputError, PreconditionError
+from nodalic.errors import MAX_REPORTED_BITS, InputError, PreconditionError, check_int
+
+
+def count_checks(monkeypatch):
+    """The names that bott passes to check_int from now on, in order."""
+    names = []
+
+    def counting(value, name, *args, **kwargs):
+        names.append(name)
+        return check_int(value, name, *args, **kwargs)
+
+    monkeypatch.setattr(bott, "check_int", counting)
+    return names
 
 
 class TestBottH:
@@ -39,12 +51,14 @@ class TestBottH:
                     assert bott.bott_h(n, q, a) == bott.bott_h(n, n - q, -a - n - 1)
 
     def test_degree_out_of_range(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^q must be at most 2, got 3$"):
             bott.bott_h(2, 3, 0)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^q must be at least 0, got -1$"):
             bott.bott_h(2, -1, 0)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^n must be at least 1, got 0$"):
             bott.bott_h(0, 0, 0)
+        with pytest.raises(InputError, match="^a must be an integer, got bool$"):
+            bott.bott_h(2, 0, True)
 
 
 class TestLineBundleSum:
@@ -64,6 +78,17 @@ class TestLineBundleSum:
         s = bott.LineBundleSum.of([(1, 2), (-4, 1)])
         assert s.h(2, 0) == 2 * 3
         assert s.h(2, 2) == comb(3, 2)
+
+    def test_total_cohomology_checks_n_and_q_once(self, monkeypatch):
+        s = bott.LineBundleSum.of([(a, 1) for a in range(-8, 4)])
+        expected = sum(bott.bott_h(2, 2, a) for a in range(-8, 4))
+        with pytest.raises(InputError, match="^n must be at least 1, got 0$"):
+            s.h(0, 0)
+        with pytest.raises(InputError, match="^q must be at most 2, got 3$"):
+            s.h(2, 3)
+        checks = count_checks(monkeypatch)
+        assert s.h(2, 2) == expected
+        assert checks == ["n", "q"]
 
     def test_json_round_trip(self):
         s = bott.LineBundleSum.of([(3, 2), (-1, 5)])
@@ -387,6 +412,17 @@ class TestChase:
     def test_rejects_non_resolution(self):
         with pytest.raises(InputError):
             bott.h1_vanishing_chase([(2, 1)], 0)
+
+    def test_a_chase_checks_its_target_twist_alone(self, monkeypatch):
+        # 15 summands over four terms: a check per summand and degree
+        # would run dozens of times
+        res = bott.koszul_resolution(4, [1, 2, 3, 5])
+        assert sum(len(term.summands) for term in res.terms) == 15
+        checks = count_checks(monkeypatch)
+        for t in (0, 7, 12):
+            del checks[:]
+            bott.h1_vanishing_chase(res, t)
+            assert checks == ["target_twist"]
 
 
 class TestEulerCharacteristic:

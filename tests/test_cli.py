@@ -384,6 +384,24 @@ class TestSurface:
         stdout = capsys.readouterr().out
         assert out_path.read_text(encoding="utf-8") == stdout
 
+    @pytest.mark.parametrize(
+        "flags, renders",
+        [([], 0), (["--json"], 1), (["--out", "{out}"], 1), (["--json", "--out", "{out}"], 1)],
+    )
+    def test_a_report_renders_once(self, tmp_path, monkeypatch, capsys, flags, renders):
+        dumps, calls = cli._dumps, []
+
+        def counting(report):
+            calls.append(report)
+            return dumps(report)
+
+        monkeypatch.setattr(cli, "_dumps", counting)
+        out = str(tmp_path / "report.json")
+        argv = ["koszul", "--n", "2", "--degrees", "3,3", "--twist", "4"]
+        assert cli.run(argv + [flag.format(out=out) for flag in flags]) == 0
+        assert len(calls) == renders
+        capsys.readouterr()
+
     def test_unwritable_out_exits_one(self, tmp_path, capsys):
         target = str(tmp_path / "no" / "such" / "dir" / "x.json")
         assert cli.run(

@@ -1,25 +1,29 @@
-"""Fuzzed command lines keep the exit-code contract.
+"""Fuzzed command lines keep the exit-code contract; reports keep json's text.
 
 Whatever the document or the flags, a run of ``nodalic`` exits with 0, 1
 or 2 and writes nothing or exactly one line to stderr: no traceback
-escapes.  Documents are valid inputs of each command with random parts
+escapes, and a command line parsed by its command's own parser reads as
+the top-level parser reads it.  Documents are valid inputs of each command with random parts
 replaced, deleted or repeated; flags take small, huge, negative and
 non-numeric values.  Sizes stay small or far past a named bound:
 ``koszul`` gets up to a few hundred degrees, either many distinct ones,
 which its work bound turns away before counting, or long runs of two,
 and ``paper-examples`` maxima up to 16 with a small grid cap.  Examples
-are derandomised, so every run checks the same cases.
+are derandomised, so every run checks the same cases.  Random JSON
+values render through ``cli._dumps`` to json.dumps's text.
 """
 
 import contextlib
 import io
 import json
 import tempfile
+from collections import namedtuple
 from pathlib import Path
 
 import pytest
 
 from nodalic import bott, cli, points
+from nodalic.errors import InputError
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -198,3 +202,122 @@ def test_exit_code_and_one_line_of_stderr(case):
     # nothing, or one line ended by its newline
     text = err.getvalue()
     assert text.count("\n") == len(text.splitlines()) <= 1
+
+
+def _parse_outcome(parse, argv):
+    """(namespace vars, error text or exit code, stdout) of one parse."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            result = ("args", vars(parse(argv)))
+        except InputError as err:
+            result = ("error", str(err))
+        except SystemExit as done:  # -h prints usage and exits
+            result = ("exit", done.code)
+    return result, out.getvalue()
+
+
+def assert_parses_as_the_top_level_parser(argv):
+    assert _parse_outcome(cli._parse_args, argv) == _parse_outcome(cli._PARSER.parse_args, argv)
+
+
+@SETTINGS
+@hypothesis.given(command_lines())
+def test_a_command_parses_as_the_top_level_parser(case):
+    assert_parses_as_the_top_level_parser(case[0])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--help"],
+        ["pointz", "--input", "x.json", "--degree", "2"],
+        ["--", "points", "--input", "x.json", "--degree", "2"],
+        ["--json", "points", "--input", "x.json", "--degree", "2"],
+        ["points", "--input", "x.json", "--degree", "2", "extra"],
+        ["points", "--input", "x.json"],
+        ["points", "--input", "x.json", "--degree", "x"],
+        ["points", "--input", "x.json", "--", "--degree", "2"],
+        ["ic-stalk", "--input", "x.json", "--sign", "2"],
+        ["points", "--inp", "x.json", "--deg", "2"],
+        ["points", "--input=x.json", "--degree", "2"],
+        ["points", "--input", "x.json", "--degree", "-1", "--he"],
+        ["points", "-h"],
+        ["paper-examples", "--max", "3"],
+        ["koszul", "--n", "2", "--degrees", "2,2", "--json", "--out"],
+    ],
+)
+def test_an_edge_line_parses_as_the_top_level_parser(argv):
+    assert_parses_as_the_top_level_parser(argv)
+
+
+def test_a_command_line_that_names_its_command_skips_the_top_level_parser(monkeypatch):
+    monkeypatch.setattr(cli, "_PARSER", None)
+    args = cli._parse_args(["points", "--input", "x.json", "--degree", "2"])
+    assert vars(args) == {
+        "command": "points", "input": "x.json", "degree": 2, "json": False, "out": None,
+    }
+
+
+Pair = namedtuple("Pair", "left right")
+
+# quotes, backslashes, control characters and non-ASCII, from the BMP
+# and past it
+awkward_characters = '"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'
+awkward_text = st.text(st.one_of(st.characters(), st.sampled_from(awkward_characters)), max_size=8)
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([-(2**64) - 1, 2**64, 2**64 + 1, -(2**200), 10**400]),
+    awkward_text,
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.builds(Pair, inner, inner),
+        st.dictionaries(awkward_text, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@SETTINGS
+@hypothesis.given(json_values)
+def test_reports_render_as_json_dumps_writes_them(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def _circular():
+    value = [1]
+    value.append(value)
+    return value
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [1.5, -0.0, float("inf"), float("nan")],
+        {"ratio": 0.25},
+        {10: "ten", 9: "nine"},
+        {"a": {2: None, 1: [{}]}},
+        [[], {}, ()],
+        {"a", "b"},
+        {"a": 1, 2: "b"},
+        _circular(),
+    ],
+)
+def test_other_values_render_or_fail_as_json_dumps_does(value):
+    def outcome(render):
+        try:
+            return render(value)
+        except (TypeError, ValueError) as err:
+            return type(err), str(err)
+
+    assert outcome(cli._dumps) == outcome(
+        lambda v: json.dumps(v, indent=2, sort_keys=True) + "\n"
+    )
