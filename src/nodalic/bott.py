@@ -10,7 +10,6 @@ vanishes and the bound collapses to a single term.
 """
 
 from collections import Counter, namedtuple
-from fractions import Fraction
 from math import comb, gcd
 
 from .errors import InputError, PreconditionError, check_int, check_reportable
@@ -86,21 +85,6 @@ class LineBundleSum(namedtuple("LineBundleSum", "summands")):
     @classmethod
     def of(cls, pairs):
         return cls(_canonical_summands(pairs))
-
-    @property
-    def rank(self):
-        return sum(mult for _, mult in self.summands)
-
-    def twisted(self, t):
-        """Shift every twist in the sum by ``t``; multiplicities unchanged."""
-        check_int(t, "t")
-        return LineBundleSum(tuple((a + t, r) for a, r in self.summands))
-
-    def h(self, n, q):
-        """Total degree-q cohomology dimension over all summands."""
-        check_int(n, "n", minimum=1)
-        check_int(q, "q", minimum=0, maximum=n)
-        return _sum_h(self.summands, n, q)
 
     def to_json(self):
         return [{"twist": a, "mult": r} for a, r in self.summands]
@@ -362,21 +346,10 @@ class CompleteIntersectionThreshold(
     """Degree range where the chase certifies independence of grid nodes.
 
     The bound is ``numerator / denominator`` in lowest terms, held as
-    two ints; :attr:`bound` builds the Fraction only when asked.
+    two ints.
     """
 
     __slots__ = ()
-
-    @property
-    def bound(self):
-        return Fraction(self.numerator, self.denominator)
-
-    def to_json(self):
-        p, q = self.numerator, self.denominator
-        return {
-            "bound": p if q == 1 else f"{p}/{q}",
-            "admissible_k": list(self.admissible_k),
-        }
 
 
 def ci_threshold(n):

@@ -17,8 +17,7 @@ scaled by the least common multiple that makes all its entries ints,
 each cycle by the least of its own (which also gives its weight), and
 each cycle's functional <., v> and the cycles' Gram matrix are computed
 once on those integers.  :class:`MonodromyData` holds only these integer
-forms; the pairing and the cycles as Fractions are built when asked for.
-Positive rescalings change no rank, skewness or orthogonality, so
+forms.  Positive rescalings change no rank, skewness or orthogonality, so
 every check runs on plain ints, and every pairwise one reads the Gram
 matrix.  The complex is built on the integer operators
 M_i = sign * outer(v_i, f_i), positive multiples of the logarithms;
@@ -31,7 +30,6 @@ it as its one differential, whose rows are sign * f_i.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -81,21 +79,6 @@ class MonodromyData(
     @property
     def delta(self):
         return len(self.int_cycles)
-
-    @property
-    def pairing(self):
-        """The intersection form, as rows of Fractions."""
-        return tuple(
-            tuple(Fraction(x, self.scale) for x in row) for row in self.int_pairing
-        )
-
-    @property
-    def cycles(self):
-        """The vanishing cycles, as tuples of Fractions."""
-        return tuple(
-            tuple(Fraction(x, c) for x in v)
-            for v, c in zip(self.int_cycles, self.cycle_scales)
-        )
 
     @classmethod
     def from_rationals(cls, dim, pairing, cycles, h_ambient, fiber_dim=None):
@@ -226,16 +209,6 @@ class Diagnostics(
     @property
     def passed(self):
         return not self.failures
-
-    def to_json(self):
-        return {
-            "skew": self.skew,
-            "nondegenerate": self.nondegenerate,
-            "cycles_nonzero": self.cycles_nonzero,
-            "pairwise_orthogonal": self.pairwise_orthogonal,
-            "passed": self.passed,
-            "failures": list(self.failures),
-        }
 
 
 def validate(data):
@@ -410,14 +383,6 @@ class PerverseFiltration(
     """Graded pieces of the two-step filtration on the top cohomology."""
 
     __slots__ = ()
-
-    def to_json(self):
-        return {
-            "negative_piece": self.negative_piece,
-            "graded_0": self.graded_0,
-            "graded_1": self.graded_1,
-            "total": self.total,
-        }
 
 
 def perverse_filtration(report):

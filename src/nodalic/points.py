@@ -19,10 +19,8 @@ points, and the lcm, the scaling, the content and the division are
 each one ``map`` across the points, so the interpreter takes a step per
 coordinate, not per point.  Reading a 256-point grid document takes
 about 0.8 ms instead of 2.0 ms point by point (CPython 3.11, shared
-2-vCPU VM).  ``points``, the
-lead-1 Fraction form, is derived only when an API caller asks for it;
-``to_json``, which the ``grid`` command prints, writes the same lead-1
-coordinates from the ints.
+2-vCPU VM).  ``to_json``, which the ``grid`` command prints, writes the
+points with first nonzero coordinate 1 from the ints.
 
 The evaluation is built basis-major: one row per basis form of degree
 d, one entry per point.  Each coordinate's factors are vectors across
@@ -74,7 +72,6 @@ closed forms, the certificates and the fallbacks.
 """
 
 from collections import Counter, namedtuple
-from fractions import Fraction
 from itertools import chain, compress, count, product, repeat
 from math import comb, gcd, lcm
 from operator import and_, floordiv, gt, itemgetter, lt, mul
@@ -170,8 +167,6 @@ class ProjectivePointSet(namedtuple("ProjectivePointSet", "ambient_dim vectors")
     ``vectors`` holds each point's primitive integer representative with
     its first nonzero entry positive; equality of these tuples is
     exactly projective equality, which is how duplicates are rejected.
-    ``points`` gives the same points scaled so that their first nonzero
-    coordinate is 1, as Fractions.
     """
 
     __slots__ = ()
@@ -236,15 +231,6 @@ class ProjectivePointSet(namedtuple("ProjectivePointSet", "ambient_dim vectors")
         if error is not None:
             raise error
         return cls(ambient_dim=ambient_dim, vectors=vectors)
-
-    @property
-    def points(self):
-        """The points with first nonzero coordinate 1, as Fraction tuples."""
-        out = []
-        for vector in self.vectors:
-            lead = next(x for x in vector if x)
-            out.append(tuple(Fraction(x, lead) for x in vector))
-        return tuple(out)
 
     @property
     def delta(self):
@@ -692,28 +678,6 @@ def severi_expected_dim(big_n, r):
     return big_n - r
 
 
-def _grid_parameters(n, k, parameters):
-    # each axis as (numerator, denominator) pairs, reduced
-    if parameters is None:
-        return [[(j, 1) for j in range(1, k)]] * n
-    if not isinstance(parameters, (list, tuple)) or not parameters:
-        raise InputError("parameters must be a list")
-    # a flat list of scalars is shared by every coordinate axis
-    if not isinstance(parameters[0], (list, tuple)):
-        parameters = [parameters] * n
-    if len(parameters) != n:
-        raise InputError(f"expected parameter lists for {n} coordinates")
-    out = []
-    for i, axis in enumerate(parameters):
-        if not isinstance(axis, (list, tuple)) or len(axis) != k - 1:
-            raise InputError(f"coordinate {i} needs exactly {k - 1} parameters")
-        values = linalg.rational_pairs(axis)
-        if len(set(values)) != len(values):
-            raise InputError(f"coordinate {i} has repeated parameters")
-        out.append(values)
-    return out
-
-
 def _check_grid_size(n, k):
     """Raise the named precondition when (k-1)^n * (n+1) > MAX_GRID_COORDINATES.
 
@@ -731,12 +695,12 @@ def _check_grid_size(n, k):
             raise PreconditionError(FAIL_GRID_SIZE)
 
 
-def grid_nodes(n, k, parameters=None):
-    """The (k-1)^n rational points cut out by products of linear forms.
+def grid_nodes(n, k):
+    """The (k-1)^n integer points cut out by products of linear forms.
 
-    Coordinate i of a point runs over the i-th parameter list (defaults
-    to 1..k-1) and the last coordinate is 1.  These are the common zeros
-    of the regular sequence f_i = prod_j (x_i - c_{i,j} x_n), so the
+    Coordinates 0 to n - 1 of a point each run over 1..k-1, in product
+    order, and the last coordinate is 1.  These are the common zeros of
+    the regular sequence f_i = prod_{j=1}^{k-1} (x_i - j x_n), so the
     Koszul chase for a complete intersection of type (k-1, ..., k-1)
     applies to them verbatim.  The grid may hold at most
     ``MAX_GRID_COORDINATES`` coordinates in all.
@@ -744,12 +708,10 @@ def grid_nodes(n, k, parameters=None):
     check_int(n, "n", minimum=1)
     check_int(k, "k", minimum=2)
     _check_grid_size(n, k)
-    axes = _grid_parameters(n, k, parameters)
-    # coordinate i runs over axis i in product order; the last is 1
-    numerators = list(zip(*product(*[[p for p, _ in axis] for axis in axes])))
-    denominators = list(zip(*product(*[[q for _, q in axis] for axis in axes])))
-    ones = [1] * len(numerators[0])
-    return ProjectivePointSet._from_columns(n, numerators + [ones], denominators + [ones])
+    # a last coordinate 1 makes each vector primitive with a positive lead,
+    # and distinct p give distinct points
+    vectors = tuple((*p, 1) for p in product(range(1, k), repeat=n))
+    return ProjectivePointSet(ambient_dim=n, vectors=vectors)
 
 
 def node_count_ci(n, k):

@@ -5,7 +5,7 @@ every test is reproducible from its seed.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm
 
 from nodalic import linalg, points
@@ -81,6 +81,19 @@ def random_monodromy_data(rng, max_half_dim=5, max_delta=6):
         )
     return MonodromyData.from_rationals(
         dim=m, pairing=pairing, cycles=cycles, h_ambient=rng.randint(0, 5)
+    )
+
+
+def rational_pairing(data):
+    """The intersection form of ``data``, ``int_pairing / scale``, as rows of Fractions."""
+    return [[Fraction(x, data.scale) for x in row] for row in data.int_pairing]
+
+
+def rational_cycles(data):
+    """The cycles of ``data``, ``int_cycles[i] / cycle_scales[i]``, as Fraction tuples."""
+    return tuple(
+        tuple(Fraction(x, c) for x in v)
+        for v, c in zip(data.int_cycles, data.cycle_scales)
     )
 
 
@@ -234,6 +247,25 @@ def monomial_basis(n, d):
                 yield (e,) + rest
 
     return list(walk(n + 1, d))
+
+
+def rational_grid(n, axes):
+    """The points ``(*p, 1)`` for ``p`` in the product of ``axes``, in product order.
+
+    ``axes`` holds one list of distinct ints or Fractions for each of the
+    first n coordinates; the set is built by
+    ``ProjectivePointSet.from_coordinates``.
+    """
+    return points.ProjectivePointSet.from_coordinates(
+        n, [[*p, 1] for p in product(*axes)]
+    )
+
+
+def lead_one(pts):
+    """The points of ``pts`` with first nonzero coordinate 1, as Fraction tuples."""
+    return tuple(
+        tuple(Fraction(x, next(filter(None, v))) for x in v) for v in pts.vectors
+    )
 
 
 def primitive_vectors(coordinates):

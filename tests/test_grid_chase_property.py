@@ -12,6 +12,8 @@ import pytest
 
 from nodalic import bott, points
 
+from helpers import rational_grid
+
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
@@ -36,7 +38,7 @@ def grids(draw):
 @hypothesis.given(grids())
 def test_chase_bounds_the_explicit_h1(case):
     n, k, axes, d = case
-    h1 = points.conditions_report(points.grid_nodes(n, k, axes), d).h1_ideal
+    h1 = points.conditions_report(rational_grid(n, axes), d).h1_ideal
     verdict = bott.h1_vanishing_chase(bott.koszul_resolution(n, [k - 1] * n), d)
     assert verdict.upper_bound >= h1
     assert verdict.exact_h1 in (None, h1)

@@ -9,7 +9,14 @@ import pytest
 from nodalic import linalg, points
 from nodalic.errors import InputError
 
-from helpers import column_space_basis, identity, kernel_basis, rref, solve
+from helpers import (
+    column_space_basis,
+    identity,
+    kernel_basis,
+    rational_grid,
+    rref,
+    solve,
+)
 
 
 def frac_matrix(rows):
@@ -198,7 +205,7 @@ class TestRankAgainstOracle:
         cases.append((matrix, 14, oracle_rank(matrix, 14)))
         # a rational grid's evaluation
         values = [Fraction(p, q) for p, q in ((1, 1), (-5, 2), (7, 3), (-8, 3), (9, 1))]
-        grid = points.evaluation_matrix(points.grid_nodes(3, 6, [values] * 3), 5)
+        grid = points.evaluation_matrix(rational_grid(3, [values] * 3), 5)
         cases.append((grid, 56, oracle_rank(grid, 56)))
         # unit rows above rows of small heads and odd words from ``column`` on
         for column in (0, 4, 9):

@@ -17,7 +17,12 @@ from nodalic import linalg, monodromy
 from nodalic.errors import PreconditionError
 from nodalic.monodromy import MonodromyData
 
-from helpers import random_monodromy_data, transvection
+from helpers import (
+    random_monodromy_data,
+    rational_cycles,
+    rational_pairing,
+    transvection,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -33,14 +38,14 @@ def instances(draw):
     """Valid random data, sometimes with one arbitrary extra cycle."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     data = random_monodromy_data(rng, max_half_dim=3, max_delta=4)
-    cycles = list(data.cycles)
+    cycles = list(rational_cycles(data))
     if draw(st.booleans()):
         cycles.append(
             tuple(Fraction(draw(st.integers(-2, 2))) for _ in range(data.dim))
         )
     return MonodromyData.from_rationals(
         dim=data.dim,
-        pairing=data.pairing,
+        pairing=rational_pairing(data),
         cycles=cycles,
         h_ambient=data.h_ambient,
     )
@@ -57,7 +62,7 @@ def outcome(data):
         dims = (complex_.dim, complex_.delta, len(complex_.d0))
     except PreconditionError as err:
         dims = str(err)
-    return monodromy.validate(data).to_json(), report, dims
+    return monodromy.validate(data), report, dims
 
 
 def rewritten(data, pairing, cycles):
@@ -69,8 +74,8 @@ def rewritten(data, pairing, cycles):
 @SETTINGS
 @hypothesis.given(instances(), factors, st.lists(factors, min_size=5, max_size=5))
 def test_rescaling_changes_nothing(data, pairing_factor, cycle_factors):
-    pairing = [[pairing_factor * x for x in row] for row in data.pairing]
-    cycles = [[t * x for x in c] for c, t in zip(data.cycles, cycle_factors)]
+    pairing = [[pairing_factor * x for x in row] for row in rational_pairing(data)]
+    cycles = [[t * x for x in c] for c, t in zip(rational_cycles(data), cycle_factors)]
     assert outcome(rewritten(data, pairing, cycles)) == outcome(data)
 
 
@@ -86,8 +91,8 @@ def test_rescaling_changes_nothing(data, pairing_factor, cycle_factors):
 def test_symplectic_change_of_basis_changes_nothing(data, moves):
     # each move is the transvection x -> x + t^2 <x, u> u, which keeps the
     # skew pairing; their product moves every cycle
-    pairing = [list(row) for row in data.pairing]
-    cycles = [list(c) for c in data.cycles]
+    pairing = rational_pairing(data)
+    cycles = [list(c) for c in rational_cycles(data)]
     for t, u in moves:
         u = [t * x for x in u[: data.dim]]
         move = transvection(pairing, u, 1)

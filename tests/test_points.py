@@ -13,9 +13,11 @@ from nodalic.errors import InputError, PreconditionError
 from helpers import (
     NoFraction,
     kernel_rank,
+    lead_one,
     monomial_basis,
     primitive_vectors,
     random_invertible,
+    rational_grid,
 )
 
 COLLINEAR = [(1, 0, 0), (1, 1, 0), (1, 2, 0)]
@@ -28,8 +30,7 @@ def point_set(ambient_dim, coords):
 class TestPointSet:
     def test_normalization(self):
         pts = point_set(2, [(0, 3, 6), (2, 4, 8)])
-        assert pts.points[0] == (0, 1, 2)
-        assert pts.points[1] == (1, 2, 4)
+        assert pts.vectors == ((0, 1, 2), (1, 2, 4))
 
     def test_duplicates_rejected(self):
         with pytest.raises(InputError, match="coincide"):
@@ -64,7 +65,7 @@ class TestPointSet:
                     lead = next(x for x in vector if x)
                     coords.setdefault(tuple(x / lead for x in vector), vector)
             pts = point_set(n, list(coords.values()))
-            expected = [[linalg.rational_to_json(x) for x in p] for p in pts.points]
+            expected = [[linalg.rational_to_json(x) for x in p] for p in lead_one(pts)]
             assert pts.to_json() == {"ambient_dim": n, "points": expected}
         # a lead that is not the first coordinate, and entries it does not divide
         pts = point_set(2, [(0, 6, -4), (0, 0, -3), (0, Fraction(-4, 3), 2)])
@@ -79,10 +80,6 @@ class TestPointSet:
     def test_vectors_are_primitive_with_positive_lead(self):
         pts = point_set(2, [(0, -3, 6), (Fraction(-1, 2), 1, Fraction(3, 4))])
         assert pts.vectors == ((0, 1, -2), (2, -4, -3))
-        assert pts.points == (
-            (0, 1, -2),
-            (1, -2, Fraction(-3, 2)),
-        )
 
     def test_rescaling_gives_equal_sets(self):
         rng = random.Random(313)
@@ -107,14 +104,12 @@ class TestPointSet:
                 scaled.append([factor * x for x in p])
             again = point_set(n, scaled)
             assert again == pts
-            assert again.points == pts.points
             doc = {
                 "ambient_dim": n,
                 "points": [[linalg.rational_to_json(x) for x in p] for p in scaled],
             }
             parsed = points.ProjectivePointSet.from_json(doc)
             assert parsed == pts
-            assert parsed.points == pts.points
 
     @pytest.mark.parametrize(
         "coords, message",
@@ -202,8 +197,7 @@ class TestColumnBuild:
 
     :func:`helpers.primitive_vectors` applies the textbook lcm, content
     and sign rule point by point, and raises the first zero or repeated
-    point; the constructors must give the same vectors, the same lead-1
-    points, or the same error.
+    point; the constructors must give the same vectors or the same error.
     """
 
     VALUES = (0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
@@ -218,14 +212,7 @@ class TestColumnBuild:
                 build()
             assert str(got.value) == str(err)
             return False
-        pts = build()
-        assert pts.vectors == expected
-        lead_one = []
-        for point in coordinates:
-            point = [Fraction(x) for x in point]
-            lead = next(x for x in point if x)
-            lead_one.append(tuple(x / lead for x in point))
-        assert pts.points == tuple(lead_one)
+        assert build().vectors == expected
         return True
 
     def value(self, rng):
@@ -279,7 +266,7 @@ class TestColumnBuild:
                 if len(axis) == k - 1:
                     axes.append([rng.choice((x, Fraction(x))) for x in axis])
             coords = [list(choice) + [1] for choice in product(*axes)]
-            assert self.matches_oracle(lambda: points.grid_nodes(n, k, axes), coords)
+            assert self.matches_oracle(lambda: rational_grid(n, axes), coords)
         default = list(product([1, 2, 3], [1, 2, 3], [1, 2, 3], [1]))
         assert self.matches_oracle(lambda: points.grid_nodes(3, 4), default)
 
@@ -361,7 +348,7 @@ class TestEvaluationMatrix:
             width = comb(n + d, n)
             base = linalg.rank(points.evaluation_matrix(pts, d), width)
 
-            shuffled = list(pts.points)
+            shuffled = list(pts.vectors)
             rng.shuffle(shuffled)
             scaled = []
             for p in shuffled:
@@ -378,7 +365,7 @@ class TestEvaluationMatrix:
                         sum(change[i][j] * p[j] for j in range(n + 1))
                         for i in range(n + 1)
                     ]
-                    for p in pts.points
+                    for p in pts.vectors
                 ],
             )
             assert linalg.rank(points.evaluation_matrix(moved, d), width) == base
@@ -526,8 +513,7 @@ class TestSeveriDim:
 class TestGridNodes:
     def test_minimal_grid(self):
         pts = points.grid_nodes(2, 2)
-        assert pts.delta == 1
-        assert pts.points == ((1, 1, 1),)
+        assert pts.vectors == ((1, 1, 1),)
 
     def test_counts(self):
         assert points.grid_nodes(2, 4).delta == 9
@@ -538,34 +524,18 @@ class TestGridNodes:
                 assert points.grid_nodes(n, k).delta == points.node_count_ci(n, k)
 
     def test_default_coordinates(self):
-        # stored points are rescaled so the first nonzero coordinate is 1
+        # stored in product order; the JSON scales each first coordinate to 1
         pts = points.grid_nodes(2, 3)
-        assert set(pts.points) == {
-            (1, 1, 1),
-            (1, 2, 1),
-            (1, Fraction(1, 2), Fraction(1, 2)),
-            (1, 1, Fraction(1, 2)),
-        }
+        assert pts.vectors == ((1, 1, 1), (1, 2, 1), (2, 1, 1), (2, 2, 1))
+        assert pts.to_json()["points"] == [
+            [1, 1, 1], [1, 2, 1], [1, "1/2", "1/2"], [1, 1, "1/2"],
+        ]
 
     def test_points_lie_on_default_grid(self):
         n, k = 3, 3
-        values = {Fraction(j) for j in range(1, k)}
-        for p in points.grid_nodes(n, k).points:
-            assert p[-1] != 0
-            affine = [x / p[-1] for x in p[:-1]]
-            assert all(x in values for x in affine)
-
-    def test_custom_flat_parameters(self):
-        pts = points.grid_nodes(1, 3, [Fraction(1, 2), 5])
-        assert set(pts.points) == {(1, 2), (1, Fraction(1, 5))}
-
-    def test_custom_per_axis_parameters(self):
-        pts = points.grid_nodes(2, 2, [[3], [7]])
-        assert pts.points == ((Fraction(1), Fraction(7, 3), Fraction(1, 3)),)
-
-    def test_repeated_parameters_rejected(self):
-        with pytest.raises(InputError, match="repeated"):
-            points.grid_nodes(2, 3, [1, 1])
+        for p in points.grid_nodes(n, k).vectors:
+            assert p[-1] == 1
+            assert all(x in range(1, k) for x in p[:-1])
 
     def test_default_grid_builds_no_fraction(self, monkeypatch):
         shapes = [(1, 2), (1, 5), (2, 4), (3, 3), (4, 4)]
@@ -576,20 +546,10 @@ class TestGridNodes:
             ).vectors
             for n, k in shapes
         }
-        with monkeypatch.context() as patch:
-            for module in (points, linalg):
-                patch.setattr(module, "Fraction", NoFraction)
-            for n, k in shapes:
-                assert points.grid_nodes(n, k).vectors == expected[n, k]
-        # parameters are compared as rationals, however they are written
-        with pytest.raises(InputError, match="repeated"):
-            points.grid_nodes(1, 3, [Fraction(1, 2), Fraction(2, 4)])
-
-    def test_wrong_parameter_count_rejected(self):
-        with pytest.raises(InputError):
-            points.grid_nodes(2, 3, [1, 2, 3])
-        with pytest.raises(InputError):
-            points.grid_nodes(2, 3, [[1, 2]])
+        assert not hasattr(points, "Fraction")
+        monkeypatch.setattr(linalg, "Fraction", NoFraction)
+        for n, k in shapes:
+            assert points.grid_nodes(n, k).vectors == expected[n, k]
 
     def test_k_below_two_rejected(self):
         with pytest.raises(InputError):
@@ -753,7 +713,7 @@ class TestEvaluationColumns:
 
         monkeypatch.setattr(linalg, "_int_rows", counted)
         values = [Fraction(p, q) for p, q in ((1, 1), (-5, 2), (7, 3), (-8, 3))]
-        for grid, d in ((points.grid_nodes(3, 5, [values] * 3), 4), (point_set(2, []), 1)):
+        for grid, d in ((rational_grid(3, [values] * 3), 4), (point_set(2, []), 1)):
             points.conditions_report(grid, d)
             points.normal_crossing_check(grid)
         assert calls == []
@@ -881,7 +841,7 @@ class TestNewtonRank:
         monkeypatch.setattr(linalg, "reduce_int_rows", refuse)
         count = hilbert_count([k - 1] * n, d)
         values = [Fraction(p, q) for p, q in ((7, 3), (-5, 2), (9, 1), (-8, 3), (5, 2))]
-        rational = points.grid_nodes(n, k, values[:k - 1])
+        rational = rational_grid(n, [values[:k - 1]] * n)
         shuffled = random.Random(n * k * d).sample(rational.vectors, rational.delta)
         path = tmp_path / "grid.json"
         for grid in (points.grid_nodes(n, k), rational, point_set(n, shuffled)):

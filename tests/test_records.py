@@ -140,11 +140,10 @@ def test_optional_field_defaults_to_none():
     assert data.fiber_dim is None
 
 
-def test_threshold_bound_is_built_on_request():
+def test_threshold_bound_is_in_lowest_terms():
+    # (2n + 1) / (n - 1) is 9/3 at n = 4
     record = bott.ci_threshold(4)
-    assert (record.numerator, record.denominator) == (3, 1)
-    assert record.bound == 3
-    assert record.to_json() == {"bound": 3, "admissible_k": [2]}
+    assert record == (3, 1, (2,))
 
 
 class TestResolutionChecks:

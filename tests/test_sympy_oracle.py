@@ -11,7 +11,7 @@ import pytest
 
 from nodalic import linalg, points
 
-from helpers import kernel_basis, rref, solve
+from helpers import kernel_basis, rational_grid, rref, solve
 
 sympy = pytest.importorskip("sympy")
 
@@ -66,7 +66,7 @@ def grid_matrices():
     values = sorted({Fraction(p, q) for p in range(-9, 10) for q in (1, 2, 3)})
     for n, k, d in ((2, 5, 4), (2, 5, 5), (3, 4, 3), (2, 7, 6)):
         axes = [rng.sample(values, k - 1) for _ in range(n)]
-        yield points.evaluation_matrix(points.grid_nodes(n, k, axes), d)
+        yield points.evaluation_matrix(rational_grid(n, axes), d)
 
 
 def test_rank_and_rref_match():
