@@ -30,24 +30,19 @@ _EXPECTED_EN_MAX_H = 2
 _SEVERI_SAMPLES = ((3, 1), (4, 0), (4, 4), (5, 2), (7, 3), (9, 4))
 
 
-# the (key, header) columns of each paper-examples table: a cell holds
-# the keys, and the text table shows them under the headers, in order
+# the keys of each paper-examples table's cells, in column order; the
+# text table heads each column with its key, or with its _HEADERS entry
 _CI_COLUMNS = (
-    ("n", "n"), ("k", "k"), ("delta", "delta"),
-    ("chase_vanishes", "chase_vanishes"), ("exact_h1", "exact_h1"),
-    ("grid_h1", "grid_h1"), ("consistent", "consistent"),
-    ("expected_vanishes", "expected"), ("matches", "matches"),
+    "n", "k", "delta", "chase_vanishes", "exact_h1", "grid_h1", "consistent",
+    "expected_vanishes", "matches",
 )
-_EN_COLUMNS = (
-    ("n", "n"), ("h", "h"), ("node_count", "node_count"),
-    ("chase_vanishes", "chase_vanishes"), ("expected_vanishes", "expected"),
-    ("matches", "matches"),
-)
-_SEVERI_COLUMNS = (("N", "N"), ("delta", "delta"), ("expected_dim", "expected_dim"))
+_EN_COLUMNS = ("n", "h", "node_count", "chase_vanishes", "expected_vanishes", "matches")
+_SEVERI_COLUMNS = ("N", "delta", "expected_dim")
+_HEADERS = {"expected_vanishes": "expected"}
 
 
 def _cell(columns, *values):
-    return dict(zip([key for key, _ in columns], values, strict=True))
+    return dict(zip(columns, values, strict=True))
 
 
 class PaperExamplesReport(
@@ -62,14 +57,6 @@ class PaperExamplesReport(
     """
 
     __slots__ = ()
-
-    def to_json(self):
-        return {
-            "ci_table": list(self.ci_table),
-            "en_table": list(self.en_table),
-            "severi_samples": list(self.severi_samples),
-            "all_match": self.all_match,
-        }
 
 
 def paper_examples(max_n=6, max_k=8, max_h=6, grid_cap=1000):
@@ -297,8 +284,8 @@ def _resolution_lines(res):
 
 def _table_lines(columns, cells):
     # a missing value (None) shows as "-"
-    cells = [[header for _, header in columns]] + [
-        ["-" if cell[key] is None else str(cell[key]) for key, _ in columns]
+    cells = [[_HEADERS.get(key, key) for key in columns]] + [
+        ["-" if cell[key] is None else str(cell[key]) for key in columns]
         for cell in cells
     ]
     widths = [max(len(line[i]) for line in cells) for i in range(len(columns))]
@@ -313,7 +300,7 @@ def _run_ic_stalk(args):
 
     data = monodromy.MonodromyData.from_json(_load_json(args.input))
     report = monodromy.ic_stalk(data, sign=args.sign)
-    filtration = monodromy.perverse_filtration(report)
+    graded_0, graded_1 = report.filtration
     lines = [
         f"h0: {report.h0}",
         f"h1: {report.h1}",
@@ -322,12 +309,9 @@ def _run_ic_stalk(args):
         f"excision_rank: {report.excision_rank}",
         f"h_top_singular: {report.h_top_singular}",
         f"defect: {report.defect}",
-        "filtration: "
-        f"negative {filtration.negative_piece}, "
-        f"graded 0 piece {filtration.graded_0}, "
-        f"graded 1 piece {filtration.graded_1}",
+        f"filtration: negative 0, graded 0 piece {graded_0}, graded 1 piece {graded_1}",
     ]
-    return report.to_json(), lines, 0
+    return report._asdict(), lines, 0
 
 
 def _run_points(args):
@@ -337,7 +321,7 @@ def _run_points(args):
     conditions, crossing = points.point_reports(pts, args.degree)
     span = crossing.span_dim
     report = {
-        "conditions": conditions.to_json(),
+        "conditions": conditions._asdict(),
         "node_span_dim": span,
         "normal_crossing": crossing.to_json(),
     }
@@ -421,7 +405,7 @@ def _run_paper_examples(args):
     lines += _table_lines(_SEVERI_COLUMNS, report.severi_samples)
     lines.append("")
     lines.append(f"all asserted verdicts match: {str(report.all_match).lower()}")
-    return report.to_json(), lines, 0 if report.all_match else 2
+    return report._asdict(), lines, 0 if report.all_match else 2
 
 
 _DISPATCH = {

@@ -320,21 +320,12 @@ class IcStalkReport(
         "h0 h1 higher span_dim excision_rank h_top_singular defect filtration",
     )
 ):
-    """Stalk dimensions plus the bookkeeping derived from them."""
+    """Stalk dimensions plus the bookkeeping derived from them: ``filtration``
+    is the graded 0 and 1 pieces of the top cohomology's two-step filtration,
+    whose negative piece is 0; the pieces sum to ``h_top_singular``.
+    """
 
     __slots__ = ()
-
-    def to_json(self):
-        return {
-            "h0": self.h0,
-            "h1": self.h1,
-            "higher": list(self.higher),
-            "span_dim": self.span_dim,
-            "excision_rank": self.excision_rank,
-            "h_top_singular": self.h_top_singular,
-            "defect": self.defect,
-            "filtration": list(self.filtration),
-        }
 
 
 def _require_valid(data):
@@ -374,25 +365,4 @@ def ic_stalk(data, sign=-1):
         h_top_singular=h_top,
         defect=h1,
         filtration=(h1, data.h_ambient),
-    )
-
-
-class PerverseFiltration(
-    namedtuple("PerverseFiltration", "negative_piece graded_0 graded_1 total")
-):
-    """Graded pieces of the two-step filtration on the top cohomology."""
-
-    __slots__ = ()
-
-
-def perverse_filtration(report):
-    """Read the filtration off a stalk report: (0, defect, ambient rank)."""
-    if not isinstance(report, IcStalkReport):
-        raise InputError("perverse_filtration expects an IcStalkReport")
-    graded_0, graded_1 = report.filtration
-    return PerverseFiltration(
-        negative_piece=0,
-        graded_0=graded_0,
-        graded_1=graded_1,
-        total=report.h_top_singular,
     )

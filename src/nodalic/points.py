@@ -509,17 +509,6 @@ class ConditionsReport(
 
     __slots__ = ()
 
-    def to_json(self):
-        return {
-            "delta": self.delta,
-            "degree": self.degree,
-            "h0_ambient": self.h0_ambient,
-            "rank": self.rank,
-            "h0_ideal": self.h0_ideal,
-            "h1_ideal": self.h1_ideal,
-            "independent": self.independent,
-        }
-
 
 def _ranks(pts, degrees):
     """Ranks of a point set's degree-d evaluations, a list of one per d in ``degrees``.

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -279,6 +280,12 @@ class TestPaperExamplesCommand:
         assert code == 2
         report = json.loads(capsys.readouterr().out)
         assert report["all_match"] is False
+
+    def test_defaults_are_the_api_defaults(self):
+        # the parser restates paper_examples' defaults; they must not drift
+        args = cli._COMMANDS["paper-examples"].parse_args([])
+        names = inspect.signature(cli.paper_examples).parameters
+        assert tuple(getattr(args, name) for name in names) == cli.paper_examples.__defaults__
 
 
 class TestSurface:

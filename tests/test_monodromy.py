@@ -495,7 +495,7 @@ class TestIcStalk:
             assert monodromy.ic_stalk(data, 1) == monodromy.ic_stalk(data, -1)
 
     def test_json_fields(self):
-        doc = monodromy.ic_stalk(data_for(2, [(1, 0)])).to_json()
+        doc = monodromy.ic_stalk(data_for(2, [(1, 0)]))._asdict()
         assert set(doc) == {
             "h0", "h1", "higher", "span_dim", "excision_rank",
             "h_top_singular", "defect", "filtration",
@@ -522,30 +522,28 @@ class TestExcision:
 
 
 class TestPerverseFiltration:
+    """``report.filtration`` is (graded 0, graded 1); the negative piece is 0."""
+
     def test_defect_free(self):
         report = monodromy.ic_stalk(data_for(2, [(1, 0)], h_ambient=5))
-        filtration = monodromy.perverse_filtration(report)
-        assert filtration.negative_piece == 0
-        assert filtration.graded_0 == 0
-        assert filtration.graded_1 == 5
-        assert filtration.total == 5
+        assert report.filtration == (report.defect, 5) == (report.h1, 5) == (0, 5)
+        assert report.h_top_singular == 5
 
     def test_defective_example(self):
         data = data_for(4, [basis_vector(4, 0), basis_vector(4, 0)], h_ambient=1)
-        filtration = monodromy.perverse_filtration(monodromy.ic_stalk(data))
-        assert (filtration.negative_piece, filtration.graded_0, filtration.graded_1) == (0, 1, 1)
-        assert filtration.total == 2
+        report = monodromy.ic_stalk(data)
+        assert report.filtration == (report.defect, 1) == (report.h1, 1) == (1, 1)
+        assert report.h_top_singular == 2
 
     def test_pieces_sum_to_total(self):
         rng = random.Random(19)
         for _ in range(15):
             data = random_monodromy_data(rng)
             report = monodromy.ic_stalk(data)
-            filtration = monodromy.perverse_filtration(report)
-            assert (
-                filtration.negative_piece + filtration.graded_0 + filtration.graded_1
-                == report.h_top_singular
-            )
+            graded_0, graded_1 = report.filtration
+            assert graded_0 == report.defect == report.h1
+            assert graded_1 == data.h_ambient
+            assert sum(report.filtration) == report.h_top_singular
 
 
 class TestOperatorIdentities:

@@ -54,7 +54,7 @@ def instances(draw):
 def outcome(data):
     """Everything a caller can observe, or the precondition that fails."""
     try:
-        report = monodromy.ic_stalk(data).to_json()
+        report = monodromy.ic_stalk(data)._asdict()
     except PreconditionError as err:
         report = str(err)
     try:

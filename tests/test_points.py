@@ -420,7 +420,7 @@ class TestConditionsReport:
                 assert report.h0_ideal == report.h0_ambient - report.delta
 
     def test_json_fields(self):
-        doc = points.conditions_report(points.grid_nodes(2, 3), 2).to_json()
+        doc = points.conditions_report(points.grid_nodes(2, 3), 2)._asdict()
         assert set(doc) == {
             "delta", "degree", "h0_ambient", "rank",
             "h0_ideal", "h1_ideal", "independent",

@@ -7,11 +7,13 @@ function or method defined in ``src/nodalic`` that no run calls is API
 that no command uses: it must be on ``KEEP``, with the reason it stays.
 Each entry of ``KEEP`` must name a function that exists and that no run
 calls, so the list cannot hold a name that has gone or come into use.
+An entry kept for the benchmark's tracer must be one of its ``TARGETS``.
 """
 
 import ast
 import contextlib
 import importlib
+import importlib.util
 import io
 import sys
 from pathlib import Path
@@ -24,9 +26,9 @@ import test_golden
 TRACER = "resolved by name by the benchmark's tracer, perfbench/tracing.py"
 KEEP = {
     "nodalic.linalg.check_matrix": TRACER,
-    "nodalic.linalg.matmul": TRACER,
+    "nodalic.linalg.matmul": "the tests' product oracle, and the one caller of check_matrix",
     "nodalic.points.evaluation_matrix": TRACER,
-    "nodalic.points.evaluation_columns": TRACER,
+    "nodalic.points.evaluation_columns": "the columns that evaluation_matrix transposes",
     "nodalic.points.node_span_dim": TRACER,
     "nodalic.points.normal_crossing_check": TRACER,
     "nodalic.monodromy.MonodromyData.from_rationals": "documented constructor",
@@ -104,3 +106,13 @@ def test_every_function_runs_or_is_kept(tmp_path, monkeypatch):
     assert sorted(set(KEEP) - names) == [], "kept names that are not defined"
     assert sorted(set(KEEP) & reached) == [], "kept names that a command calls"
     assert sorted(names - reached - set(KEEP)) == [], "names that no command calls"
+
+
+def test_tracer_entries_are_tracer_targets():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = {f"nodalic.{dotted}" for _, paths in tracing.TARGETS for dotted in paths}
+    kept = {name for name, reason in KEEP.items() if reason == TRACER}
+    assert sorted(kept - targets) == [], "kept for the tracer, but not one of its targets"

@@ -18,9 +18,14 @@ def test_python_api_block_states_its_values():
     assert ns["pivots"] == [0, 1]
     # the rank core read its rows and left them as they were
     assert ns["rows"] == [[2, 4, 6], [1, 2, 3]]
+    assert ns["json_value"] == "3/2"
     report = ns["report"]
     assert (report.rank, report.h1_ideal) == (15, 1)
     assert ns["conditions"] == report and ns["crossing"].span_dim == 2
+    assert ns["fields"] == {
+        "delta": 16, "degree": 5, "h0_ambient": 21, "rank": 15,
+        "h0_ideal": 6, "h1_ideal": 1, "independent": False,
+    }
     columns, matrix = ns["columns"], ns["matrix"]
     assert len(columns) == 21 and {len(row) for row in columns} == {16}
     assert len(matrix) == 16 and matrix == [list(row) for row in zip(*columns)]

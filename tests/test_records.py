@@ -26,7 +26,6 @@ def records():
     """One instance of each record class, with its expected repr."""
     resolution = bott.koszul_resolution(2, [2, 3])
     data = monodromy.MonodromyData.from_json(STALK_DOC)
-    report = monodromy.ic_stalk(data)
     pts = points.ProjectivePointSet.from_json(POINTS_DOC)
     severi = (
         "({'N': 3, 'delta': 1, 'expected_dim': 2}, {'N': 4, 'delta': 0, 'expected_dim': 4}, "
@@ -79,13 +78,9 @@ def records():
             "StalkComplex(dim=2, delta=1, d0=((0, 2),))",
         ),
         (
-            report,
+            monodromy.ic_stalk(data),
             "IcStalkReport(h0=1, h1=0, higher=(), span_dim=1, excision_rank=1, "
             "h_top_singular=1, defect=0, filtration=(0, 1))",
-        ),
-        (
-            monodromy.perverse_filtration(report),
-            "PerverseFiltration(negative_piece=0, graded_0=0, graded_1=1, total=1)",
         ),
         (pts, "ProjectivePointSet(ambient_dim=2, vectors=((1, 2, 1), (1, 0, 2), (0, 1, 0)))"),
         (
@@ -102,16 +97,16 @@ def records():
 
 
 def test_one_record_of_each_class():
-    assert len({type(record) for record, _ in records()}) == 13
+    assert len({type(record) for record, _ in records()}) == 12
 
 
-@pytest.mark.parametrize("index", range(13))
+@pytest.mark.parametrize("index", range(12))
 def test_repr(index):
     record, expected = records()[index]
     assert repr(record) == expected
 
 
-@pytest.mark.parametrize("index", range(13))
+@pytest.mark.parametrize("index", range(12))
 def test_records_are_frozen(index):
     record, _ = records()[index]
     field = record._fields[0]
