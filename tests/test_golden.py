@@ -125,9 +125,26 @@ FAILING_DOCUMENTS = {
     },
 }
 
+_PLANE = {"dim": 2, "pairing": [[0, 1], [-1, 0]], "cycles": [[1, 0]], "h_ambient": 0}
+
+# one per message of the monodromy reader: the document's shape, each
+# count and its range, and the two literals parse_rational_pair refuses
 MALFORMED_DOCUMENTS = {
     "missing-keys": {"dim": 2, "pairing": [[0, 1], [-1, 0]]},
     "ragged": {"dim": 2, "pairing": [[0, 1], [-1]], "cycles": [], "h_ambient": 0},
+    "not-object": [_PLANE],
+    "pairing-not-array": {**_PLANE, "pairing": 5},
+    "row-not-array": {**_PLANE, "pairing": [[0, 1], 5]},
+    "cycles-not-array": {**_PLANE, "cycles": {"0": [1, 0]}},
+    "cycle-not-array": {**_PLANE, "cycles": [[1, 0], 3]},
+    "dim-string": {**_PLANE, "dim": "2"},
+    "h-ambient-negative": {**_PLANE, "h_ambient": -1},
+    "fiber-dim-even": {**_PLANE, "fiber_dim": 2},
+    "fiber-dim-zero": {**_PLANE, "fiber_dim": 0},
+    "too-few-rows": {**_PLANE, "pairing": [[0, 1]]},
+    "cycle-length": {**_PLANE, "cycles": [[1, 0, 0]]},
+    "zero-denominator": {**_PLANE, "pairing": [[0, "1/0"], [-1, 0]]},
+    "float-literal": {**_PLANE, "pairing": [[0, 0.5], [-0.5, 0]]},
 }
 
 
@@ -315,13 +332,64 @@ KOSZUL_RESOLUTION = {
     "terms": [[{"mult": 2, "twist": -2}], [{"mult": 1, "twist": -4}]],
 }
 
+# point-set documents the reader refuses by their shape, each run at
+# degree 2
+POINT_SHAPE_DOCUMENTS = {
+    "not-object": [[1, 0]],
+    "extra-key": {"ambient_dim": 1, "points": [[1, 0]], "note": 1},
+    "points-not-array": {"ambient_dim": 1, "points": {"0": [1, 0]}},
+    "ambient-dim-zero": {"ambient_dim": 0, "points": [[1]]},
+}
+
+
+def _terms(*terms):
+    return [[{"twist": a, "mult": r} for a, r in term] for term in terms]
+
+
+# resolution documents and the twist each is chased at: one per message
+# of the reader, and two chases whose exact h1 is 0 by the branches no
+# other run takes, a zero bound with a failed splice and a resolution
+# longer than the ambient dimension
+RESOLUTION_DOCUMENTS = {
+    "not-object": ([KOSZUL_RESOLUTION], 0),
+    "extra-key": ({**KOSZUL_RESOLUTION, "note": 1}, 0),
+    "no-terms": ({**KOSZUL_RESOLUTION, "terms": []}, 0),
+    "empty-sum": ({**KOSZUL_RESOLUTION, "terms": [[]]}, 0),
+    "summand-keys": ({**KOSZUL_RESOLUTION, "terms": [[{"twist": 0}]]}, 0),
+    "zero-bound-unspliced": (
+        {"ambient_dim": 2, "resolved_twist": 0, "terms": _terms([(-3, 1)], [(0, 1)])}, 0,
+    ),
+    "longer-than-n": (
+        {
+            "ambient_dim": 2,
+            "resolved_twist": 0,
+            "terms": _terms([(-1, 3)], [(-2, 3)], [(-3, 1)]),
+        },
+        0,
+    ),
+}
+
+# documents that cannot be read as JSON text, each run as a points input
+UNREADABLE_DOCUMENTS = {
+    "not-utf8": b"\xff\xfe{}",
+    "too-deep": "[" * 100000,
+}
+
 PLAIN_RUNS = {
     "koszul": ["koszul", "--n", "2", "--degrees", "2,2"],
     "koszul-twist": ["koszul", "--n", "3", "--degrees", "2,3,2", "--twist", "4"],
     "koszul-oversized": ["koszul", "--n", "2", "--degrees", "1000000,1"],
     "koszul-bad-degrees": ["koszul", "--n", "2", "--degrees", "2,x"],
+    "koszul-no-degrees": ["koszul", "--n", "2", "--degrees", ","],
+    "koszul-too-many-degrees": ["koszul", "--n", "2", "--degrees", "2,2,2"],
+    # degrees 1..140: a count of about 7e7 word updates
+    "koszul-too-much-work": [
+        "koszul", "--n", "140", "--degrees", ",".join(map(str, range(1, 141))),
+    ],
     "eagon-northcott": ["eagon-northcott", "--n", "3", "--quadrics", "2"],
     "eagon-northcott-twist": ["eagon-northcott", "--n", "4", "--quadrics", "3", "--twist", "2"],
+    # a first multiplicity near h^2 / 2 for h = 10^3000, past MAX_REPORTED_BITS
+    "eagon-northcott-unreportable": ["eagon-northcott", "--n", "3", "--quadrics", "1" + "0" * 3000],
     "grid": ["grid", "--n", "2", "--k", "4"],
     "grid-line": ["grid", "--n", "1", "--k", "2"],
     "grid-long-line": ["grid", "--n", "1", "--k", "9"],
@@ -329,6 +397,11 @@ PLAIN_RUNS = {
     "grid-solid": ["grid", "--n", "3", "--k", "3"],
     "grid-four": ["grid", "--n", "4", "--k", "4"],
     "grid-oversized": ["grid", "--n", "30", "--k", "30"],
+    # n + 1 alone passes MAX_GRID_COORDINATES
+    "grid-wide-space": ["grid", "--n", "100000", "--k", "2"],
+    "grid-out": ["grid", "--n", "1", "--k", "3", "--out", "grid-report.json"],
+    "grid-out-unwritable": ["grid", "--n", "1", "--k", "3", "--out", "no-such-directory/report.json"],
+    "read-missing": ["points", "--input", "missing.json", "--degree", "2"],
     "paper-examples-defaults": ["paper-examples"],
     "paper-examples-small": [
         "paper-examples", "--max-n", "3", "--max-k", "5", "--max-h", "3", "--grid-cap", "64",
@@ -366,7 +439,10 @@ def corpus(directory):
 
     def write(name, doc):
         path = directory / name
-        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
         return name
 
     rng = random.Random(1501)
@@ -401,6 +477,8 @@ def corpus(directory):
         ],
         "h_ambient": 2,
     }
+    # the optional fiber dimension, odd as it must be
+    stalks["stalk-fiber-dim"] = {**_PLANE, "fiber_dim": 3}
     stalks.update((f"fail-{k}", doc) for k, doc in FAILING_DOCUMENTS.items())
     stalks.update((f"malformed-{k}", doc) for k, doc in MALFORMED_DOCUMENTS.items())
     stalks["malformed-json"] = '{"dim": 2, "pairing": '
@@ -422,6 +500,15 @@ def corpus(directory):
     path = write("resolution.json", KOSZUL_RESOLUTION)
     for twist in ("2", "5", "-1", "2000000"):
         runs[f"chase twist {twist}"] = ["chase", "--input", path, "--twist", twist]
+    for name, (doc, twist) in RESOLUTION_DOCUMENTS.items():
+        path = write(f"resolution-{name}.json", doc)
+        runs[f"chase {name}"] = ["chase", "--input", path, "--twist", str(twist)]
+    for name, doc in POINT_SHAPE_DOCUMENTS.items():
+        path = write(f"points-shape-{name}.json", doc)
+        runs[f"points shape-{name}"] = ["points", "--input", path, "--degree", "2"]
+    for name, doc in UNREADABLE_DOCUMENTS.items():
+        path = write(f"unreadable-{name}.json", doc)
+        runs[f"points unreadable-{name}"] = ["points", "--input", path, "--degree", "2"]
     runs.update(PLAIN_RUNS)
     documents = {"points": "points-complete-grid.json", "stalk": "stalk-coincident.json"}
     for name, argv in ARGV_RUNS.items():

@@ -41,7 +41,6 @@ KEEP = {
     "nodalic.cli.entry": "runs only from the console script",
     "nodalic.cli._build_parser": "runs once, at import",
     "nodalic.__getattr__": "runs on the first access of each submodule",
-    "nodalic.errors.unreportable": "the exit-2 path pinned in test_cli.py",
 }
 
 
