@@ -109,7 +109,9 @@ class Resolution(namedtuple("Resolution", "ambient_dim resolved_twist terms")):
     ``terms[0]`` is the term mapping onto the sheaf and the list walks
     outward; the sheaf presented is the ideal sheaf twisted by
     ``resolved_twist``, so chasing a target twist t tensors every term
-    by t - resolved_twist.
+    by t - resolved_twist.  ``ambient_dim`` and ``resolved_twist`` are
+    checked; ``terms`` is taken as given, a nonempty tuple of
+    :class:`LineBundleSum`, which check their own values.
     """
 
     __slots__ = ()
@@ -117,11 +119,6 @@ class Resolution(namedtuple("Resolution", "ambient_dim resolved_twist terms")):
     def __new__(cls, ambient_dim, resolved_twist, terms):
         check_int(ambient_dim, "ambient_dim", minimum=1)
         _check_twist(resolved_twist, "resolved_twist")
-        if not terms:
-            raise InputError("a resolution needs at least one term")
-        for term in terms:
-            if not isinstance(term, LineBundleSum):
-                raise InputError("resolution terms must be LineBundleSum values")
         return super().__new__(cls, ambient_dim, resolved_twist, terms)
 
     @classmethod
@@ -159,8 +156,8 @@ class Resolution(namedtuple("Resolution", "ambient_dim resolved_twist terms")):
 def koszul_resolution(n, degrees):
     """Resolution of the ideal of a complete intersection of hypersurfaces.
 
-    ``degrees`` lists the degrees of a regular sequence of length c with
-    1 <= c <= n; term p is the sum of O(-sum of each p-subset of the
+    ``degrees`` is a nonempty list of the degrees of a regular sequence,
+    of length c <= n; term p is the sum of O(-sum of each p-subset of the
     degrees).  The resolved sheaf is the untwisted ideal sheaf.
 
     The p-subsets are counted by their sums, one distinct degree at a
@@ -170,8 +167,6 @@ def koszul_resolution(n, degrees):
     a list whose count would pass ``MAX_KOSZUL_WORK``.
     """
     check_int(n, "n", minimum=1)
-    if not isinstance(degrees, (list, tuple)) or not degrees:
-        raise InputError("degrees must be a nonempty list of positive integers")
     for d in degrees:
         check_int(d, "degree", minimum=1)
     c = len(degrees)
@@ -291,11 +286,10 @@ def h1_vanishing_chase(res, target_twist):
     attained and ``exact_h1`` is reported; a zero upper bound also pins
     the exact value at 0.  The bound must be short enough to print.
     """
-    if not isinstance(res, Resolution):
-        raise InputError("h1_vanishing_chase expects a Resolution")
     _check_twist(target_twist, "target_twist")
-    # the one check of the chase: a Resolution checked its values when it
-    # was built, and the int shift e keeps every twist an int
+    # the one check of the chase: a Resolution and its terms checked their
+    # values when they were built, and the int shift e keeps every twist
+    # an int
     n = res.ambient_dim
     e = target_twist - res.resolved_twist
     terms = [tuple((a + e, r) for a, r in term.summands) for term in res.terms]

@@ -218,8 +218,6 @@ def validate(data):
     leave it zero off the diagonal, and the logarithms then multiply to
     zero pairwise; no separate commutation test is needed.
     """
-    if not isinstance(data, MonodromyData):
-        raise InputError("validate expects MonodromyData")
     vs, gram = data.int_cycles, data.gram
     skew = _is_skew(data.int_pairing)
     nondegenerate = (
@@ -268,8 +266,6 @@ def build_stalk_complex(data, sign=-1):
     leaves degrees >= 2 empty; that is checked here rather than
     assumed, and data failing it raises ``FAIL_ORTHOGONALITY``.
     """
-    if not isinstance(data, MonodromyData):
-        raise InputError("build_stalk_complex expects MonodromyData")
     if type(sign) is not int or sign not in (1, -1):
         raise InputError(f"sign must be +1 or -1, got {sign!r}")
     gram = data.gram
@@ -284,12 +280,12 @@ def build_stalk_complex(data, sign=-1):
 
 
 def complex_cohomology(complex_):
-    """Cohomology dimensions in degrees 0 to delta, from one rank of d0."""
-    if not isinstance(complex_, StalkComplex):
-        raise InputError("complex_cohomology expects a StalkComplex")
+    """Cohomology dimensions in degrees 0 to delta, from one rank of d0.
+
+    ``complex_`` comes from :func:`build_stalk_complex`, so d0 has at
+    most delta rows.
+    """
     dim, delta, d0 = complex_
-    if len(d0) > delta:
-        raise InputError(f"d0 has {len(d0)} rows, more than delta = {delta}")
     if not delta:
         return [dim]
     r = linalg.rank(d0, dim)
@@ -298,8 +294,6 @@ def complex_cohomology(complex_):
 
 def span_dim(data):
     """Dimension of the linear span of the vanishing cycles."""
-    if not isinstance(data, MonodromyData):
-        raise InputError("span_dim expects MonodromyData")
     return linalg.rank(data.int_cycles, data.dim)
 
 
@@ -329,12 +323,9 @@ class IcStalkReport(
 
 
 def _require_valid(data):
-    if not isinstance(data, MonodromyData):
-        raise InputError("expected MonodromyData")
     diagnostics = validate(data)
     if not diagnostics.passed:
         raise PreconditionError(diagnostics.failures[0])
-    return diagnostics
 
 
 def ic_stalk(data, sign=-1):

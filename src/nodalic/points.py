@@ -118,8 +118,6 @@ def _shaped_prefix(ambient_dim, coordinates):
     tuple or has another length, or None when every point is well shaped.
     """
     check_int(ambient_dim, "ambient_dim", minimum=1)
-    if not isinstance(coordinates, (list, tuple)):
-        raise InputError("points must be a list of coordinate vectors")
     width = ambient_dim + 1
     end = _first_false(map(isinstance, coordinates, repeat((list, tuple))))
     short = _first_false(map(width.__eq__, map(len, coordinates[:end])))
@@ -292,10 +290,8 @@ def _check_monomial_count(n, d):
             raise PreconditionError(FAIL_MONOMIALS)
 
 
-def _check_request(pts, d, caller):
+def _check_request(pts, d):
     """The checks every degree-d evaluation runs first, in this order."""
-    if not isinstance(pts, ProjectivePointSet):
-        raise InputError(f"{caller} expects a ProjectivePointSet")
     check_int(d, "d", minimum=0)
     _check_monomial_count(pts.ambient_dim, d)
 
@@ -363,7 +359,7 @@ def evaluation_columns(pts, d):
     :func:`_graded_products` multiplies them up, one product per row
     and per power of the last coordinate.  Every row is a fresh list.
     """
-    _check_request(pts, d, "evaluation_columns")
+    _check_request(pts, d)
     *coordinates, hs = list(zip(*pts.vectors)) or [()] * (pts.ambient_dim + 1)
     steps = [[xs] * d for xs in coordinates]
     return _graded_products(steps, hs, d, [1] * pts.delta, _vector_product)
@@ -590,14 +586,12 @@ def conditions_report(pts, d):
     After the checks of :func:`evaluation_columns`, the rank is
     :func:`_ranks`'s.
     """
-    _check_request(pts, d, "conditions_report")
+    _check_request(pts, d)
     return _conditions(pts, d, *_ranks(pts, (d,)))
 
 
 def node_span_dim(pts):
     """Projective dimension of the linear span of the points."""
-    if not isinstance(pts, ProjectivePointSet):
-        raise InputError("node_span_dim expects a ProjectivePointSet")
     return _ranks(pts, (1,))[0] - 1
 
 
@@ -642,8 +636,6 @@ def normal_crossing_check(pts):
     evaluation, so the rank is :func:`_ranks` at d = 1, which builds no
     monomial row and so needs no ``MAX_MONOMIALS`` check.
     """
-    if not isinstance(pts, ProjectivePointSet):
-        raise InputError("normal_crossing_check expects a ProjectivePointSet")
     return _crossing(pts, *_ranks(pts, (1,)))
 
 
@@ -655,7 +647,7 @@ def point_reports(pts, d):
     at most once and, at d = 1, the coordinate matrix is ranked once for
     both records.
     """
-    _check_request(pts, d, "point_reports")
+    _check_request(pts, d)
     rank, coordinate_rank = _ranks(pts, (d, 1))
     return _conditions(pts, d, rank), _crossing(pts, coordinate_rank)
 

@@ -545,3 +545,20 @@ def test_submodules_load_on_first_use(tmp_path):
     assert bound == nodalic.__all__
     assert monodromy_name == "nodalic.monodromy"
     assert missing == "module 'nodalic' has no attribute 'nothing'"
+
+
+def test_python_m_nodalic_runs_the_command_line(tmp_path, capsys):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nodalic.__file__)))
+
+    def module_run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "nodalic", *args],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+
+    bare = module_run()
+    assert bare.returncode == 1 and bare.stdout == ""
+    assert bare.stderr.count("\n") == 1 and bare.stderr.startswith("error: ")
+    grid = module_run("grid", "--n", "1", "--k", "3")
+    assert cli.run(["grid", "--n", "1", "--k", "3"]) == grid.returncode == 0
+    assert (grid.stdout, grid.stderr) == (capsys.readouterr().out, "")
