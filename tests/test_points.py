@@ -442,6 +442,14 @@ class TestSpanAndCrossing:
     def test_grid_spans_plane(self):
         assert points.node_span_dim(points.grid_nodes(2, 3)) == 2
 
+    def test_node_span_dim_names_itself_in_its_type_error(self):
+        # node_span_dim has no type guard of its own: a value that is no
+        # point set fails on the first field it reads, from inside the call
+        for run in (points.node_span_dim, points.normal_crossing_check):
+            with pytest.raises(AttributeError, match="delta") as err:
+                run([(1, 0)])
+            assert run.__name__ in {entry.name for entry in err.traceback}
+
     def test_point_reports_checks_in_the_order_of_conditions_report(self):
         pts = point_set(2, COLLINEAR)
         with pytest.raises(InputError, match="d must be"):
@@ -453,9 +461,6 @@ class TestSpanAndCrossing:
         for run in (points.point_reports, points.conditions_report):
             with pytest.raises(AttributeError, match="ambient_dim"):
                 run([(1, 0)], 2)
-        for run in (points.node_span_dim, points.normal_crossing_check):
-            with pytest.raises(AttributeError, match="delta"):
-                run([(1, 0)])
 
     def test_two_coordinate_points_cross_normally(self):
         pts = point_set(3, [(1, 0, 0, 0), (0, 1, 0, 0)])
