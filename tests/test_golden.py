@@ -326,6 +326,48 @@ def ingest_documents():
     return out
 
 
+def scale_documents():
+    """Point sets whose denominators or last coordinates have an lcm of thousands of bits.
+
+    Drawn from their own generator, so that the documents above stay as
+    recorded: random plane points with a distinct denominator of about
+    100 bits per entry, alone and followed by a repeated point (written
+    with other literals) or a zero vector before a short point; and
+    complete grids whose axis values have denominators of about 150
+    bits, so that their last coordinates do too while each axis repeats
+    its ratios, alone and with points at infinity.  A small grid with a
+    zero axis value and points at infinity whose first coordinate is 0
+    keeps ratio 0/1 and the points at infinity apart.
+    """
+    rng = random.Random(2601)
+
+    def ratio(bits):
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randrange(2**bits, 2**(bits + 1)))
+
+    scattered = [[_rational(ratio(100)) for _ in range(2)] + [1] for _ in range(12)]
+    # the point of index 4 again, scaled by -3/7 and written unreduced
+    again = [_rational(Fraction(-3, 7) * Fraction(x)) for x in scattered[4]]
+    repeated = scattered[:9] + [again] + scattered[9:]
+    zero = scattered[:5] + [["0/" + str(2**101 + 1), 0, 0], [1, 2]] + scattered[5:]
+    axes = [[ratio(150) for _ in range(4)] for _ in range(2)]
+    big_grid = _grid(axes)
+    rng.shuffle(big_grid)
+    infinity = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [2, -1, 0], [_rational(axes[0][0]), 1, 0]]
+    big_infinity = big_grid[:12] + infinity
+    rng.shuffle(big_infinity)
+    small_infinity = _grid([[0, Fraction(1, 2), -3], [2, 0, Fraction(-5, 4)]])
+    small_infinity += [[0, 1, 0], [1, 0, 0], [2, 1, 0], [3, -1, 0]]
+    rng.shuffle(small_infinity)
+    return {
+        "wide-denominators": ({"ambient_dim": 2, "points": scattered}, (1, 2, 3)),
+        "wide-denominators-repeated": ({"ambient_dim": 2, "points": repeated}, (2,)),
+        "wide-denominators-zero": ({"ambient_dim": 2, "points": zero}, (2,)),
+        "wide-grid": ({"ambient_dim": 2, "points": big_grid}, (1, 2, 3, 4)),
+        "wide-grid-with-infinity": ({"ambient_dim": 2, "points": big_infinity}, (1, 2, 3, 4)),
+        "zero-axis-with-infinity": ({"ambient_dim": 2, "points": small_infinity}, (1, 2, 3)),
+    }
+
+
 KOSZUL_RESOLUTION = {
     "ambient_dim": 2,
     "resolved_twist": 0,
@@ -497,6 +539,11 @@ def corpus(directory):
         for d in degrees:
             argv = ["points", "--input", path, "--degree", str(d)]
             runs[f"points ingest-{name} degree {d}"] = argv
+    for name, (doc, degrees) in scale_documents().items():
+        path = write(f"scale-{name}.json", doc)
+        for d in degrees:
+            argv = ["points", "--input", path, "--degree", str(d)]
+            runs[f"points scale-{name} degree {d}"] = argv
     path = write("resolution.json", KOSZUL_RESOLUTION)
     for twist in ("2", "5", "-1", "2000000"):
         runs[f"chase twist {twist}"] = ["chase", "--input", path, "--twist", twist]
