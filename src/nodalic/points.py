@@ -13,14 +13,17 @@ Two coordinate vectors give the same projective point exactly when
 these vectors are equal, and the evaluation and coordinate matrices are
 built from them on plain ints, so no Fraction is made between the JSON
 document and the elimination kernel.  The vectors are built column by
-column: each distinct literal of a document is parsed once, each
-coordinate's numerators and denominators are looked up across all
-points, and the lcm, the scaling, the content and the division are
-each one ``map`` across the points, so the interpreter takes a step per
-coordinate, not per point.  Reading a 256-point grid document takes
-about 0.8 ms instead of 2.0 ms point by point (CPython 3.11, shared
-2-vCPU VM).  ``to_json``, which the ``grid`` command prints, writes the
-points with first nonzero coordinate 1 from the ints.
+column.  Each distinct literal of a document is parsed once and scaled
+once to D, the lcm of the document's distinct denominators, so each
+entry is one look-up of an int and each coordinate one slice of them;
+the content, the sign and the division are each one ``map`` across the
+points, so the interpreter takes a step per coordinate, not per point.
+Random denominators can drive D to tens of thousands of bits, so D is
+built one denominator at a time and given up once past
+``_MAX_SCALE_BITS``; such a document, like the input of
+``from_coordinates``, scales each point by the lcm of its own
+denominators instead.  ``to_json``, which the ``grid`` command prints,
+writes the points with first nonzero coordinate 1 from the ints.
 
 The evaluation is built basis-major: one row per basis form of degree
 d, one entry per point.  Each coordinate's factors are vectors across
@@ -111,23 +114,24 @@ def _first_false(flags):
     return flags.index(False) if False in flags else len(flags)
 
 
-def _shaped_prefix(ambient_dim, coordinates):
+def _shaped_prefix(ambient_dim, coordinates, arrays):
     """``(end, error)``: the points before ``end`` are vectors of n + 1 entries.
 
-    ``error`` is the InputError of point ``end``, which is no list or
-    tuple or has another length, or None when every point is well shaped.
+    The caller has found the points before ``arrays`` to be lists or
+    tuples, and no other.  ``error`` is the InputError of point ``end``,
+    which is no list or tuple or has another length, or None when every
+    point is well shaped.
     """
     check_int(ambient_dim, "ambient_dim", minimum=1)
     width = ambient_dim + 1
-    end = _first_false(map(isinstance, coordinates, repeat((list, tuple))))
-    short = _first_false(map(width.__eq__, map(len, coordinates[:end])))
-    if short < end:
+    short = _first_false(map(width.__eq__, map(len, coordinates[:arrays])))
+    if short < arrays:
         return short, InputError(
             f"point {short} has {len(coordinates[short])} coordinates, expected {width}"
         )
-    if end < len(coordinates):
-        return end, InputError(f"point {end} is not a coordinate vector")
-    return end, None
+    if arrays < len(coordinates):
+        return arrays, InputError(f"point {arrays} is not a coordinate vector")
+    return arrays, None
 
 
 def _literal_tables(literals):
@@ -154,6 +158,47 @@ def _look_up(table, keys):
     return values if len(keys) > 1 else (values,)
 
 
+# The largest common scale, in bits, that the reader and the labelling
+# build: the lcm of a document's denominators (ProjectivePointSet.from_json)
+# and that of a set's nonzero last coordinates (_node_labelling).  Below
+# it an entry or a ratio costs one int product.  Past it the work per
+# entry grows with the lcm, which random denominators drive to tens of
+# thousands of bits, so both take their per-point path instead.  On 2000
+# plane points whose denominators divide a 28-bit D, the common scale
+# reads them 6% faster than the per-point path, and at a 60-bit D 4%
+# slower (CPython 3.11.7, shared 2-vCPU VM).
+_MAX_SCALE_BITS = 32
+
+
+def _capped_lcm(values):
+    """The lcm of ``values``, or None if it has more than ``_MAX_SCALE_BITS`` bits.
+
+    The lcm is built one value at a time and never shrinks, so the build
+    stops at the first partial lcm past the cap, one step beyond it.
+    """
+    scale = 1
+    for value in values:
+        scale = lcm(scale, value)
+        if scale.bit_length() > _MAX_SCALE_BITS:
+            return None
+    return scale
+
+
+def _scaled_columns(numerators, denominators):
+    """Integer columns: each point's rationals times the lcm of its denominators.
+
+    ``numerators[i]`` and ``denominators[i]`` hold coordinate i of every
+    point, the denominators positive, and each step is one ``map`` across
+    all points: the lcm per point, then one quotient and one product per
+    coordinate.
+    """
+    scales = list(map(lcm, *denominators))
+    return [
+        list(map(mul, nums, map(floordiv, scales, dens)))
+        for nums, dens in zip(numerators, denominators)
+    ]
+
+
 def _quotient_json(x, lead):
     g = gcd(x, lead)
     return x // g if g == lead else f"{x // g}/{lead // g}"
@@ -172,7 +217,8 @@ class ProjectivePointSet(namedtuple("ProjectivePointSet", "ambient_dim vectors")
     @classmethod
     def from_coordinates(cls, ambient_dim, coordinates):
         """Point set from coordinate vectors of ints or Fractions."""
-        end, error = _shaped_prefix(ambient_dim, coordinates)
+        arrays = _first_false(map(isinstance, coordinates, repeat((list, tuple))))
+        end, error = _shaped_prefix(ambient_dim, coordinates, arrays)
         pairs = []
         for point in coordinates[:end]:
             try:
@@ -182,32 +228,30 @@ class ProjectivePointSet(namedtuple("ProjectivePointSet", "ambient_dim vectors")
                 error = err
                 break
         columns = list(zip(*pairs))
-        return cls._from_columns(
-            ambient_dim,
-            [[num for num, _ in column] for column in columns],
-            [[den for _, den in column] for column in columns],
-            error,
-        )
+        if columns:
+            columns = _scaled_columns(
+                [[num for num, _ in column] for column in columns],
+                [[den for _, den in column] for column in columns],
+            )
+        return cls._from_columns(ambient_dim, columns, error)
 
     @classmethod
-    def _from_columns(cls, ambient_dim, numerators, denominators, error=None):
-        """Point set from its coordinates, one column per coordinate.
+    def _from_columns(cls, ambient_dim, columns, error=None):
+        """Point set from integer columns, one per coordinate.
 
-        ``numerators[i]`` and ``denominators[i]`` hold coordinate i of
-        every point, the denominators positive; with no points there are
-        no columns.  ``error`` is the InputError of the point after the
-        last, if any, raised unless a zero or repeated point comes first.
-        Each step is one ``map`` across all points: the points are scaled
-        by the lcm of their denominators and divided by the gcd of the
-        results, negated where the first nonzero entry is negative.  A
-        point whose gcd is 0 is the zero vector and ends the points.
+        ``columns[i]`` holds coordinate i of every point as ints, each
+        point times a positive factor: D, the common scale of
+        :meth:`from_json`, or, past ``_MAX_SCALE_BITS`` bits of D and in
+        :meth:`from_coordinates`, the lcm of the point's own denominators
+        (:func:`_scaled_columns`).  With no points there are no columns.
+        ``error`` is the InputError of the point after the last, if any,
+        raised unless a zero or repeated point comes first.  Each step is
+        one ``map`` across all points: the points are divided by the gcd
+        of their entries, negated where the first nonzero entry is
+        negative.  A point whose gcd is 0 is the zero vector and ends the
+        points.
         """
-        if numerators:
-            scales = list(map(lcm, *denominators))
-            columns = [
-                list(map(mul, nums, map(floordiv, scales, dens)))
-                for nums, dens in zip(numerators, denominators)
-            ]
+        if columns:
             # a tuple is below the zero tuple exactly when its first
             # nonzero entry is negative
             negative = map(lt, zip(*columns), repeat((0,) * len(columns)))
@@ -262,17 +306,28 @@ class ProjectivePointSet(namedtuple("ProjectivePointSet", "ambient_dim vectors")
         # every literal is parsed before any point is checked, so a bad
         # literal is reported ahead of a short, zero or repeated point
         arrays = _first_false(map(isinstance, raw, repeat(list)))
-        numerator, denominator = _literal_tables(list(chain.from_iterable(raw[:arrays])))
+        literals = list(chain.from_iterable(raw[:arrays]))
+        numerator, denominator = _literal_tables(literals)
         if arrays < len(raw):
             raise InputError(f"point {arrays} is not an array")
-        end, error = _shaped_prefix(obj["ambient_dim"], raw)
-        columns = list(zip(*raw[:end]))
-        return cls._from_columns(
-            obj["ambient_dim"],
-            [_look_up(numerator, column) for column in columns],
-            [_look_up(denominator, column) for column in columns],
-            error,
-        )
+        ambient_dim = obj["ambient_dim"]
+        end, error = _shaped_prefix(ambient_dim, raw, arrays)
+        # the entries of the well-shaped points, point after point
+        width = ambient_dim + 1
+        entries = literals[: end * width]
+        scale = _capped_lcm(denominator.values())
+        if not entries:
+            columns = []
+        elif scale is None:
+            columns = _scaled_columns(
+                [_look_up(numerator, entries[i::width]) for i in range(width)],
+                [_look_up(denominator, entries[i::width]) for i in range(width)],
+            )
+        else:
+            scaled = {x: num * (scale // denominator[x]) for x, num in numerator.items()}
+            values = _look_up(scaled, entries)
+            columns = [values[i::width] for i in range(width)]
+        return cls._from_columns(ambient_dim, columns, error)
 
 
 def _check_monomial_count(n, d):
@@ -396,28 +451,54 @@ def _node_labelling(pts):
     count if x_i = 0 != x_h (the next factor is x_i), 0 if x_h = x_i = 0,
     and ``_MAX_NODES`` otherwise.  No degree enters, so one labelling
     serves every degree.
+
+    Each ratio is keyed by an int: with L the lcm of the set's distinct
+    nonzero h, ``x * (L // h)`` is L times x/h, one ``map(mul)`` per
+    coordinate, and a ``Counter`` of the keys, which keeps the order in
+    which they first occur, gives the repeated ones.  A node's ``(p, q)``
+    is its key over L, reduced.  Where h = 0 the key is None, a class of
+    its own.  L is built as the reader builds its scale, and past
+    ``_MAX_SCALE_BITS`` bits each ratio is keyed by its reduced ``(p,
+    q)`` instead (:func:`_ratio_keys`), which takes a gcd per entry but
+    no product of the size of L.
     """
     *coordinates, hs = list(zip(*pts.vectors)) or [()] * (pts.ambient_dim + 1)
+    finite = set(hs)
+    at_infinity = 0 in finite
+    finite.discard(0)
+    scale = _capped_lcm(finite)
+    if scale is None:
+        zero = (0, 1)
+    else:
+        zero = 0
+        # x * (scale // h) is scale * x/h; None where h = 0
+        multipliers = list(map({h: scale // h for h in finite}.get, hs))
     nodes, runs = [], []
     for xs in coordinates:
-        keys = _ratio_keys(xs, hs)
-        # each point's ratio as the index of its first occurrence, so that
-        # the look-ups below hash small ints instead of tuples
-        first = {}
-        ids = list(map(first.setdefault, keys, count()))
-        counts = Counter(ids)
-        at_infinity = counts.pop(first.get(None), 0)
-        repeated = [i for i, times in counts.items() if times > 1][:_MAX_NODES]
-        index = {i: j for j, i in enumerate(repeated)}
+        if scale is None:
+            keys = _ratio_keys(xs, hs)
+        elif at_infinity:
+            keys = [x * m if m else None for x, m in zip(xs, multipliers)]
+        else:
+            keys = list(map(mul, xs, multipliers))
+        # a Counter keeps the order in which the keys first occur
+        counts = Counter(keys)
+        counts.pop(None, None)
+        repeated = [key for key, times in counts.items() if times > 1][:_MAX_NODES]
+        index = dict(zip(repeated, count()))
         # x_i = 0 with x_h != 0 is ratio 0/1: its node, or past the nodes
         # the factor x_i itself, is its first zero factor
-        index.setdefault(first.get((0, 1)), len(repeated))
-        run = bytes(map(index.get, ids, repeat(_MAX_NODES)))
+        index.setdefault(zero, len(repeated))
+        run = bytes(map(index.get, keys, repeat(_MAX_NODES)))
         if at_infinity:
             # where x_h = 0 a factor q*x_i - p*x_h is q*x_i
             run = bytes(r if h or x else 0 for r, x, h in zip(run, xs, hs))
         runs.append(run)
-        nodes.append([keys[i] for i in repeated])
+        if scale is not None:
+            # the node of key k is k / scale
+            divisors = map(gcd, repeated, repeat(scale))
+            repeated = [(k // g, scale // g) for k, g in zip(repeated, divisors)]
+        nodes.append(repeated)
     if any(nodes):
         # bytes order the points as their run tuples, and take time
         # linear in n to build

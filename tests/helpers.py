@@ -4,6 +4,7 @@ Randomness always flows through a caller-supplied ``random.Random`` so
 every test is reproducible from its seed.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -304,3 +305,41 @@ def kernel_rank(rows, ncols):
     if len(rows) > ncols:
         rows, ncols = list(zip(*rows)), len(rows)
     return len(linalg.reduce_int_rows([list(row) for row in rows], ncols))
+
+
+def ratio_labelling(pts):
+    """Oracle for ``points._node_labelling``, from the ratios as Fractions.
+
+    With h the last coordinate, coordinate i's ratio at a point is
+    ``Fraction(x_i, h)``, None where h = 0.  Its nodes are the ratios that
+    occur at two or more points, in the order they first occur, at most
+    255, as ``(numerator, denominator)``.  A point's run byte is its
+    ratio's node index; where that is no node, the node count if x_i = 0
+    != h, 0 if x_i = h = 0, and 255 otherwise.  When some coordinate has
+    a node, the points are sorted stably by their tuples of run bytes.
+    """
+    *coordinates, hs = list(zip(*pts.vectors)) or [()] * (pts.ambient_dim + 1)
+    nodes, runs = [], []
+    for xs in coordinates:
+        ratios = [Fraction(x, h) if h else None for x, h in zip(xs, hs)]
+        times = Counter(r for r in ratios if r is not None)
+        repeated = [r for r in dict.fromkeys(ratios) if times[r] > 1][:255]
+        run = []
+        for x, h, r in zip(xs, hs, ratios):
+            if r in repeated:
+                run.append(repeated.index(r))
+            elif x == 0:
+                run.append(len(repeated) if h else 0)
+            else:
+                run.append(255)
+        nodes.append([(r.numerator, r.denominator) for r in repeated])
+        runs.append(run)
+    order = list(range(pts.delta))
+    if any(nodes):
+        order.sort(key=lambda c: [run[c] for run in runs])
+    return (
+        tuple(hs[c] for c in order),
+        [tuple(xs[c] for c in order) for xs in coordinates],
+        nodes,
+        [bytes(run[c] for c in order) for run in runs],
+    )

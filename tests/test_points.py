@@ -3,7 +3,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, lcm, prod
 
 import pytest
 
@@ -17,6 +17,7 @@ from helpers import (
     monomial_basis,
     primitive_vectors,
     random_invertible,
+    ratio_labelling,
     rational_grid,
 )
 
@@ -220,10 +221,11 @@ class TestColumnBuild:
             return rng.choice(self.VALUES)
         return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
 
-    def random_set(self, rng):
+    def random_set(self, rng, value=None):
+        value = value or self.value
         n = rng.randint(1, 4)
         delta = rng.choice((0, 1, 2, 5, 9, 14, 40))
-        return n, [[self.value(rng) for _ in range(n + 1)] for _ in range(delta)]
+        return n, [[value(rng) for _ in range(n + 1)] for _ in range(delta)]
 
     def test_from_coordinates(self):
         rng = random.Random(1901)
@@ -236,8 +238,8 @@ class TestColumnBuild:
         # both outcomes occur: sets built, and zero or repeated points
         assert 20 <= built <= 230
 
-    def test_from_json(self):
-        rng = random.Random(1903)
+    def json_documents(self, rng, value):
+        """250 random documents, each entry one spelling of a ``value(rng)``."""
 
         def spelling(x):
             m = rng.choice((1, 1, 2, 3))
@@ -246,15 +248,56 @@ class TestColumnBuild:
                 forms += [x.numerator, x.numerator, str(x.numerator), f"{x.numerator:+d}"]
             return rng.choice(forms)
 
-        built = 0
         for _ in range(250):
-            n, coords = self.random_set(rng)
-            doc = {"ambient_dim": n, "points": [[spelling(Fraction(x)) for x in p] for p in coords]}
+            n, coords = self.random_set(rng, value)
+            yield {"ambient_dim": n, "points": [[spelling(Fraction(x)) for x in p] for p in coords]}
+
+    def built_from_json(self, documents, monkeypatch):
+        """``(sets built, documents scaled point by point)``, each checked by the oracle."""
+        per_point = []
+        scaled_columns = points._scaled_columns
+
+        def recorded(numerators, denominators):
+            per_point.append(numerators)
+            return scaled_columns(numerators, denominators)
+
+        monkeypatch.setattr(points, "_scaled_columns", recorded)
+        built = 0
+        for doc in documents:
             built += self.matches_oracle(
                 lambda: points.ProjectivePointSet.from_json(doc), doc["points"]
             )
-        # both outcomes occur: sets built, and zero or repeated points
+        return built, len(per_point)
+
+    def test_from_json(self, monkeypatch):
+        documents = self.json_documents(random.Random(1903), self.value)
+        built, per_point = self.built_from_json(documents, monkeypatch)
+        # both outcomes occur: sets built, and zero or repeated points; the
+        # denominators divide 3 * lcm(1, ..., 12) = 83160, so every
+        # document has a common scale
         assert 20 <= built <= 230
+        assert per_point == 0
+
+    def test_from_json_past_the_common_scale(self, monkeypatch):
+        # the same documents, with no common scale within the cap
+        monkeypatch.setattr(points, "_MAX_SCALE_BITS", 0)
+        documents = self.json_documents(random.Random(1903), self.value)
+        built, per_point = self.built_from_json(documents, monkeypatch)
+        assert 20 <= built <= 230
+        assert per_point > 150
+
+    def test_from_json_with_wide_denominators(self, monkeypatch):
+        # denominators of 34 to 40 bits: the document's lcm passes the cap
+        def value(rng):
+            if rng.random() < 0.5:
+                return self.value(rng)
+            return Fraction(rng.randint(-30, 30), rng.randrange(2**33, 2**40))
+
+        built, per_point = self.built_from_json(
+            self.json_documents(random.Random(1905), value), monkeypatch
+        )
+        assert 20 <= built <= 230
+        assert per_point > 150
 
     def test_grid_nodes(self):
         rng = random.Random(1907)
@@ -269,6 +312,58 @@ class TestColumnBuild:
             assert self.matches_oracle(lambda: rational_grid(n, axes), coords)
         default = list(product([1, 2, 3], [1, 2, 3], [1, 2, 3], [1]))
         assert self.matches_oracle(lambda: points.grid_nodes(3, 4), default)
+
+
+class TestCommonScale:
+    """The common scales stop one step past their cap, whatever the set.
+
+    2000 plane points with a distinct denominator of up to 10^6 in each
+    entry have lcms of tens of thousands of bits, for the document's
+    denominators and for the set's last coordinates alike.  Each build
+    must read its values only until the partial lcm passes
+    ``_MAX_SCALE_BITS``, and the set must come out as the per-point rule
+    gives it.  The check is on the values each build reads, not on time.
+    """
+
+    def test_neither_lcm_is_built_past_one_step_beyond_its_cap(self, monkeypatch):
+        rng = random.Random(2701)
+        denominators = iter(rng.sample(range(1, 10**6), 6000))
+        coords = [
+            [f"{rng.randint(-10**6, 10**6)}/{next(denominators)}" for _ in range(3)]
+            for _ in range(2000)
+        ]
+        builds = []
+        capped_lcm = points._capped_lcm
+
+        def recorded(values):
+            read = []
+
+            def each():
+                for value in values:
+                    read.append(value)
+                    yield value
+
+            scale = capped_lcm(each())
+            builds.append((len(values), read, scale))
+            return scale
+
+        monkeypatch.setattr(points, "_capped_lcm", recorded)
+        pts = points.ProjectivePointSet.from_json({"ambient_dim": 2, "points": coords})
+        labelling = points._node_labelling(pts)
+        assert pts.vectors == primitive_vectors(coords)
+        assert labelling == ratio_labelling(pts)
+        # one build for the reader and one for the labelling, over about
+        # 6000 and 2000 distinct values
+        assert [distinct > 1900 for distinct, _, _ in builds] == [True, True]
+        for _, read, scale in builds:
+            assert scale is None
+            # the first partial lcm past the cap is the last value read
+            partial = 1
+            for last, value in enumerate(read, 1):
+                partial = lcm(partial, value)
+                if partial.bit_length() > points._MAX_SCALE_BITS:
+                    break
+            assert last == len(read)
 
 
 class TestMonomialBasis:

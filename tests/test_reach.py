@@ -12,9 +12,11 @@ that one pass:
   by its function's entry or by its own.  A statement's entry is keyed
   ``"<dotted function name>: <source text>"``, the text being the
   statement's lines (a compound statement's header alone), stripped,
-  without comment lines and joined by spaces.  The key holds no line
-  number, so an edit elsewhere does not move it, and a failure lists
-  each unreached statement by the key that would keep it.
+  without comment lines and joined by spaces.  Where statements of one
+  function share a text, each key ends in `` #i``, its place among them
+  in source order, so an entry names exactly one statement.  The key
+  holds no line number, so an edit elsewhere does not move it, and a
+  failure lists each unreached statement by the key that would keep it.
 
 A statement ran when one of its own lines ran, or one of the
 statements inside it did; a nested def is a statement of its enclosing
@@ -31,6 +33,7 @@ import importlib
 import importlib.util
 import io
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -83,7 +86,7 @@ KEEP = {
     "nodalic.cli.run: print(f\"precondition violated: {unreportable('number')}\", file=sys.stderr)": (
         DIGIT_LIMIT
     ),
-    "nodalic.cli.run: return 2": DIGIT_LIMIT,
+    "nodalic.cli.run: return 2 #2": DIGIT_LIMIT,
     "nodalic.cli.run: print(\"precondition violated: a sweep cell deviates from its asserted "
     "verdict\", file=sys.stderr)": CROSS_CHECK,
     "nodalic.monodromy.ic_stalk: raise PreconditionError( \"closed-form and complex stalk "
@@ -111,8 +114,8 @@ KEEP = {
     "nodalic.monodromy.build_stalk_complex: raise PreconditionError(FAIL_ORTHOGONALITY)": (
         "the builder's own proof that degrees >= 2 are empty; ic_stalk validates first"
     ),
-    "nodalic.points._shaped_prefix: return end, InputError(f\"point {end} is not a coordinate "
-    "vector\")": (
+    "nodalic.points._shaped_prefix: return arrays, InputError(f\"point {arrays} is not a "
+    "coordinate vector\")": (
         "from_coordinates would silently drop a point that is no list or tuple; "
         "from_json refuses one first"
     ),
@@ -194,18 +197,63 @@ def _inner(stmt):
             yield from child.body if isinstance(child, ast.ExceptHandler) else (child,)
 
 
+def _body(function):
+    """The statements of ``function``'s body; the docstring is no statement."""
+    body = function.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        return body[1:]
+    return body
+
+
+def _start(stmt):
+    return min([stmt.lineno] + [d.lineno for d in getattr(stmt, "decorator_list", ())])
+
+
+def statement_keys(name, function, source):
+    """``{statement: key}`` of each statement of ``function``, nested ones included.
+
+    ``source`` holds the lines of its file.  A nested def is a statement,
+    and its body is left to its own function.  A key is ``"<name>:
+    <text>"``; when k > 1 statements of the function have the same text,
+    the i-th of them in source order has `` #i`` appended, so that no two
+    statements share a key.
+    """
+    texts = {}
+
+    def visit(stmts):
+        for stmt in stmts:
+            inner = list(_inner(stmt))
+            end = max(stmt.lineno, inner[0].lineno - 1) if inner else stmt.end_lineno
+            lines = [line.strip() for line in source[_start(stmt) - 1:end]]
+            texts[stmt] = " ".join(t for t in lines if t and not t.startswith("#"))
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                visit(inner)
+
+    visit(_body(function))
+    totals = Counter(texts.values())
+    seen = Counter()
+    keys = {}
+    for stmt in sorted(texts, key=lambda stmt: (stmt.lineno, stmt.col_offset)):
+        text = texts[stmt]
+        keys[stmt] = f"{name}: {text}"
+        if totals[text] > 1:
+            seen[text] += 1
+            keys[stmt] += f" #{seen[text]}"
+    return keys
+
+
 def unreached_statements(name, function, source, ran):
     """``{key: line}`` of the statements of ``function`` that no run executes.
 
     ``source`` holds the lines of its file and ``ran`` the numbers of
-    the lines that ran there.  The docstring is no statement.
+    the lines that ran there; the keys are those of :func:`statement_keys`.
     """
+    keys = statement_keys(name, function, source)
     out = {}
 
     def reached(stmt):
         inner = list(_inner(stmt))
-        start = min([stmt.lineno] + [d.lineno for d in getattr(stmt, "decorator_list", ())])
-        own = set(range(start, stmt.end_lineno + 1)).difference(
+        own = set(range(_start(stmt), stmt.end_lineno + 1)).difference(
             *(range(s.lineno, s.end_lineno + 1) for s in inner)
         )
         # a nested def's body is checked as its own function
@@ -213,16 +261,10 @@ def unreached_statements(name, function, source, ran):
         runs = [reached(s) for s in ([] if scoped else inner)]
         if any(runs) or not own.isdisjoint(ran):
             return True
-        end = max(stmt.lineno, inner[0].lineno - 1) if inner else stmt.end_lineno
-        text = [line.strip() for line in source[start - 1:end]]
-        key = f"{name}: " + " ".join(t for t in text if t and not t.startswith("#"))
-        out.setdefault(key, stmt.lineno)
+        out[keys[stmt]] = stmt.lineno
         return False
 
-    body = function.body
-    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
-        body = body[1:]
-    for stmt in body:
+    for stmt in _body(function):
         reached(stmt)
     return out
 
@@ -299,6 +341,38 @@ def test_statement_keys_name_their_source():
     }
     # a line inside the if's body marks the if as run
     assert unreached_statements("m.f", function, source, {6}) == {"m.f: return 2": 8}
+    # statements of one function with the same text are numbered in
+    # source order, the nested ones included
+    source = [
+        "def g(x):",
+        "    if x:",
+        "        return 2",
+        "    try:",
+        "        return 2",
+        "    finally:",
+        "        x = 1",
+        "    return 2",
+    ]
+    function = ast.parse("\n".join(source)).body[0]
+    assert sorted(statement_keys("m.g", function, source).values()) == [
+        "m.g: if x:", "m.g: return 2 #1", "m.g: return 2 #2", "m.g: return 2 #3",
+        "m.g: try:", "m.g: x = 1",
+    ]
+    assert unreached_statements("m.g", function, source, {2, 3, 4, 7, 8}) == {
+        "m.g: return 2 #2": 5,
+    }
+
+
+def test_each_kept_statement_names_one_statement():
+    keys = Counter()
+    sources = {}
+    for (path, _), (name, node) in defined_functions().items():
+        if path not in sources:
+            sources[path] = Path(path).read_text(encoding="utf-8").splitlines()
+        keys.update(statement_keys(name, node, sources[path]).values())
+    assert [key for key, times in keys.items() if times > 1] == []
+    kept = [key for key in KEEP if ": " in key]
+    assert {key: keys[key] for key in kept if keys[key] != 1} == {}
 
 
 def test_the_pass_puts_back_a_tracer_already_set(tmp_path, monkeypatch):
