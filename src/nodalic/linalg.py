@@ -6,10 +6,13 @@ floats and bools are rejected because they silently break exactness.
 through :func:`_int_rows`: rows of plain ints are taken as they are,
 and a row holding a Fraction is scaled by the lcm of its denominators,
 which keeps the row space.  It hands the integer rows to
-:func:`rank_int_rows`, the rank core, which a caller holding int rows
-(the Newton rows and coordinate vectors of :mod:`nodalic.points`) calls
-directly, so nothing is checked again.  The core ends in the one
-elimination kernel, :func:`reduce_int_rows`.
+:func:`rank_int_rows`, the rank core.  Every command calls the core
+directly on int rows it has built: the Newton rows and coordinate
+vectors of :mod:`nodalic.points`, and the pairing, cycles and
+functionals that :class:`nodalic.monodromy.MonodromyData` holds and the
+differential of its stalk complex, so nothing is checked again.
+:func:`rank` is the entry for rows an API caller wrote.  The core ends
+in the one elimination kernel, :func:`reduce_int_rows`.
 
 The rank core takes one path: the echelon certificate, then the
 orientation, then the kernel.  It first drops zero rows and reads each
@@ -257,7 +260,8 @@ def rank(matrix, ncols=None):
     """Rank over the rationals (forward elimination only).
 
     Validates the input into int rows (:func:`_int_rows`) and hands
-    them to :func:`rank_int_rows`.
+    them to :func:`rank_int_rows`.  The entry for rows an API caller
+    wrote; the commands call the core on ints they built.
     """
     return rank_int_rows(*_int_rows(matrix, ncols))
 

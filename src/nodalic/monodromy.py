@@ -18,8 +18,9 @@ each cycle by the least of its own (which also gives its weight), and
 each cycle's functional <., v> and the cycles' Gram matrix are computed
 once on those integers.  :class:`MonodromyData` holds only these integer
 forms.  Positive rescalings change no rank, skewness or orthogonality, so
-every check runs on plain ints, and every pairwise one reads the Gram
-matrix.  The complex is built on the integer operators
+every check runs on plain ints, every pairwise one reads the Gram
+matrix, and every rank goes to the rank core, ``linalg.rank_int_rows``,
+which checks nothing again.  The complex is built on the integer operators
 M_i = sign * outer(v_i, f_i), positive multiples of the logarithms;
 the rescaling changes no rank.  M_i M_j is
 sign^2 * gram[i][j] * outer(v_i, f_j), so the builder reads the Gram
@@ -70,8 +71,8 @@ class MonodromyData(
     check reads it; no dot product of length ``dim`` is taken after
     ingest.
     Build it with :meth:`from_json` or :meth:`from_rationals`, which
-    check shapes; the semantic invariants are the business of
-    :func:`validate`.
+    check shapes and types; no later step checks them again, and the
+    semantic invariants are the business of :func:`validate`.
     """
 
     __slots__ = ()
@@ -196,52 +197,27 @@ def _is_skew(pairing):
     return all(pairing[i][j] == -pairing[j][i] for i in range(m) for j in range(i, m))
 
 
-class Diagnostics(
-    namedtuple(
-        "Diagnostics",
-        "skew nondegenerate cycles_nonzero pairwise_orthogonal failures",
-    )
-):
-    """Pass/fail record for every semantic invariant of MonodromyData."""
-
-    __slots__ = ()
-
-    @property
-    def passed(self):
-        return not self.failures
-
-
 def validate(data):
-    """Check every invariant and report diagnostics; never raises.
+    """The ``FAIL_*`` names of the invariants ``data`` breaks; never raises.
 
-    A skew pairing makes the Gram matrix skew, so orthogonal cycles
-    leave it zero off the diagonal, and the logarithms then multiply to
-    zero pairwise; no separate commutation test is needed.
+    All four checks run, and the names come in the order skew,
+    degenerate, zero cycle, orthogonality; an empty tuple means the data
+    is valid.  A skew pairing makes the Gram matrix skew, so orthogonal
+    cycles leave it zero off the diagonal, and the logarithms then
+    multiply to zero pairwise; no separate commutation test is needed.
     """
-    vs, gram = data.int_cycles, data.gram
-    skew = _is_skew(data.int_pairing)
-    nondegenerate = (
-        data.dim == 0 or linalg.rank(data.int_pairing, data.dim) == data.dim
+    gram = data.gram
+    checks = (
+        (_is_skew(data.int_pairing), FAIL_SKEW),
+        (linalg.rank_int_rows(data.int_pairing, data.dim) == data.dim, FAIL_DEGENERATE),
+        (all(map(any, data.int_cycles)), FAIL_ZERO_CYCLE),
+        # <v_a, v_b> is a positive multiple of gram[b][a]
+        (
+            all(gram[b][a] == 0 for a, b in combinations(range(data.delta), 2)),
+            FAIL_ORTHOGONALITY,
+        ),
     )
-    cycles_nonzero = all(any(v) for v in vs)
-    # <v_a, v_b> is a positive multiple of gram[b][a]
-    orthogonal = all(gram[b][a] == 0 for a, b in combinations(range(len(vs)), 2))
-    failures = []
-    if not skew:
-        failures.append(FAIL_SKEW)
-    if not nondegenerate:
-        failures.append(FAIL_DEGENERATE)
-    if not cycles_nonzero:
-        failures.append(FAIL_ZERO_CYCLE)
-    if not orthogonal:
-        failures.append(FAIL_ORTHOGONALITY)
-    return Diagnostics(
-        skew=skew,
-        nondegenerate=nondegenerate,
-        cycles_nonzero=cycles_nonzero,
-        pairwise_orthogonal=orthogonal,
-        failures=tuple(failures),
-    )
+    return tuple(name for passed, name in checks if not passed)
 
 
 class StalkComplex(namedtuple("StalkComplex", "dim delta d0")):
@@ -288,13 +264,13 @@ def complex_cohomology(complex_):
     dim, delta, d0 = complex_
     if not delta:
         return [dim]
-    r = linalg.rank(d0, dim)
+    r = linalg.rank_int_rows(d0, dim)
     return [dim - r, len(d0) - r] + [0] * (delta - 1)
 
 
 def span_dim(data):
     """Dimension of the linear span of the vanishing cycles."""
-    return linalg.rank(data.int_cycles, data.dim)
+    return linalg.rank_int_rows(data.int_cycles, data.dim)
 
 
 def excision_rank(data):
@@ -305,7 +281,7 @@ def excision_rank(data):
     checks as the excision bookkeeping equation.
     """
     _require_valid(data)
-    return linalg.rank(data.functionals, data.dim)
+    return linalg.rank_int_rows(data.functionals, data.dim)
 
 
 class IcStalkReport(
@@ -323,9 +299,9 @@ class IcStalkReport(
 
 
 def _require_valid(data):
-    diagnostics = validate(data)
-    if not diagnostics.passed:
-        raise PreconditionError(diagnostics.failures[0])
+    failures = validate(data)
+    if failures:
+        raise PreconditionError(failures[0])
 
 
 def ic_stalk(data, sign=-1):

@@ -1,8 +1,10 @@
+import ast
 import random
 from copy import deepcopy
 from fractions import Fraction
 from math import gcd
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -446,3 +448,31 @@ class TestRankCore:
         assert linalg.rank_int_rows([[] for _ in range(10)], 0) == 0
         assert linalg.rank_int_rows([], 7) == 0
         assert linalg.rank([[] for _ in range(10)], 0) == 0
+
+
+def test_only_linalg_names_fraction():
+    """Fractions are built only in ``linalg``, where API input is read.
+
+    No other module of the package imports ``fractions`` or names
+    ``Fraction`` in code; docstrings and comments may mention it.
+    """
+    package = Path(linalg.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "linalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if {"fractions", "Fraction"} & set(names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert len(list(package.glob("*.py"))) > 1
+    assert not offenders

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,7 @@ from helpers import (
     textbook_stalk_complex,
     transvection,
 )
+import test_golden
 
 
 def data_for(m, cycles, h_ambient=0, pairing=None):
@@ -152,41 +156,34 @@ class TestTransvection:
 class TestValidate:
     def test_orthogonal_pair_passes(self):
         data = data_for(4, [basis_vector(4, 0), basis_vector(4, 2)])
-        diagnostics = monodromy.validate(data)
-        assert diagnostics.passed
-        assert diagnostics.failures == ()
+        assert monodromy.validate(data) == ()
 
     def test_pairing_partners_fail_orthogonality(self):
         data = data_for(4, [basis_vector(4, 0), basis_vector(4, 1)])
-        diagnostics = monodromy.validate(data)
-        assert not diagnostics.pairwise_orthogonal
-        assert FAIL_ORTHOGONALITY in diagnostics.failures
+        assert monodromy.validate(data) == (FAIL_ORTHOGONALITY,)
 
     def test_symmetric_pairing_fails_skew(self):
         data = data_for(2, [basis_vector(2, 0)], pairing=identity(2))
-        diagnostics = monodromy.validate(data)
-        assert not diagnostics.skew
-        assert FAIL_SKEW in diagnostics.failures
+        assert FAIL_SKEW in monodromy.validate(data)
 
     def test_degenerate_pairing_detected(self):
         zero = [[Fraction(0)] * 2 for _ in range(2)]
         data = data_for(2, [basis_vector(2, 0)], pairing=zero)
-        diagnostics = monodromy.validate(data)
-        assert diagnostics.skew
-        assert not diagnostics.nondegenerate
-        assert FAIL_DEGENERATE in diagnostics.failures
+        failures = monodromy.validate(data)
+        assert FAIL_SKEW not in failures
+        assert FAIL_DEGENERATE in failures
 
     def test_zero_cycle_detected(self):
         data = data_for(2, [(0, 0)])
-        diagnostics = monodromy.validate(data)
-        assert not diagnostics.cycles_nonzero
-        assert FAIL_ZERO_CYCLE in diagnostics.failures
+        assert FAIL_ZERO_CYCLE in monodromy.validate(data)
 
     def test_never_raises(self):
-        data = data_for(2, [(0, 0), (1, 0), (0, 1)], pairing=identity(2))
-        diagnostics = monodromy.validate(data)
-        assert not diagnostics.passed
-        assert len(diagnostics.failures) >= 2
+        # the pairing is neither skew nor nondegenerate, the first cycle
+        # is zero and the other two pair to 1
+        data = data_for(2, [(0, 0), (1, 0), (0, 1)], pairing=[[1, 1], [1, 1]])
+        assert monodromy.validate(data) == (
+            FAIL_SKEW, FAIL_DEGENERATE, FAIL_ZERO_CYCLE, FAIL_ORTHOGONALITY,
+        )
 
 
 class TestDataParsing:
@@ -768,6 +765,48 @@ class TestIntegerPath:
         assert cli.run(["ic-stalk", "--input", str(path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["h0"] >= 0
 
+    def test_ic_stalk_never_revalidates_a_matrix(self, monkeypatch, tmp_path):
+        """Every rank of ``ic-stalk`` runs on the ints ingest built.
+
+        With ``linalg.rank`` and ``linalg._int_rows`` raising, every
+        ``ic-stalk`` run of the golden corpus, and ``ic_stalk`` on each
+        of its documents that reads, reports exactly what it did before.
+        """
+        monkeypatch.chdir(tmp_path)
+        runs = [argv for argv in test_golden.corpus(tmp_path).values() if argv[:1] == ["ic-stalk"]]
+        paths = sorted({argv[argv.index("--input") + 1] for argv in runs if "--input" in argv})
+        documents = []
+        for path in paths:
+            try:
+                documents.append(MonodromyData.from_json(json.loads(Path(path).read_text())))
+            except (ValueError, InputError):
+                continue
+
+        def reports():
+            out = []
+            for argv in runs:
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = cli.run(argv)
+                out.append((code, stdout.getvalue(), stderr.getvalue()))
+            for data in documents:
+                for sign in (1, -1):
+                    try:
+                        out.append(monodromy.ic_stalk(data, sign))
+                    except PreconditionError as err:
+                        out.append(str(err))
+            return out
+
+        expected = reports()
+        assert sum(type(r) is monodromy.IcStalkReport for r in expected) > 20
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a matrix was validated again")
+
+        monkeypatch.setattr(linalg, "rank", refuse)
+        monkeypatch.setattr(linalg, "_int_rows", refuse)
+        assert reports() == expected
+
     def test_cohomology_of_deep_complex_builds_no_fraction(self, monkeypatch):
         data = data_for(3, DEEP_CYCLES, pairing=DEEP_PAIRING)
         monkeypatch.setattr(linalg, "Fraction", NoFraction)
@@ -830,8 +869,8 @@ def random_unconstrained_data(rng):
 
 
 def reference_diagnostics(data):
-    """Diagnostics from the Fraction pairing, and whether the explicit
-    logarithm matrices commute pairwise."""
+    """The ``FAIL_*`` names from the Fraction pairing, in validate's order,
+    and whether the explicit logarithm matrices commute pairwise."""
     pairing = rational_pairing(data)
     cycles = rational_cycles(data)
     m = data.dim
@@ -852,14 +891,7 @@ def reference_diagnostics(data):
         (cycles_nonzero, FAIL_ZERO_CYCLE),
         (orthogonal, FAIL_ORTHOGONALITY),
     )
-    diagnostics = monodromy.Diagnostics(
-        skew=skew,
-        nondegenerate=nondegenerate,
-        cycles_nonzero=cycles_nonzero,
-        pairwise_orthogonal=orthogonal,
-        failures=tuple(name for passed, name in checks if not passed),
-    )
-    return diagnostics, commute
+    return tuple(name for passed, name in checks if not passed), commute
 
 
 class TestGram:
@@ -890,14 +922,14 @@ class TestGram:
         failed = set()
         non_commuting = 0
         for data in self.draws():
-            diagnostics = monodromy.validate(data)
+            failures = monodromy.validate(data)
             expected, commute = reference_diagnostics(data)
-            assert diagnostics == expected
-            failed.update(diagnostics.failures)
+            assert failures == expected
+            failed.update(failures)
             # no commutation test is needed: skew data with orthogonal
             # cycles has logs that commute
             if not commute:
-                assert {FAIL_SKEW, FAIL_ORTHOGONALITY} & set(diagnostics.failures)
+                assert {FAIL_SKEW, FAIL_ORTHOGONALITY} & set(failures)
                 non_commuting += 1
         # the draws must reach every failure, and logs that do not commute
         assert failed == {
@@ -922,7 +954,7 @@ class TestGram:
 
         monkeypatch.setattr(monodromy, "_dot", no_dot)
         for data in valid:
-            assert monodromy.validate(data).passed
+            assert monodromy.validate(data) == ()
             for sign in (1, -1):
                 monodromy.build_stalk_complex(data, sign)
                 monodromy.ic_stalk(data, sign)

@@ -2,8 +2,8 @@
 
 Scaling the pairing by one nonzero rational, each cycle by its own, or
 moving the cycles by a symplectic map of the pairing changes no rank,
-skewness or orthogonality, so the diagnostics, the report
-(or the precondition it fails) and the shape of the complex must all be
+skewness or orthogonality, so the failure names of ``validate``, the
+report (or the precondition it fails) and the shape of the complex must all be
 unchanged.  Examples are derandomised, so every run checks the same
 cases.
 """

@@ -59,6 +59,11 @@ NO_COLUMNS = (
 KEEP = {
     "nodalic.linalg.check_matrix": TRACER,
     "nodalic.linalg.matmul": "the tests' product oracle, and the one caller of check_matrix",
+    "nodalic.linalg.rank": (
+        "documented validating entry for API rows; every command hands the rank core ints "
+        "its constructors built"
+    ),
+    "nodalic.linalg._int_rows": TRACER,
     "nodalic.points.evaluation_matrix": TRACER,
     "nodalic.points.evaluation_columns": "the columns that evaluation_matrix transposes",
     "nodalic.points.node_span_dim": TRACER,
@@ -104,9 +109,6 @@ KEEP = {
     "nodalic.linalg._check_shape: width = len(row)": NO_COLUMNS,
     "nodalic.linalg._check_shape: raise InputError(\"cannot infer the column count of a matrix "
     "with no rows\")": NO_COLUMNS,
-    "nodalic.linalg._int_rows: out.append(clear_denominators(rational_pairs(row))[1])": (
-        "rank of Fraction rows, documented API input; every command hands it int rows"
-    ),
     "nodalic.monodromy.build_stalk_complex: raise InputError(f\"sign must be +1 or -1, got "
     "{sign!r}\")": (
         "a float or Fraction sign would put non-ints into d0; the CLI offers only -1 and 1"
